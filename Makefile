@@ -63,9 +63,12 @@ bench-serve-baseline:
 	$(PYTHON) tools/bench_serve.py --write
 
 ## differential fuzz gate: replay the counterexample corpus, then a
-## fixed-seed fresh batch across every solver path (deterministic, <60s)
+## fixed-seed fresh batch across every solver path, then a smaller
+## fixed-seed batch under `python -O` (asserts stripped, so no check may
+## lean on one) -- deterministic, <60s
 fuzz-smoke:
 	$(PYTHON) -m repro.fuzz --count 50 --seed 20060707 --corpus tests/corpus --replay
+	$(PYTHON) -O -m repro.fuzz --count 20 --seed 20061014
 
 ## smoke-check the observability layer (tracing + metrics + events +
 ## ledger + report exports)

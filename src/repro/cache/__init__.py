@@ -15,13 +15,13 @@ games differing only in weights therefore occupy *different* cache
 entries (the bug this package's PR fixed before building on it).
 
 Like the ledger, the cache is **opt-in and near-free when off** (the
-default): instrumented solvers call :func:`lookup`, which returns a
-shared no-op miss unless caching was enabled via :func:`enable_cache`,
-the CLI ``--cache`` flag, or ``REPRO_CACHE=1`` (``REPRO_CACHE_DIR``
-overrides the directory, default ``.repro/cache``).  The disabled path
-is a single attribute load — no fingerprinting, no I/O — and the
-solver's output is byte-identical with the cache on or off (hits replay
-the exact serialized payload a cold solve produced).
+default): instrumented solvers run through :func:`cached_solve`, whose
+:func:`lookup` returns a shared no-op miss unless caching was enabled
+via :func:`enable_cache`, the CLI ``--cache`` flag, or ``REPRO_CACHE=1``
+(``REPRO_CACHE_DIR`` overrides the directory, default ``.repro/cache``).
+The disabled path is a single attribute load — no fingerprinting, no
+I/O — and the solver's output is byte-identical with the cache on or
+off (hits replay the exact serialized payload a cold solve produced).
 
 Failures never break a solve: a probe or store that raises (corrupt
 file, full disk) is logged, counted in ``cache.errors.count`` and
@@ -30,12 +30,16 @@ treated as a miss.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, ContextManager, Dict, Iterable, Optional
 
+from repro.core.game import GameError
 from repro.obs import get_logger, metrics
+from repro.obs import ledger as obs_ledger
 
 from repro.cache.keys import game_sha256
 from repro.cache.store import ResultCache
@@ -51,6 +55,8 @@ __all__ = [
     "get_cache",
     "open_store",
     "lookup",
+    "cached_solve",
+    "decode_result",
 ]
 
 _log = get_logger("repro.cache")
@@ -130,13 +136,8 @@ class CacheProbe:
     ``hit`` / ``payload`` report the lookup; on a miss the solver calls
     :meth:`store` with the serialized result it just computed.  The
     shared no-op instance (returned while caching is off) ignores
-    :meth:`store`, so solver code is identical either way::
-
-        probe = result_cache.lookup(game, "equilibria.solve", params)
-        result = probe.replay(solve_result_from_json)
-        if result is None:
-            result = ...compute...
-            probe.store(solve_result_to_json(result))
+    :meth:`store`, so solver code is identical either way
+    (:func:`cached_solve` is that code).
     """
 
     __slots__ = ("hit", "payload", "_fingerprint", "_solver", "_params",
@@ -224,3 +225,50 @@ def lookup(game: Any, solver: str, params: Dict[str, Any]) -> CacheProbe:
     if not _STATE.enabled:  # repro: noqa[LCK001]
         return _MISS
     return _active_probe(game, solver, params)
+
+
+def cached_solve(
+    game: Any, solver: str, params: Dict[str, Any],
+    compute: Callable[[], Any], encode: Callable[[Any], str],
+    decode: Callable[[str], Any], attributes: Dict[str, Any],
+    scope: Optional[Callable[[], Iterable[ContextManager]]] = None,
+) -> Any:
+    """One cache-aware solve, replayed or computed and stored.
+
+    Probe, open the ledger run ``solver`` (``attributes`` plus
+    ``cache_hit``), enter the contexts ``scope()`` returns (spans and
+    timers, built once the run has switched tracing on), then replay the
+    hit through ``decode`` — or ``compute()`` and store
+    ``encode(result)``."""
+    probe = lookup(game, solver, params)
+    with obs_ledger.run(solver, game=game, **attributes,
+                        cache_hit=probe.hit), ExitStack() as stack:
+        for context in (scope() if scope is not None else ()):
+            stack.enter_context(context)
+        result = probe.replay(decode)
+        if result is None:
+            result = compute()
+            probe.store(encode(result))
+        return result
+
+
+def decode_result(text: str, format_tag: str, what: str,
+                  build: Callable[[Dict[str, Any]], Any]) -> Any:
+    """Parse a result document tagged ``format_tag`` via ``build(payload)``.
+
+    Every defect is a :class:`~repro.core.game.GameError` naming
+    ``what``."""
+    with metrics.timer("cache.decode.seconds"):
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GameError(f"invalid {what} document: {exc}") from exc
+        if not isinstance(payload, dict) \
+                or payload.get("format") != format_tag:
+            raise GameError(
+                f"unrecognized {what} format (expected {format_tag!r})"
+            )
+        try:
+            return build(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GameError(f"malformed {what} payload: {exc}") from exc

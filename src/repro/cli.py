@@ -583,7 +583,8 @@ def _cmd_pure(graph: Graph, k: int, nu: int) -> int:
         )
         return 1
     pure = find_pure_nash(game)
-    assert pure is not None
+    if pure is None:
+        raise GameError("find_pure_nash found no pure NE (Theorem 3.1)")
     _emit(f"pure NE exists (Theorem 3.1); defender gain = ν = {nu}")
     _emit("defender cover: " + " ".join(f"{u}-{v}" for u, v in pure.tuple_choice))
     return 0

@@ -67,7 +67,8 @@ def cyclic_tuples(edges: Sequence[Edge], k: int) -> List[Tuple[Edge, ...]]:
         current = (current + k) % e_num
         if current == 0:
             break
-    assert len(tuples) == expected_tuple_count(e_num, k)
+    if len(tuples) != expected_tuple_count(e_num, k):
+        raise GameError(f"{len(tuples)} cyclic tuples break Claim 4.9")
     return tuples
 
 

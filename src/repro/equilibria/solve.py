@@ -42,7 +42,6 @@ from repro.kernels.coverage import shared_oracle
 from repro.matching.covers import minimum_edge_cover_size
 from repro.matching.partition import Partition, find_partition
 from repro.obs import get_logger, metrics, tracing
-from repro.obs import ledger as obs_ledger
 
 _log = get_logger("repro.equilibria.solve")
 
@@ -128,30 +127,29 @@ def solve_game(
         the greedy partition heuristic.
     """
     metrics.counter("equilibria.solve.count").inc()
-    # Probe before opening the ledger run so the record can carry the
-    # ``cache_hit`` attribute (a no-op miss while caching is disabled).
-    probe = result_cache.lookup(
-        game, "equilibria.solve",
-        {"seed": seed, "allow_extensions": allow_extensions},
-    )
-    with obs_ledger.run("equilibria.solve", game=game, seed=seed,
-                        allow_extensions=allow_extensions,
-                        cache_hit=probe.hit), \
+
+    def compute() -> SolveResult:
+        # Prewarm the coverage kernel: every downstream verification
+        # bridge (pure-NE checks, best-response certificates) queries the
+        # same (graph, k) and now hits the shared cache.
+        shared_oracle(game.graph, game.k)
+        try:
+            return _solve_game_impl(game, seed, allow_extensions)
+        except NoEquilibriumFoundError:
+            metrics.counter("equilibria.solve.kind.none.count").inc()
+            raise
+
+    params = {"seed": seed, "allow_extensions": allow_extensions}
+    result = result_cache.cached_solve(
+        game, "equilibria.solve", params, compute,
+        solve_result_to_json, solve_result_from_json,
+        attributes=params,
+        scope=lambda: [
             tracing.span("equilibria.solve", n=game.graph.n, k=game.k,
-                         nu=game.nu), \
-            metrics.timer("equilibria.solve.seconds"):
-        result = probe.replay(solve_result_from_json)
-        if result is None:
-            # Prewarm the coverage kernel: every downstream verification
-            # bridge (pure-NE checks, best-response certificates) queries
-            # the same (graph, k) and now hits the shared cache.
-            shared_oracle(game.graph, game.k)
-            try:
-                result = _solve_game_impl(game, seed, allow_extensions)
-            except NoEquilibriumFoundError:
-                metrics.counter("equilibria.solve.kind.none.count").inc()
-                raise
-            probe.store(solve_result_to_json(result))
+                         nu=game.nu),
+            metrics.timer("equilibria.solve.seconds"),
+        ],
+    )
     # Record which strategy of the solve cascade fired.
     metrics.counter(f"equilibria.solve.kind.{result.kind}.count").inc()
     _log.info(

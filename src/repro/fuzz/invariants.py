@@ -17,6 +17,10 @@ check                         theorem     cross-checked paths
 ``weighted-serialize-roundtrip``  —       weighted dump → load → dump byte
                                           fixpoint; weights separate sha256
                                           fingerprints
+``weighted-value-agreement``  —           weighted LP vs weighted double
+                                          oracle; both profiles verify
+``unit-weight-agreement``     —           unit-weight escape value vs
+                                          ``1 −`` plain LP value
 ``graph-io-roundtrip``        —           graph JSON + edge-list codecs
 ``kernel-reference``          —           coverage kernel vs brute-force argmax
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
@@ -60,7 +64,12 @@ from repro.solvers.double_oracle import double_oracle
 from repro.solvers.fictitious_play import fictitious_play
 from repro.solvers.lp import solve_minimax
 from repro.solvers.ranges import attacker_vertex_ranges
-from repro.weighted.game import WeightedTupleGame
+from repro.weighted.game import (
+    WeightedTupleGame,
+    weighted_double_oracle,
+    weighted_lp_equilibrium,
+    weighted_minimax,
+)
 
 __all__ = ["Violation", "INVARIANTS", "check_game", "DEFAULT_TOLERANCE"]
 
@@ -232,6 +241,14 @@ def _game_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _weighted_lift(game: TupleGame) -> WeightedTupleGame:
+    """``game`` with weights derived deterministically from the sorted
+    vertex order (1, 1.25, …, 2, repeating)."""
+    vertices = game.graph.sorted_vertices()
+    weights = {v: 1.0 + (i % 5) * 0.25 for i, v in enumerate(vertices)}
+    return WeightedTupleGame(game.graph, game.k, weights, nu=game.nu)
+
+
 def check_weighted_serialize_roundtrip(
     game: TupleGame, tol: float
 ) -> List[Violation]:
@@ -249,9 +266,7 @@ def check_weighted_serialize_roundtrip(
     * the plain game's document to stay free of weight keys (the
       pre-weighted byte format is a compatibility contract).
     """
-    vertices = game.graph.sorted_vertices()
-    weights = {v: 1.0 + (i % 5) * 0.25 for i, v in enumerate(vertices)}
-    weighted = WeightedTupleGame(game.graph, game.k, weights, nu=game.nu)
+    weighted = _weighted_lift(game)
     text = game_to_json(weighted)
     restored = game_from_json(text)
     out: List[Violation] = []
@@ -272,8 +287,9 @@ def check_weighted_serialize_roundtrip(
             "weighted-serialize-roundtrip",
             "weighted serialization is not canonical (re-dump differs)",
         ))
-    bumped = dict(weights)
-    bumped[vertices[0]] = weights[vertices[0]] + 0.5
+    first = game.graph.sorted_vertices()[0]
+    bumped = dict(weighted.weights)
+    bumped[first] += 0.5
     other = WeightedTupleGame(game.graph, game.k, bumped, nu=game.nu)
     if _game_sha256(text) == _game_sha256(game_to_json(other)):
         out.append(Violation(
@@ -289,6 +305,51 @@ def check_weighted_serialize_roundtrip(
             "byte format must stay stable",
         ))
     return out
+
+
+def check_weighted_value_agreement(
+    game: TupleGame, tol: float
+) -> List[Violation]:
+    """The weighted LP and the weighted double oracle agree on the escape
+    value of the weighted lift, and both profiles are equilibria."""
+    weighted = _weighted_lift(game)
+    lp_config, lp_solution = weighted_lp_equilibrium(weighted)
+    do_config, do_value = weighted_double_oracle(weighted)
+    out: List[Violation] = []
+    if not _close(lp_solution.value, do_value, tol):
+        out.append(Violation(
+            "weighted-value-agreement",
+            f"weighted_double_oracle={do_value!r} vs "
+            f"weighted_minimax={lp_solution.value!r}",
+        ))
+    for route, config in (("weighted_minimax", lp_config),
+                          ("weighted_double_oracle", do_config)):
+        ok, gaps = weighted.verify_best_responses(config, tol=tol)
+        if not ok:
+            out.append(Violation(
+                "weighted-value-agreement",
+                f"{route} profile is not an equilibrium: regrets {gaps!r}",
+            ))
+    return out
+
+
+def check_unit_weight_agreement(
+    game: TupleGame, tol: float
+) -> List[Violation]:
+    """With every weight 1 the escape value is ``1 −`` the plain value."""
+    unit = WeightedTupleGame(
+        game.graph, game.k, {v: 1.0 for v in game.graph.vertices()},
+        nu=game.nu,
+    )
+    expected = 1.0 - solve_minimax(game).value
+    escape = weighted_minimax(unit).value
+    if not _close(escape, expected, tol):
+        return [Violation(
+            "unit-weight-agreement",
+            f"unit-weight escape value {escape!r} != 1 - LP value "
+            f"= {expected!r}",
+        )]
+    return []
 
 
 def check_graph_io_roundtrip(game: TupleGame, tol: float) -> List[Violation]:
@@ -412,6 +473,8 @@ INVARIANTS: Dict[str, Check] = {
     "solve-cascade": check_solve_cascade,
     "serialize-roundtrip": check_serialize_roundtrip,
     "weighted-serialize-roundtrip": check_weighted_serialize_roundtrip,
+    "weighted-value-agreement": check_weighted_value_agreement,
+    "unit-weight-agreement": check_unit_weight_agreement,
     "graph-io-roundtrip": check_graph_io_roundtrip,
     "kernel-reference": check_kernel_reference,
     "simulation-agreement": check_simulation_agreement,

@@ -61,9 +61,7 @@ def _candidate(
     return spec
 
 
-def _try(spec: Optional[GameSpec], predicate: Predicate) -> bool:
-    if spec is None:
-        return False
+def _try(spec: GameSpec, predicate: Predicate) -> bool:
     metrics.counter("fuzz.shrink.probes.count").inc()
     try:
         return bool(predicate(spec))
@@ -82,8 +80,7 @@ def _shrink_edges(spec: GameSpec, predicate: Predicate) -> GameSpec:
         while start < len(edges):
             remaining = edges[:start] + edges[start + chunk:]
             candidate = _candidate(remaining, spec)
-            if _try(candidate, predicate):
-                assert candidate is not None
+            if candidate is not None and _try(candidate, predicate):
                 edges = list(candidate.edges)
                 spec = candidate
                 shrunk_this_pass = True
@@ -108,9 +105,8 @@ def _shrink_param(
             k=spec.k - 1 if param == "k" else None,
             nu=spec.nu - 1 if param == "nu" else None,
         )
-        if not _try(lowered, predicate):
+        if lowered is None or not _try(lowered, predicate):
             break
-        assert lowered is not None
         spec = lowered
     return spec
 

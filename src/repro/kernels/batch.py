@@ -36,7 +36,8 @@ def _init_worker(edges, vertices, k: int) -> None:
 
 def _worker_query(item: Tuple[Dict, str]) -> Tuple[EdgeTuple, float]:
     weights, method = item
-    assert _WORKER_ORACLE is not None
+    if _WORKER_ORACLE is None:
+        raise RuntimeError("batch worker queried before _init_worker ran")
     return _WORKER_ORACLE.best(weights, method=method)
 
 

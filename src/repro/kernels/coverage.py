@@ -216,7 +216,8 @@ class CoverageOracle:
                 covered[v] -= 1
 
         descend(0, 0.0)
-        assert best_slots is not None
+        if best_slots is None:
+            raise RuntimeError(f"exhaustive search found no {k}-tuple")
         return self._slots_to_tuple(best_slots), best_value
 
     # ------------------------------------------------------------------
@@ -349,7 +350,8 @@ class CoverageOracle:
             # attained by some tuple); guards against pathological
             # rounding by retrying with a looser, still-benign margin.
             found = self._lex_greedy(w, static, order, target, 1e-9)
-        assert found is not None
+        if found is None:
+            raise RuntimeError(f"no tuple reaches coverage {target!r}")
         return found
 
     def _lex_greedy(

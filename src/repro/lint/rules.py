@@ -1,4 +1,4 @@
-"""Per-node domain rules: RNG001, FLT001, OBS001.
+"""Per-node domain rules: RNG001, FLT001, OBS001, ASR001.
 
 These rules judge one file at a time from its AST; the cross-file rules
 (layering, documentation indices) live in :mod:`repro.lint.project`.
@@ -84,7 +84,8 @@ class UnseededRandomness(Rule):
                 for alias in node.names:
                     self._from_imports.add(alias.asname or alias.name)
             return
-        assert isinstance(node, ast.Call)
+        if not isinstance(node, ast.Call):
+            return
         func = node.func
 
         # random.<fn>(...) through the module object.
@@ -182,7 +183,8 @@ class FloatEquality(Rule):
     node_types = (ast.Compare,)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.Compare)
+        if not isinstance(node, ast.Compare):
+            return
         operands = [node.left] + list(node.comparators)
         for i, op in enumerate(node.ops):
             if not isinstance(op, (ast.Eq, ast.NotEq)):
@@ -236,7 +238,8 @@ class UninstrumentedEntryPoint(Rule):
         )
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.FunctionDef)
+        if not isinstance(node, ast.FunctionDef):
+            return
         if not self._applies(ctx):
             return
         if node.name not in ctx.exports:
@@ -261,3 +264,28 @@ class UninstrumentedEntryPoint(Rule):
             "instrumentation; wrap it in tracing.span(...) / "
             "metrics.timer(...) or decorate with @traced",
         )
+
+
+# --------------------------------------------------------------------------
+# ASR001 — invariants never rest on ``assert``
+
+
+@register
+class AssertInvariant(Rule):
+    """ASR001: no ``assert`` in the package, since ``python -O`` strips
+    it; raise a named error (or return early from an ``isinstance``
+    guard) instead."""
+
+    id = "ASR001"
+    name = "assert-invariant"
+    description = "no assert in the package; raise an explicit error"
+    severity = Severity.ERROR
+    node_types = (ast.Assert,)
+
+    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.module == "repro" or ctx.module.startswith("repro."):
+            yield ctx.finding(
+                self, node,
+                "`assert` vanishes under python -O; raise an explicit "
+                "error instead",
+            )

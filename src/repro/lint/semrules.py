@@ -332,7 +332,8 @@ class InstrumentationCleanup(Rule):
         self._calls = []
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.Call)
+        if not isinstance(node, ast.Call):
+            return
         tail = _call_tail(node)
         if tail is None:
             return

@@ -140,5 +140,6 @@ def uniform_family_equilibrium(
             f"(spread {spread:.3e}); the candidate is not an NE"
         )
     ok, gaps = verify_generalized_nash(game, attacker, defender, tol=1e-9)
-    assert ok, gaps  # implied by the two checks above; belt and braces
+    if not ok:  # implied by the two checks above; belt and braces
+        raise GameError(f"the uniform family is not an NE: {gaps!r}")
     return attacker, defender

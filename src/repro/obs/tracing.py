@@ -156,8 +156,13 @@ _CONTEXT: "contextvars.ContextVar[Optional[TraceContext]]" = (
 
 
 def _current_context(create: bool = True) -> Optional[TraceContext]:
+    return _ensure_context() if create else _CONTEXT.get()
+
+
+def _ensure_context() -> TraceContext:
+    """The current trace context, created on first use."""
     state = _CONTEXT.get()
-    if state is None and create:
+    if state is None:
         state = TraceContext()
         _CONTEXT.set(state)
     return state
@@ -287,8 +292,7 @@ class _SpanContext:
         self._state: Optional[TraceContext] = None
 
     def __enter__(self) -> Span:
-        state = _current_context()
-        assert state is not None
+        state = _ensure_context()
         self._state = state
         current = self.span_obj
         current.trace_id = state.trace_id
@@ -307,8 +311,7 @@ class _SpanContext:
         if exc_type is not None:
             current.status = "error"
             current.error_type = exc_type.__name__
-        state = self._state if self._state is not None else _current_context()
-        assert state is not None
+        state = self._state if self._state is not None else _ensure_context()
         stack = state.stack
         # Exception-safety: spans abandoned above this one (entered but
         # never exited — a generator that died, a manual __enter__ with no

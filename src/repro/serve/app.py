@@ -154,7 +154,8 @@ class DefenderService:
         """Start (if needed) and block until cancelled."""
         if self._server is None:
             await self.start()
-        assert self._server is not None
+        if self._server is None:
+            raise RuntimeError("serve: the listener closed while starting")
         try:
             await self._server.serve_forever()
         except asyncio.CancelledError:
@@ -324,7 +325,8 @@ class DefenderService:
             None, context.run, prepare, endpoint, body)
         if prepared.response is not None:
             return prepared.response
-        assert prepared.run is not None
+        if prepared.run is None:
+            raise RuntimeError(f"prepare({endpoint!r}) returned no work")
         future = self.pool.submit(prepared.run)
         try:
             return await asyncio.wait_for(

@@ -28,19 +28,25 @@ textbook both-sides-lazy variant.
 
 from __future__ import annotations
 
+import functools
 import json
 from time import perf_counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
 from repro.core.tuples import EdgeTuple, tuple_vertices
-from repro.graphs.core import Vertex, tuple_sort_key, vertex_sort_key
+from repro.graphs.core import Vertex
 from repro.kernels.coverage import CoverageOracle, shared_oracle
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
-from repro.obs import ledger as obs_ledger
-from repro.solvers.lp import LPSolution, minimax_over_strategies
+from repro.solvers.lp import (
+    LPSolution,
+    _lp_solution_from_payload,
+    _lp_solution_payload,
+    _minimax,
+    minimax_over_strategies,
+)
 
 __all__ = [
     "DoubleOracleResult",
@@ -133,21 +139,7 @@ def double_oracle_result_to_json(result: DoubleOracleResult) -> str:
     with metrics.timer("cache.encode.seconds"):
         payload = {
             "format": _RESULT_FORMAT,
-            "value": result.solution.value,
-            "defender": [
-                [[list(e) for e in t], p]
-                for t, p in sorted(
-                    result.solution.defender.items(),
-                    key=lambda item: tuple_sort_key(item[0]),
-                )
-            ],
-            "attacker": [
-                [v, p]
-                for v, p in sorted(
-                    result.solution.attacker.items(),
-                    key=lambda item: vertex_sort_key(item[0]),
-                )
-            ],
+            **_lp_solution_payload(result.solution),
             "iterations": result.iterations,
             "defender_pool_size": result.defender_pool_size,
             "attacker_pool_size": result.attacker_pool_size,
@@ -164,39 +156,18 @@ def double_oracle_result_from_json(text: str) -> DoubleOracleResult:
     Raises :class:`~repro.core.game.GameError` on malformed documents or
     a format tag this reader does not understand.
     """
-    with metrics.timer("cache.decode.seconds"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GameError(f"invalid double-oracle document: {exc}") from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != _RESULT_FORMAT:
-            raise GameError(
-                f"unrecognized double-oracle format "
-                f"(expected {_RESULT_FORMAT!r})"
-            )
-        try:
-            defender = {
-                tuple(tuple(e) for e in t): float(p)
-                for t, p in payload["defender"]
-            }
-            attacker = {v: float(p) for v, p in payload["attacker"]}
-            solution = LPSolution(
-                float(payload["value"]), defender, attacker
-            )
-            return DoubleOracleResult(
-                solution,
-                int(payload["iterations"]),
-                int(payload["defender_pool_size"]),
-                int(payload["attacker_pool_size"]),
-                float(payload["certified_gap"]),
-                [float(g) for g in payload["gap_history"]],
-                bool(payload["exact"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(
-                f"malformed double-oracle payload: {exc}"
-            ) from exc
+    return result_cache.decode_result(
+        text, _RESULT_FORMAT, "double-oracle",
+        lambda payload: DoubleOracleResult(
+            _lp_solution_from_payload(payload),
+            int(payload["iterations"]),
+            int(payload["defender_pool_size"]),
+            int(payload["attacker_pool_size"]),
+            float(payload["certified_gap"]),
+            [float(g) for g in payload["gap_history"]],
+            bool(payload["exact"]),
+        ),
+    )
 
 
 def _initial_defender_pool(oracle: CoverageOracle) -> List[EdgeTuple]:
@@ -257,121 +228,142 @@ def double_oracle(
     against pathological tolerance settings).
     """
     graph = game.graph
-    # Probe before opening the ledger run so the record can carry the
-    # ``cache_hit`` attribute (a no-op miss while caching is disabled).
-    probe = result_cache.lookup(
+    return result_cache.cached_solve(
         game, "solvers.double_oracle",
         {"tolerance": tolerance, "max_iterations": max_iterations,
          "method": method, "lazy_attacker": lazy_attacker},
+        lambda: _double_oracle_loop(
+            game, None, tolerance, max_iterations, method, lazy_attacker
+        ),
+        double_oracle_result_to_json,
+        double_oracle_result_from_json,
+        attributes={"method": method, "lazy_attacker": lazy_attacker},
+        scope=lambda: [tracing.span("double_oracle.solve", n=graph.n,
+                                    m=graph.m, k=game.k)],
     )
-    with obs_ledger.run("solvers.double_oracle", game=game, method=method,
-                        lazy_attacker=lazy_attacker, cache_hit=probe.hit), \
-            tracing.span("double_oracle.solve", n=graph.n, m=graph.m,
-                         k=game.k):
-        if probe.hit:
-            cached = probe.replay(double_oracle_result_from_json)
-            if cached is not None:
-                return cached
-        oracle = shared_oracle(graph, game.k)
-        vertices = oracle.vertices
-        defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
-        defender_seen: Set[EdgeTuple] = set(defender_pool)
-        attacker_pool: List[Vertex] = (
-            [vertices[0]] if lazy_attacker else list(vertices)
+
+
+def _double_oracle_loop(
+    game: TupleGame,
+    weights: Optional[Mapping[Vertex, float]],
+    tolerance: float,
+    max_iterations: int,
+    method: str,
+    lazy_attacker: bool,
+) -> DoubleOracleResult:
+    """The loop over the duel of ``game``: payoff ``cov[t, v]``, or with
+    vertex ``weights`` the negated escape ``w(v)·(cov[t, v] − 1)`` (values
+    and gaps in those units)."""
+    oracle = shared_oracle(game.graph, game.k)
+    vertices = oracle.vertices
+    defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
+    defender_seen: Set[EdgeTuple] = set(defender_pool)
+    attacker_pool: List[Vertex] = (
+        [vertices[0]] if lazy_attacker else list(vertices)
+    )
+    attacker_seen: Set[Vertex] = set(attacker_pool)
+    # The plain duel goes through the public entry point (and its span).
+    duel = (minimax_over_strategies if weights is None
+            else functools.partial(_minimax, weights=weights))
+
+    solution = None
+    gap = float("inf")
+    gap_history: List[float] = []
+    oracle_timer = metrics.histogram("double_oracle.oracle.seconds")
+    for iteration in range(1, max_iterations + 1):
+        solution = duel(
+            attacker_pool, defender_pool, tuple_vertices,
+            dual_attacker=not lazy_attacker,
         )
-        attacker_seen: Set[Vertex] = set(attacker_pool)
 
-        solution = None
-        gap = float("inf")
-        gap_history: List[float] = []
-        oracle_timer = metrics.histogram("double_oracle.oracle.seconds")
-        for iteration in range(1, max_iterations + 1):
-            solution = minimax_over_strategies(
-                attacker_pool, defender_pool, tuple_vertices,
-                dual_attacker=not lazy_attacker,
+        # Defender oracle: best tuple against the attacker's mixture over
+        # the *full* vertex set (off-pool vertices have mass 0); weighted,
+        # a tuple scores its covered mass q·w minus the whole mass.
+        masses: Dict[Vertex, float] = dict(solution.attacker)
+        total_mass = 0.0
+        if weights is not None:
+            masses = {v: q * weights[v] for v, q in masses.items()}
+            total_mass = sum(masses.values())
+        with tracing.span("double_oracle.oracle.best_response"):
+            oracle_start = perf_counter()
+            best_def, covered = oracle.best(masses, method=method)
+            oracle_timer.observe(perf_counter() - oracle_start)
+        def_payoff = covered - total_mass
+
+        # Attacker oracle: the first least-payoff vertex in canonical order.
+        hit: Dict[Vertex, float] = {v: 0.0 for v in vertices}
+        for t, p in solution.defender.items():
+            for v in tuple_vertices(t):
+                hit[v] += p
+        column = hit if weights is None else {
+            v: weights[v] * (hit[v] - 1.0) for v in vertices
+        }
+        best_att = min(vertices, key=column.__getitem__)
+        att_payoff = column[best_att]
+
+        gap = def_payoff - att_payoff
+        gap_history.append(gap)
+        obs_events.publish(
+            "solver.iteration", solver="double_oracle",
+            iteration=iteration, value=solution.value, gap=gap,
+            defender_pool=len(defender_pool),
+            attacker_pool=len(attacker_pool),
+        )
+        _log.debug(
+            "double_oracle.iteration", i=iteration, value=solution.value,
+            gap=gap, defender_pool=len(defender_pool),
+            attacker_pool=len(attacker_pool),
+        )
+        improved = False
+        if def_payoff > solution.value + tolerance and best_def not in defender_seen:
+            defender_pool.append(best_def)
+            defender_seen.add(best_def)
+            improved = True
+        if att_payoff < solution.value - tolerance and best_att not in attacker_seen:
+            attacker_pool.append(best_att)
+            attacker_seen.add(best_att)
+            improved = True
+        if not improved:
+            if method == "greedy":
+                # A greedy defender oracle's payoff is NOT an upper
+                # bound on the value, so the loop's gap is not a
+                # certificate — re-certify with one exact query.
+                _, exact_covered = oracle.best(masses, method="auto")
+                gap = exact_covered - total_mass - att_payoff
+                gap_history[-1] = gap
+            # At convergence each oracle is within one `tolerance` of
+            # the restricted value, so a certified gap beyond twice
+            # that means the oracle stalled short of the optimum.
+            exact = gap <= 2.0 * tolerance
+            metrics.counter("double_oracle.runs.count").inc()
+            metrics.counter("double_oracle.iterations.count").inc(iteration)
+            metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
+            metrics.gauge("double_oracle.pool.attacker").set(len(attacker_pool))
+            metrics.gauge("double_oracle.gap").set(gap)
+            if not exact:
+                metrics.counter(
+                    "double_oracle.inexact_convergence.count"
+                ).inc()
+                _log.warning(
+                    "double_oracle.inexact_convergence",
+                    method=method, value=solution.value, gap=gap,
+                    tolerance=tolerance,
+                )
+            _log.info(
+                "double_oracle.converged", iterations=iteration,
+                value=solution.value, gap=gap, exact=exact,
             )
-
-            # Defender oracle: best tuple against the attacker's mixture over
-            # the *full* vertex set (off-pool vertices have mass 0).
-            attacker_mix: Dict[Vertex, float] = dict(solution.attacker)
-            with tracing.span("double_oracle.oracle.best_response"):
-                oracle_start = perf_counter()
-                best_def, def_payoff = oracle.best(attacker_mix, method=method)
-                oracle_timer.observe(perf_counter() - oracle_start)
-
-            # Attacker oracle: min-hit vertex against the defender's mixture.
-            hit: Dict[Vertex, float] = {v: 0.0 for v in vertices}
-            for t, p in solution.defender.items():
-                for v in tuple_vertices(t):
-                    hit[v] += p
-            best_att = min(vertices, key=lambda v: (hit[v], repr(v)))
-            att_payoff = hit[best_att]
-
-            gap = def_payoff - att_payoff
-            gap_history.append(gap)
             obs_events.publish(
                 "solver.iteration", solver="double_oracle",
                 iteration=iteration, value=solution.value, gap=gap,
                 defender_pool=len(defender_pool),
                 attacker_pool=len(attacker_pool),
+                converged=True, certified=exact,
             )
-            _log.debug(
-                "double_oracle.iteration", i=iteration, value=solution.value,
-                gap=gap, defender_pool=len(defender_pool),
-                attacker_pool=len(attacker_pool),
+            return DoubleOracleResult(
+                solution, iteration, len(defender_pool),
+                len(attacker_pool), gap, gap_history, exact,
             )
-            improved = False
-            if def_payoff > solution.value + tolerance and best_def not in defender_seen:
-                defender_pool.append(best_def)
-                defender_seen.add(best_def)
-                improved = True
-            if att_payoff < solution.value - tolerance and best_att not in attacker_seen:
-                attacker_pool.append(best_att)
-                attacker_seen.add(best_att)
-                improved = True
-            if not improved:
-                if method == "greedy":
-                    # A greedy defender oracle's payoff is NOT an upper
-                    # bound on the value, so the loop's gap is not a
-                    # certificate — re-certify with one exact query.
-                    _, exact_payoff = oracle.best(attacker_mix, method="auto")
-                    gap = exact_payoff - att_payoff
-                    gap_history[-1] = gap
-                # At convergence each oracle is within one `tolerance` of
-                # the restricted value, so a certified gap beyond twice
-                # that means the oracle stalled short of the optimum.
-                exact = gap <= 2.0 * tolerance
-                metrics.counter("double_oracle.runs.count").inc()
-                metrics.counter("double_oracle.iterations.count").inc(iteration)
-                metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
-                metrics.gauge("double_oracle.pool.attacker").set(len(attacker_pool))
-                metrics.gauge("double_oracle.gap").set(gap)
-                if not exact:
-                    metrics.counter(
-                        "double_oracle.inexact_convergence.count"
-                    ).inc()
-                    _log.warning(
-                        "double_oracle.inexact_convergence",
-                        method=method, value=solution.value, gap=gap,
-                        tolerance=tolerance,
-                    )
-                _log.info(
-                    "double_oracle.converged", iterations=iteration,
-                    value=solution.value, gap=gap, exact=exact,
-                )
-                obs_events.publish(
-                    "solver.iteration", solver="double_oracle",
-                    iteration=iteration, value=solution.value, gap=gap,
-                    defender_pool=len(defender_pool),
-                    attacker_pool=len(attacker_pool),
-                    converged=True, certified=exact,
-                )
-                result = DoubleOracleResult(
-                    solution, iteration, len(defender_pool),
-                    len(attacker_pool), gap, gap_history, exact,
-                )
-                probe.store(double_oracle_result_to_json(result))
-                return result
 
     raise GameError(
         f"double oracle did not converge within {max_iterations} iterations "

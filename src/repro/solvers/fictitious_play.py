@@ -28,7 +28,6 @@ from repro.graphs.core import Vertex, tuple_sort_key, vertex_sort_key
 from repro.kernels.coverage import shared_oracle
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
-from repro.obs import ledger as obs_ledger
 
 __all__ = [
     "FictitiousPlayResult",
@@ -152,38 +151,21 @@ def fictitious_play_result_from_json(text: str) -> FictitiousPlayResult:
     Raises :class:`~repro.core.game.GameError` on malformed documents or
     an unknown format tag.
     """
-    with metrics.timer("cache.decode.seconds"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GameError(
-                f"invalid fictitious-play document: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != _RESULT_FORMAT:
-            raise GameError(
-                f"unrecognized fictitious-play format "
-                f"(expected {_RESULT_FORMAT!r})"
-            )
-        try:
-            return FictitiousPlayResult(
-                int(payload["rounds"]),
-                float(payload["lower_bound"]),
-                float(payload["upper_bound"]),
-                {v: float(p) for v, p in payload["attacker_strategy"]},
-                {
-                    tuple(tuple(e) for e in t): float(p)
-                    for t, p in payload["defender_strategy"]
-                },
-                [
-                    (float(lower), float(upper))
-                    for lower, upper in payload["history"]
-                ],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(
-                f"malformed fictitious-play payload: {exc}"
-            ) from exc
+    return result_cache.decode_result(
+        text, _RESULT_FORMAT, "fictitious-play",
+        lambda payload: FictitiousPlayResult(
+            int(payload["rounds"]),
+            float(payload["lower_bound"]),
+            float(payload["upper_bound"]),
+            {v: float(p) for v, p in payload["attacker_strategy"]},
+            {
+                tuple(tuple(e) for e in t): float(p)
+                for t, p in payload["defender_strategy"]
+            },
+            [(float(lower), float(upper))
+             for lower, upper in payload["history"]],
+        ),
+    )
 
 
 def fictitious_play(
@@ -225,22 +207,19 @@ def fictitious_play(
             f"fictitious play needs a positive tolerance; got {tolerance}"
         )
 
-    # Probe before opening the ledger run so the record can carry the
-    # ``cache_hit`` attribute (a no-op miss while caching is disabled).
-    probe = result_cache.lookup(
+    result = result_cache.cached_solve(
         game, "solvers.fictitious_play",
         {"rounds": rounds, "method": method, "tolerance": tolerance},
-    )
-    with obs_ledger.run("solvers.fictitious_play", game=game,
-                        max_rounds=rounds, method=method,
-                        cache_hit=probe.hit), \
+        lambda: _run_fictitious_play(game, rounds, method, tolerance),
+        fictitious_play_result_to_json,
+        fictitious_play_result_from_json,
+        attributes={"max_rounds": rounds, "method": method},
+        scope=lambda: [
             tracing.span("fictitious_play.run", n=graph.n, k=game.k,
-                         max_rounds=rounds), \
-            metrics.timer("fictitious_play.run.seconds"):
-        result = probe.replay(fictitious_play_result_from_json)
-        if result is None:
-            result = _run_fictitious_play(game, rounds, method, tolerance)
-            probe.store(fictitious_play_result_to_json(result))
+                         max_rounds=rounds),
+            metrics.timer("fictitious_play.run.seconds"),
+        ],
+    )
     metrics.counter("fictitious_play.runs.count").inc()
     metrics.counter("fictitious_play.rounds.count").inc(result.rounds)
     metrics.gauge("fictitious_play.residual").set(result.gap)
@@ -282,7 +261,10 @@ def _run_fictitious_play(
         for v in tuple_vertices(response):
             hit_mass[v] += 1.0
         # Attacker best-responds to the defender's empirical mixture:
-        # the vertex with the lowest empirical hit probability.
+        # the vertex with the lowest empirical hit probability.  Ties
+        # break by ``repr(v)`` on purpose: canonical order steers other
+        # trajectories, made the fp-rounds benchmark 1.6–1.8× slower (same
+        # answers) and would change every stored fictitious-play result.
         current_attack = min(vertices, key=lambda v: (hit_mass[v], repr(v)))
         # Value sandwich: the defender's best response against the
         # empirical attacker guarantees >= value; the attacker's best

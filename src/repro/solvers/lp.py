@@ -15,6 +15,10 @@ structural equilibria are validated:
   law of Theorem 4.5 — including on graphs (e.g. Petersen) where the
   structural machinery does not apply.
 
+This is the package's only game LP: the defender maximizes the minimum
+column payoff of a matrix — the 0/1 coverage ``cov[t, v]`` here, the
+negated escape ``w(v)·(cov[t, v] − 1)`` for :mod:`repro.weighted`.
+
 Solved with ``scipy.optimize.linprog`` (HiGHS).
 """
 
@@ -28,6 +32,7 @@ from scipy.optimize import linprog
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.tuples import EdgeTuple, all_tuples, tuple_vertices
+from repro.graphs.core import tuple_sort_key, vertex_sort_key
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
 from repro.obs import ledger as obs_ledger
@@ -80,6 +85,39 @@ class LPSolution:
         )
 
 
+def _lp_solution_payload(solution: LPSolution) -> Dict:
+    """``solution`` for the result codecs, supports in canonical order."""
+    return {
+        "value": solution.value,
+        "defender": [
+            [[list(e) for e in t], p]
+            for t, p in sorted(
+                solution.defender.items(),
+                key=lambda item: tuple_sort_key(item[0]),
+            )
+        ],
+        "attacker": [
+            [v, p]
+            for v, p in sorted(
+                solution.attacker.items(),
+                key=lambda item: vertex_sort_key(item[0]),
+            )
+        ],
+    }
+
+
+def _lp_solution_from_payload(payload: Dict) -> LPSolution:
+    """Inverse of :func:`_lp_solution_payload`."""
+    return LPSolution(
+        float(payload["value"]),
+        {
+            tuple(tuple(e) for e in t): float(p)
+            for t, p in payload["defender"]
+        },
+        {v: float(p) for v, p in payload["attacker"]},
+    )
+
+
 def _prune_and_normalize(raw: np.ndarray, keys: List) -> Dict:
     clipped = np.clip(raw, 0.0, None)
     clipped[clipped < _PRUNE] = 0.0
@@ -109,6 +147,14 @@ def minimax_over_strategies(
     optimal basis duals).  The default keeps the two-LP path, whose
     explicit duality-gap check the validation suites rely on.
     """
+    return _minimax(vertices, strategies, coverage_of, None, dual_attacker)
+
+
+def _minimax(
+    vertices, strategies, coverage_of, weights, dual_attacker: bool
+) -> LPSolution:
+    """:func:`minimax_over_strategies` over the 0/1 coverage matrix, or
+    with vertex ``weights`` over the negated escape ``w(v)·(cov − 1)``."""
     vertices = list(vertices)
     strategies = list(strategies)
     if not vertices or not strategies:
@@ -120,27 +166,30 @@ def minimax_over_strategies(
     # Strategies may protect vertices outside the attacker's set (e.g. in
     # the restricted duels of the double-oracle solver); those columns
     # simply do not exist in this duel.
-    coverage = np.zeros((t_count, n))
+    payoff = np.zeros((t_count, n))
     for row, strategy in enumerate(strategies):
         for v in coverage_of(strategy):
             column = vertex_index.get(v)
             if column is not None:
-                coverage[row, column] = 1.0
-    return _solve_matrix_duel(coverage, vertices, strategies, dual_attacker)
+                payoff[row, column] = 1.0
+    if weights is not None:
+        w = np.array([weights[v] for v in vertices])
+        payoff = w[None, :] * (payoff - 1.0)
+    return _solve_matrix_duel(payoff, vertices, strategies, dual_attacker)
 
 
 def _solve_matrix_duel(
-    coverage, vertices, strategies, dual_attacker: bool = False
+    payoff, vertices, strategies, dual_attacker: bool = False
 ) -> LPSolution:
-    """Solve the LP(s) for a 0/1 coverage matrix and package the optima."""
-    t_count, n = coverage.shape
+    """Solve the LP(s) for a defender-payoff matrix and package the optima."""
+    t_count, n = payoff.shape
     metrics.counter("lp.solve.count").inc()
     metrics.histogram("lp.matrix.strategies").observe(t_count)
     metrics.histogram("lp.matrix.vertices").observe(n)
     with tracing.span("lp.solve", strategies=t_count, vertices=n), \
             metrics.timer("lp.solve.seconds") as timing:
         solution = _solve_matrix_duel_inner(
-            coverage, vertices, strategies, dual_attacker
+            payoff, vertices, strategies, dual_attacker
         )
     _log.debug(
         "lp.solve", strategies=t_count, vertices=n,
@@ -154,15 +203,15 @@ def _solve_matrix_duel(
 
 
 def _solve_matrix_duel_inner(
-    coverage, vertices, strategies, dual_attacker: bool
+    payoff, vertices, strategies, dual_attacker: bool
 ) -> LPSolution:
-    t_count, n = coverage.shape
+    t_count, n = payoff.shape
 
     # Defender LP: maximize z s.t. (p^T A)_v >= z for all v, sum p = 1.
     # Variables x = (p_0..p_{T-1}, z); minimize -z.
     c = np.zeros(t_count + 1)
     c[-1] = -1.0
-    a_ub = np.hstack([-coverage.T, np.ones((n, 1))])  # z - (A^T p)_v <= 0
+    a_ub = np.hstack([-payoff.T, np.ones((n, 1))])  # z - (A^T p)_v <= 0
     b_ub = np.zeros(n)
     a_eq = np.zeros((1, t_count + 1))
     a_eq[0, :t_count] = 1.0
@@ -176,7 +225,7 @@ def _solve_matrix_duel_inner(
         raise GameError(f"defender LP failed: {defender_res.message}")
 
     if dual_attacker:
-        # The multipliers of the coverage rows are the attacker's optimal
+        # The multipliers of the vertex rows are the attacker's optimal
         # mixture: stationarity of the z column forces them to sum to 1,
         # and complementary slackness puts mass only on min-hit vertices.
         duals = -np.asarray(defender_res.ineqlin.marginals)
@@ -187,7 +236,7 @@ def _solve_matrix_duel_inner(
     # Attacker LP: minimize z' s.t. (A q)_t <= z' for all t, sum q = 1.
     c2 = np.zeros(n + 1)
     c2[-1] = 1.0
-    a_ub2 = np.hstack([coverage, -np.ones((t_count, 1))])
+    a_ub2 = np.hstack([payoff, -np.ones((t_count, 1))])
     b_ub2 = np.zeros(t_count)
     a_eq2 = np.zeros((1, n + 1))
     a_eq2[0, :n] = 1.0

@@ -6,19 +6,26 @@ positive weight ``w(v)`` to every vertex: an attacker on ``v`` earns
 ``w(v)`` if it escapes and 0 if caught, and the defender earns the total
 weight of the attackers it catches.
 
-The game stays *strategically* zero-sum: the attacker's payoff
-``w(v)·(1 − Hit(v))`` differs from the negated defender payoff
-``−w(v)·Hit(v)`` only by ``w(v)``, a constant in the defender's action —
-so best responses, and hence Nash equilibria, coincide with those of the
-zero-sum game whose defender payoff matrix is ``D[t, v] = w(v)·[v ∈ V(t)]``
-(see DESIGN.md §6).  That gives the weighted model the same machinery:
+The game stays *strategically* zero-sum: the defender's catch
+``w(v)·Hit(v)`` differs from the negated attacker payoff
+``−w(v)·(1 − Hit(v))`` only by ``w(v)``, a constant in the defender's
+action.  So the defender's best responses, and trivially the attacker's,
+are those of the zero-sum game whose defender payoff matrix is the
+negated escape ``D[t, v] = w(v)·([v ∈ V(t)] − 1)`` (see DESIGN.md §6),
+and Nash equilibria coincide.  The offset ``w(v)`` does depend on the
+attacker's action, so ``w(v)·[v ∈ V(t)]`` would be the wrong matrix:
+against it the attacker would minimize ``w(v)·Hit(v)`` instead of
+maximizing its escape.  That gives the weighted model the same
+machinery:
 
 * **pure NE** exist iff an edge cover of size ``k`` exists — Theorem 3.1's
   proof never uses the weights (an all-covering defender caps every
   attacker at its maximum-possible profit of 0);
-* **mixed NE** come from the exact LP over the weighted matrix;
-* the defender's best response is weighted k-edge coverage, which
-  :mod:`repro.solvers.best_response` already solves.
+* **mixed NE** come from the exact LP over the weighted matrix — the
+  duel of :mod:`repro.solvers.lp` with a weight vector;
+* the defender's best response is weighted k-edge coverage, so the
+  double oracle of :mod:`repro.solvers.double_oracle` runs unchanged
+  with the coverage kernel queried on ``q(v)·w(v)``.
 
 What genuinely changes is the *structure*: uniform k-matching profiles
 stop being equilibria (the attacker drifts to heavy vertices), and the
@@ -33,19 +40,21 @@ import json
 import math
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-from scipy.optimize import linprog
-
 import repro.cache as result_cache
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.profits import all_hit_probabilities, all_vertex_masses
 from repro.core.serialize import configuration_from_json, configuration_to_json
 from repro.core.tuples import all_tuples, tuple_vertices
-from repro.graphs.core import Graph, Vertex, tuple_sort_key, vertex_sort_key
-from repro.obs import ledger as obs_ledger
+from repro.graphs.core import Graph, Vertex
 from repro.solvers.best_response import best_tuple
-from repro.solvers.lp import LPSolution, _prune_and_normalize
+from repro.solvers.double_oracle import _double_oracle_loop
+from repro.solvers.lp import (
+    LPSolution,
+    _lp_solution_from_payload,
+    _lp_solution_payload,
+    _minimax,
+)
 
 __all__ = [
     "WeightedTupleGame",
@@ -175,178 +184,83 @@ def weighted_minimax(
 ) -> LPSolution:
     """Exact equilibrium of the weighted duel by LP.
 
-    Defender LP over the matrix ``D[t, v] = w(v)·[v ∈ V(t)]``: the
-    *attacker-facing* guarantee is on escape profit, so the defender
-    constraint is "every vertex's escape profit ``w(v)(1 − hit(v))`` is at
-    most ``z``", minimized; the attacker LP is its dual.  The reported
-    ``value`` is the equilibrium *escape* profit per attacker; the
-    defender's per-attacker catch value follows from the attacker mixture.
+    The duel of :func:`repro.solvers.lp.minimax_over_strategies` over the
+    negated escape matrix ``D[t, v] = w(v)·([v ∈ V(t)] − 1)``, on its
+    two-LP path with the explicit duality-gap check.  The reported
+    ``value`` is the equilibrium *escape* profit per attacker (minus the
+    duel's value); the defender's per-attacker catch value follows from
+    the attacker mixture.
     """
     base = game.base
     if base.tuple_strategy_count() > tuple_limit:
         raise GameError(
             f"C(m={base.m}, k={base.k}) exceeds the LP limit {tuple_limit}"
         )
-    vertices = game.graph.sorted_vertices()
-    index = {v: i for i, v in enumerate(vertices)}
-    tuples = list(all_tuples(game.graph, game.k))
-    n, t_count = len(vertices), len(tuples)
-    w = np.array([game.weights[v] for v in vertices])
-
-    # Escape matrix E[t][v] = w(v) * (1 - [v in V(t)]).
-    covered = np.zeros((t_count, n))
-    for row, t in enumerate(tuples):
-        for v in tuple_vertices(t):
-            covered[row, index[v]] = 1.0
-    escape = (1.0 - covered) * w[None, :]
-
-    # Defender: minimize z s.t. (p^T E)_v <= z for all v; sum p = 1.
-    c = np.zeros(t_count + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([escape.T, -np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    a_eq = np.zeros((1, t_count + 1))
-    a_eq[0, :t_count] = 1.0
-    res_d = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * t_count + [(None, None)], method="highs",
+    solution = _minimax(
+        game.graph.sorted_vertices(), all_tuples(game.graph, game.k),
+        tuple_vertices, game.weights, dual_attacker=False,
     )
-    if not res_d.success:
-        raise GameError(f"weighted defender LP failed: {res_d.message}")
+    return _escape_solution(solution)
 
-    # Attacker: maximize z' s.t. (E q)_t >= z' for all t; sum q = 1.
-    c2 = np.zeros(n + 1)
-    c2[-1] = -1.0
-    a_ub2 = np.hstack([-escape, np.ones((t_count, 1))])
-    b_ub2 = np.zeros(t_count)
-    a_eq2 = np.zeros((1, n + 1))
-    a_eq2[0, :n] = 1.0
-    res_a = linprog(
-        c2, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq2, b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * n + [(None, None)], method="highs",
-    )
-    if not res_a.success:
-        raise GameError(f"weighted attacker LP failed: {res_a.message}")
 
-    value_d = res_d.fun
-    value_a = -res_a.fun
-    if abs(value_d - value_a) > 1e-7:
-        raise GameError(
-            f"weighted LP duality gap: {value_d!r} vs {value_a!r}"
-        )
-    defender = _prune_and_normalize(res_d.x[:t_count], tuples)
-    attacker = _prune_and_normalize(res_a.x[:n], vertices)
-    return LPSolution(float(value_d), defender, attacker)
+def _escape_solution(solution: LPSolution) -> LPSolution:
+    """A negated-escape duel optimum in escape units (``0.0 − value``,
+    so a zero escape is never ``−0.0``)."""
+    return LPSolution(0.0 - solution.value, solution.defender,
+                      solution.attacker)
 
 
 _LP_RESULT_FORMAT = "repro.weighted.lp-result.v1"
 _DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v1"
 
 
-def _lp_solution_payload(solution: LPSolution) -> Dict:
-    return {
-        "value": solution.value,
-        "defender": [
-            [[list(e) for e in t], p]
-            for t, p in sorted(
-                solution.defender.items(),
-                key=lambda item: tuple_sort_key(item[0]),
-            )
-        ],
-        "attacker": [
-            [v, p]
-            for v, p in sorted(
-                solution.attacker.items(),
-                key=lambda item: vertex_sort_key(item[0]),
-            )
-        ],
-    }
-
-
-def _lp_solution_from_payload(payload: Dict) -> LPSolution:
-    return LPSolution(
-        float(payload["value"]),
-        {
-            tuple(tuple(e) for e in t): float(p)
-            for t, p in payload["defender"]
-        },
-        {v: float(p) for v, p in payload["attacker"]},
-    )
-
-
 def weighted_lp_result_to_json(
     config: MixedConfiguration, solution: LPSolution
 ) -> str:
     """Canonical JSON dump of a :func:`weighted_lp_equilibrium` outcome."""
-    payload = {
-        "format": _LP_RESULT_FORMAT,
-        "configuration": json.loads(configuration_to_json(config)),
-        "solution": _lp_solution_payload(solution),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _result_json(_LP_RESULT_FORMAT, config,
+                        solution=_lp_solution_payload(solution))
 
 
 def weighted_lp_result_from_json(
     text: str,
 ) -> Tuple[MixedConfiguration, LPSolution]:
     """Parse a :func:`weighted_lp_result_to_json` document (re-validated)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameError(f"invalid weighted-LP document: {exc}") from exc
-    if not isinstance(payload, dict) \
-            or payload.get("format") != _LP_RESULT_FORMAT:
-        raise GameError(
-            f"unrecognized weighted-LP format (expected {_LP_RESULT_FORMAT!r})"
-        )
-    try:
-        config = configuration_from_json(
-            json.dumps(payload["configuration"])
-        )
-        solution = _lp_solution_from_payload(payload["solution"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameError(f"malformed weighted-LP payload: {exc}") from exc
-    return config, solution
+    return result_cache.decode_result(
+        text, _LP_RESULT_FORMAT, "weighted-LP",
+        lambda payload: (_configuration_from_payload(payload),
+                         _lp_solution_from_payload(payload["solution"])),
+    )
 
 
 def weighted_do_result_to_json(
     config: MixedConfiguration, value: float
 ) -> str:
     """Canonical JSON dump of a :func:`weighted_double_oracle` outcome."""
-    payload = {
-        "format": _DO_RESULT_FORMAT,
-        "configuration": json.loads(configuration_to_json(config)),
-        "value": float(value),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _result_json(_DO_RESULT_FORMAT, config, value=float(value))
 
 
 def weighted_do_result_from_json(
     text: str,
 ) -> Tuple[MixedConfiguration, float]:
     """Parse a :func:`weighted_do_result_to_json` document (re-validated)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameError(
-            f"invalid weighted double-oracle document: {exc}"
-        ) from exc
-    if not isinstance(payload, dict) \
-            or payload.get("format") != _DO_RESULT_FORMAT:
-        raise GameError(
-            f"unrecognized weighted double-oracle format "
-            f"(expected {_DO_RESULT_FORMAT!r})"
-        )
-    try:
-        config = configuration_from_json(
-            json.dumps(payload["configuration"])
-        )
-        value = float(payload["value"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameError(
-            f"malformed weighted double-oracle payload: {exc}"
-        ) from exc
-    return config, value
+    return result_cache.decode_result(
+        text, _DO_RESULT_FORMAT, "weighted double-oracle",
+        lambda payload: (_configuration_from_payload(payload),
+                         float(payload["value"])),
+    )
+
+
+def _result_json(format_tag: str, config: MixedConfiguration,
+                 **fields) -> str:
+    payload = {"format": format_tag,
+               "configuration": json.loads(configuration_to_json(config)),
+               **fields}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _configuration_from_payload(payload: Dict) -> MixedConfiguration:
+    return configuration_from_json(json.dumps(payload["configuration"]))
 
 
 def weighted_lp_equilibrium(
@@ -360,21 +274,17 @@ def weighted_lp_equilibrium(
     ``tuple_limit`` replays the stored result, and the ledger record is
     stamped with ``cache_hit``.
     """
-    probe = result_cache.lookup(
-        game, "weighted.lp_equilibrium", {"tuple_limit": tuple_limit}
-    )
-    with obs_ledger.run("weighted.lp_equilibrium", game=game,
-                        tuple_limit=tuple_limit, cache_hit=probe.hit):
-        if probe.hit:
-            cached = probe.replay(weighted_lp_result_from_json)
-            if cached is not None:
-                return cached
+    def compute() -> Tuple[MixedConfiguration, LPSolution]:
         solution = weighted_minimax(game, tuple_limit=tuple_limit)
-        config = MixedConfiguration(
-            game.base, [solution.attacker] * game.nu, solution.defender
-        )
-        probe.store(weighted_lp_result_to_json(config, solution))
-    return config, solution
+        return _configuration(game, solution), solution
+
+    return result_cache.cached_solve(
+        game, "weighted.lp_equilibrium", {"tuple_limit": tuple_limit},
+        compute,
+        lambda result: weighted_lp_result_to_json(*result),
+        weighted_lp_result_from_json,
+        attributes={"tuple_limit": tuple_limit},
+    )
 
 
 def weighted_double_oracle(
@@ -385,132 +295,43 @@ def weighted_double_oracle(
     """Weighted equilibrium by lazy strategy generation.
 
     The weighted analogue of :func:`repro.solvers.double_oracle.double_oracle`
-    for instances whose ``C(m, k)`` defeats :func:`weighted_minimax`:
-    restricted weighted LPs over growing pools, with the defender oracle
-    maximizing *weighted* coverage of the attacker mixture and the
-    attacker oracle maximizing the escape profit ``w(v)(1 − hit(v))``.
+    for instances whose ``C(m, k)`` defeats :func:`weighted_minimax` —
+    the same loop (coverage-kernel oracle, eager attacker pool read off
+    the LP duals, exactness certificate) run on the negated escape: the
+    defender oracle maximizes *weighted* coverage of the attacker mixture
+    and the attacker oracle maximizes the escape profit ``w(v)(1 − hit(v))``.
 
     Returns ``(equilibrium configuration, escape value per attacker)``.
-    Cache-aware like :func:`weighted_lp_equilibrium`.
+    Cache-aware like :func:`weighted_lp_equilibrium`.  Raises
+    :class:`~repro.core.game.GameError` if the loop does not converge
+    within ``max_iterations`` or its certified gap exceeds
+    ``2·tolerance``.
     """
-    probe = result_cache.lookup(
-        game, "weighted.double_oracle",
-        {"tolerance": tolerance, "max_iterations": max_iterations},
-    )
-    with obs_ledger.run("weighted.double_oracle", game=game,
-                        tolerance=tolerance, max_iterations=max_iterations,
-                        cache_hit=probe.hit):
-        if probe.hit:
-            cached = probe.replay(weighted_do_result_from_json)
-            if cached is not None:
-                return cached
-        config, value = _weighted_double_oracle_impl(
-            game, tolerance, max_iterations
+    def compute() -> Tuple[MixedConfiguration, float]:
+        result = _double_oracle_loop(
+            game.base, game.weights, tolerance, max_iterations,
+            method="auto", lazy_attacker=False,
         )
-        probe.store(weighted_do_result_to_json(config, value))
-    return config, value
-
-
-def _weighted_double_oracle_impl(
-    game: WeightedTupleGame,
-    tolerance: float,
-    max_iterations: int,
-) -> Tuple[MixedConfiguration, float]:
-    import numpy as np
-    from scipy.optimize import linprog
-
-    graph = game.graph
-    vertices = graph.sorted_vertices()
-    uniform_mass = {v: game.weights[v] for v in vertices}
-    from repro.solvers.best_response import greedy_tuple
-
-    seed_tuple, _ = greedy_tuple(graph, uniform_mass, game.k)
-    defender_pool = [seed_tuple]
-    defender_seen = {seed_tuple}
-    heaviest = max(vertices, key=lambda v: (game.weights[v], repr(v)))
-    attacker_pool = [heaviest]
-    attacker_seen = {heaviest}
-
-    def restricted_solution():
-        n, t_count = len(attacker_pool), len(defender_pool)
-        w = np.array([game.weights[v] for v in attacker_pool])
-        covered = np.zeros((t_count, n))
-        index = {v: i for i, v in enumerate(attacker_pool)}
-        for row, t in enumerate(defender_pool):
-            for v in tuple_vertices(t):
-                col = index.get(v)
-                if col is not None:
-                    covered[row, col] = 1.0
-        escape = (1.0 - covered) * w[None, :]
-        c = np.zeros(t_count + 1)
-        c[-1] = 1.0
-        a_ub = np.hstack([escape.T, -np.ones((n, 1))])
-        a_eq = np.zeros((1, t_count + 1))
-        a_eq[0, :t_count] = 1.0
-        res_d = linprog(
-            c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * t_count + [(None, None)], method="highs",
-        )
-        c2 = np.zeros(n + 1)
-        c2[-1] = -1.0
-        a_ub2 = np.hstack([-escape, np.ones((t_count, 1))])
-        a_eq2 = np.zeros((1, n + 1))
-        a_eq2[0, :n] = 1.0
-        res_a = linprog(
-            c2, A_ub=a_ub2, b_ub=np.zeros(t_count), A_eq=a_eq2,
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * n + [(None, None)], method="highs",
-        )
-        if not (res_d.success and res_a.success):
-            raise GameError("restricted weighted LP failed")
-        from repro.solvers.lp import _prune_and_normalize
-
-        defender = _prune_and_normalize(res_d.x[:t_count], defender_pool)
-        attacker = _prune_and_normalize(res_a.x[:n], attacker_pool)
-        return float(res_d.fun), defender, attacker
-
-    for _ in range(max_iterations):
-        value, defender, attacker = restricted_solution()
-        # Defender oracle: minimize total escape == maximize weighted
-        # coverage of the attacker mixture.
-        weighted_mass = {
-            v: attacker.get(v, 0.0) * game.weights[v] for v in vertices
-        }
-        best_def, _ = best_tuple(graph, weighted_mass, game.k)
-        # Attacker oracle: the vertex with the highest escape profit.
-        hit: Dict = {v: 0.0 for v in vertices}
-        for t, p in defender.items():
-            for v in tuple_vertices(t):
-                hit[v] += p
-        best_att = max(
-            vertices, key=lambda v: (game.weights[v] * (1.0 - hit[v]), repr(v))
-        )
-        att_payoff = game.weights[best_att] * (1.0 - hit[best_att])
-        total_escape = sum(
-            attacker.get(v, 0.0) * game.weights[v] for v in vertices
-        )
-        covered_value = sum(
-            attacker.get(v, 0.0) * game.weights[v]
-            for v in tuple_vertices(best_def)
-        )
-        def_escape_if_best = total_escape - covered_value
-
-        improved = False
-        if def_escape_if_best < value - tolerance and best_def not in defender_seen:
-            defender_pool.append(best_def)
-            defender_seen.add(best_def)
-            improved = True
-        if att_payoff > value + tolerance and best_att not in attacker_seen:
-            attacker_pool.append(best_att)
-            attacker_seen.add(best_att)
-            improved = True
-        if not improved:
-            config = MixedConfiguration(
-                game.base, [attacker] * game.nu, defender
+        if not result.exact:
+            raise GameError(
+                f"weighted double oracle stalled short of the optimum "
+                f"(certified gap {result.certified_gap!r})"
             )
-            return config, value
+        solution = _escape_solution(result.solution)
+        return _configuration(game, solution), solution.value
 
-    raise GameError(
-        f"weighted double oracle did not converge within {max_iterations} "
-        "iterations"
+    params = {"tolerance": tolerance, "max_iterations": max_iterations}
+    return result_cache.cached_solve(
+        game, "weighted.double_oracle", params, compute,
+        lambda result: weighted_do_result_to_json(*result),
+        weighted_do_result_from_json,
+        attributes=params,
     )
+
+
+def _configuration(
+    game: WeightedTupleGame, solution: LPSolution
+) -> MixedConfiguration:
+    """Every attacker on the optimal mixture, the defender on its own."""
+    return MixedConfiguration(game.base, [solution.attacker] * game.nu,
+                              solution.defender)

@@ -278,6 +278,38 @@ class TestFacade:
         assert not probe.hit
         assert _counter("cache.errors.count") == 1
 
+    def test_cached_solve_computes_once_and_records_runs(self, tmp_path,
+                                                         game):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return 42
+
+        def solve():
+            return result_cache.cached_solve(
+                game, "test.solver", {"p": 1}, compute, str, int,
+                attributes={"p": 1},
+                scope=lambda: [metrics.timer("test.solver.seconds")],
+            )
+
+        obs_ledger.enable_ledger(tmp_path / "ledger")
+        result_cache.enable_cache(tmp_path / "cache")
+        try:
+            assert solve() == 42
+            assert solve() == 42
+        finally:
+            obs_ledger.disable_ledger()
+        assert len(calls) == 1
+        runs = obs_ledger.read_runs(directory=tmp_path / "ledger",
+                                    entry_point="test.solver")
+        assert [r["attributes"] for r in runs] == [
+            {"p": 1, "cache_hit": False}, {"p": 1, "cache_hit": True},
+        ]
+        timer = metrics.get_registry().snapshot()["histograms"][
+            "test.solver.seconds"]
+        assert timer["count"] == 2  # the scope wraps hits and misses
+
 
 # --------------------------------------------------------------------------
 # solver integration: byte-identical replay

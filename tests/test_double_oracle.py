@@ -92,6 +92,28 @@ class TestMechanics:
         assert lazy.value == pytest.approx(eager.value, abs=1e-9)
         assert lazy.exact and eager.exact
 
+    def test_lazy_attacker_ties_break_in_canonical_order(self, monkeypatch):
+        """Vertices 9 and 10 tie for the least hit probability after the
+        first iteration; the attacker oracle must pick 9, the first in
+        canonical vertex order, not 10 (which sorts first by ``repr``)."""
+        import importlib
+
+        from repro.graphs.core import Graph
+
+        module = importlib.import_module("repro.solvers.double_oracle")
+        pools = []
+        duel = module.minimax_over_strategies
+
+        def recording_duel(vertices, strategies, coverage_of, **kwargs):
+            pools.append(list(vertices))
+            return duel(vertices, strategies, coverage_of, **kwargs)
+
+        monkeypatch.setattr(module, "minimax_over_strategies", recording_duel)
+        game = TupleGame(Graph([(0, 1), (1, 9), (1, 10)]), 1, nu=1)
+        result = double_oracle(game, lazy_attacker=True)
+        assert pools[:3] == [[0], [0, 9], [0, 9, 10]]
+        assert result.value == pytest.approx(1.0 / 3.0, abs=1e-9)
+
 
 class TestInexactConvergence:
     """Regression: a greedy defender oracle can stall on a suboptimal

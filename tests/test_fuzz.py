@@ -127,6 +127,25 @@ class TestInvariants:
         assert violations[0].check == "test-boom"
         assert "injected" in violations[0].message
 
+    def test_weighted_invariants_catch_a_skewed_route(self, monkeypatch):
+        """Both weighted checks fire when one weighted route is off."""
+        import repro.fuzz.invariants as invariants
+
+        game = TupleGame(Graph([(0, 1), (1, 2), (2, 3), (3, 4)]), 2, nu=1)
+        checks = ["weighted-value-agreement", "unit-weight-agreement"]
+        assert check_game(game, checks=checks) == []
+
+        real_do = invariants.weighted_double_oracle
+        real_lp = invariants.weighted_minimax
+        monkeypatch.setattr(
+            invariants, "weighted_double_oracle",
+            lambda g: (real_do(g)[0], real_do(g)[1] + 0.01))
+        monkeypatch.setattr(
+            invariants, "weighted_minimax",
+            lambda g: type(real_lp(g))(real_lp(g).value + 0.01, {}, {}))
+        flagged = {v.check for v in check_game(game, checks=checks)}
+        assert flagged == set(checks)
+
     def test_violation_payload(self):
         v = Violation("pure-threshold", "msg", theorem="Theorem 3.1")
         assert v.to_payload() == {

@@ -28,9 +28,9 @@ from repro.lint import (
 from repro.lint import main as lint_main
 from repro.lint.project import parse_api_doc, parse_theory_index
 
-#: The six syntactic rules plus the five semantic (project-index) rules.
+#: The seven syntactic rules plus the five semantic (project-index) rules.
 ALL_RULES = {
-    "RNG001", "FLT001", "THM001", "LAY001", "OBS001", "API001",
+    "RNG001", "FLT001", "THM001", "LAY001", "OBS001", "API001", "ASR001",
     "LCK001", "LCK002", "DET001", "EXC001", "SCH001",
 }
 
@@ -619,6 +619,47 @@ API_DOC = """\
 
     - **`foo`** — does foo.
     """
+
+
+# ---------------------------------------------------------------------------
+# ASR001 — no assert in the package
+# ---------------------------------------------------------------------------
+
+
+class TestASR001:
+    def run(self, tmp_path, body, module="src/repro/core/m.py"):
+        return run_fixture(tmp_path, {module: body}, select={"ASR001"})
+
+    def test_assert_flagged(self, tmp_path):
+        report = self.run(tmp_path, "def f(x):\n    assert x is not None\n"
+                                    "    return x\n")
+        assert rules_of(report) == ["ASR001"]
+        assert report.findings[0].severity is Severity.ERROR
+        assert "python -O" in report.findings[0].message
+
+    def test_package_root_module_flagged(self, tmp_path):
+        report = self.run(tmp_path, "assert True\n",
+                          module="src/repro/__init__.py")
+        assert rules_of(report) == ["ASR001"]
+
+    def test_explicit_raise_is_clean(self, tmp_path):
+        report = self.run(
+            tmp_path,
+            "def f(x):\n    if x is None:\n"
+            "        raise RuntimeError('x unset')\n    return x\n",
+        )
+        assert report.findings == []
+
+    def test_modules_outside_the_packages_are_clean(self, tmp_path):
+        report = self.run(tmp_path, "assert True\n",
+                          module="src/pkgtools/m.py")
+        assert report.findings == []
+
+    def test_noqa_suppresses(self, tmp_path):
+        report = self.run(
+            tmp_path, "assert True  # repro: noqa[ASR001]\n",
+        )
+        assert report.findings == []
 
 
 class TestAPI001:

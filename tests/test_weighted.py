@@ -198,3 +198,60 @@ class TestWeightedDoubleOracle:
         b_config, b_value = weighted_double_oracle(game)
         assert a_value == b_value
         assert a_config.tp_distribution() == b_config.tp_distribution()
+
+
+class TestSharedMatrixGameCore:
+    """The weighted solvers run on the plain solvers' duel and loop."""
+
+    def test_weighted_double_oracle_runs_the_certified_loop(self):
+        from repro.obs import metrics
+        from repro.weighted import weighted_double_oracle
+
+        graph = path_graph(6)
+        weights = uniform_weights(graph)
+        weights[2] = 4.0
+        game = WeightedTupleGame(graph, 2, weights, nu=1)
+
+        def counter(name):
+            return metrics.get_registry().snapshot()["counters"].get(name, 0)
+
+        runs = counter("double_oracle.runs.count")
+        inexact = counter("double_oracle.inexact_convergence.count")
+        weighted_double_oracle(game)
+        assert counter("double_oracle.runs.count") == runs + 1
+        assert counter("double_oracle.inexact_convergence.count") == inexact
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        import repro.weighted.game as weighted_game
+        from repro.weighted import weighted_double_oracle
+
+        real_loop = weighted_game._double_oracle_loop
+
+        def stalled_loop(*args, **kwargs):
+            result = real_loop(*args, **kwargs)
+            result.exact = False
+            return result
+
+        monkeypatch.setattr(weighted_game, "_double_oracle_loop", stalled_loop)
+        graph = path_graph(5)
+        game = WeightedTupleGame(graph, 2, uniform_weights(graph), nu=1)
+        with pytest.raises(GameError, match="certified gap"):
+            weighted_double_oracle(game)
+
+    def test_zero_escape_is_positive_zero(self):
+        """With k ≥ ρ(G) the defender covers every host: no escape, and the
+        negated duel value must not surface as ``-0.0``."""
+        import math
+
+        from repro.weighted import weighted_double_oracle
+
+        graph = path_graph(4)
+        weights = {0: 2.0, 1: 1.0, 2: 1.0, 3: 3.0}
+        game = WeightedTupleGame(graph, minimum_edge_cover_size(graph),
+                                 weights, nu=1)
+        _, do_value = weighted_double_oracle(game)
+        lp_value = weighted_minimax(game).value
+        for value in (do_value, lp_value):
+            assert value == pytest.approx(0.0, abs=1e-9)
+            if value == 0:
+                assert math.copysign(1.0, value) == 1.0
