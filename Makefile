@@ -4,11 +4,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-smoke-baseline bench-watch bench-serve bench-serve-baseline cache-smoke fuzz-smoke obs-check report-smoke serve-smoke slo-smoke api-docs api-docs-check lint lint-changed lint-sarif lint-baseline mypy ci
+.PHONY: test perfbench-check bench bench-smoke bench-smoke-baseline bench-watch bench-serve bench-serve-baseline cache-smoke fuzz-smoke obs-check report-smoke serve-smoke slo-smoke api-docs api-docs-check lint lint-changed lint-sarif lint-baseline mypy ci
 
 ## tier-1 test suite (the gate every PR must keep green)
 test:
 	$(PYTHON) -m pytest -x -q
+
+## the fixed-work benchmark's own tests (perfbench/): its inputs,
+## answer checks and determinism guard stay checked on every change to
+## the code they drive
+perfbench-check:
+	$(PYTHON) -m pytest -q perfbench
 
 ## regenerate the experiment tables + benchmark telemetry
 ## (writes benchmarks/results/*.{txt,json}, bench_summary.json, BENCH_OBS.json)
@@ -121,5 +127,5 @@ mypy:
 ## the full CI gate: static analysis, types, instrumentation smoke test,
 ## report rendering, docs freshness, tier-1 tests, hot-path perf smoke,
 ## perf watchdog, result-cache lifecycle, solve-service lifecycle,
-## differential fuzz
-ci: lint lint-sarif mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke
+## differential fuzz, benchmark self-tests
+ci: lint lint-sarif mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke perfbench-check

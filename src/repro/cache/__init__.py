@@ -40,6 +40,7 @@ from typing import Any, Callable, ContextManager, Dict, Iterable, Optional
 from repro.core.game import GameError
 from repro.obs import get_logger, metrics
 from repro.obs import ledger as obs_ledger
+from repro.obs.jsonl import env_flag
 
 from repro.cache.keys import game_sha256
 from repro.cache.store import ResultCache
@@ -71,14 +72,12 @@ class _CacheState:
     __slots__ = ("enabled", "directory", "store", "lock")
 
     def __init__(self) -> None:
-        self.enabled = False  # repro: lock(lock)
+        self.enabled = env_flag("REPRO_CACHE")  # repro: lock(lock)
         self.directory = Path(  # repro: lock(lock)
             os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
         )
         self.store: Optional[ResultCache] = None  # repro: lock(lock)
         self.lock = threading.Lock()
-        if os.environ.get("REPRO_CACHE", "") not in ("", "0", "false", "no"):
-            self.enabled = True
 
 
 _STATE = _CacheState()

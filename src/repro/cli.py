@@ -108,6 +108,27 @@ def _emit(text: object = "", *, err: bool = False) -> None:
         print(text, file=stream)
 
 
+#: The opt-in switches: (flag, help, directory noun, enable, disable).
+#: ``--<flag>-dir DIR`` implies ``--<flag>``; every switch turned on for
+#: a command is turned off again when it returns.
+_SWITCHES = (
+    ("ledger", "record the run into the provenance ledger "
+               "(.repro/ledger by default)", "ledger directory",
+     obs_ledger.enable_ledger, obs_ledger.disable_ledger),
+    ("events", "publish telemetry events to the JSONL sink "
+               "(.repro/events by default; stream with repro-defender tail)",
+     "event sink directory",
+     obs_events.enable_events, obs_events.disable_events),
+    ("access-log", "append one structured JSONL line per served request "
+                   "(.repro/access by default; only the serve command "
+                   "writes)", "access-log directory",
+     obs_access.enable_access_log, obs_access.disable_access_log),
+    ("cache", "memoize solver results in the content-addressed cache "
+              "(.repro/cache by default)", "result-cache directory",
+     result_cache.enable_cache, result_cache.disable_cache),
+)
+
+
 def _add_obs_flags(parser: argparse.ArgumentParser, default) -> None:
     group = parser.add_argument_group("observability")
     group.add_argument(
@@ -126,50 +147,14 @@ def _add_obs_flags(parser: argparse.ArgumentParser, default) -> None:
         "--trace", action="store_true", default=default,
         help="collect spans and print the timing trace after the command",
     )
-    group.add_argument(
-        "--ledger", action="store_true", default=default,
-        help="record the run into the provenance ledger "
-             "(.repro/ledger by default)",
-    )
-    group.add_argument(
-        "--ledger-dir",
-        default=default if default is argparse.SUPPRESS else None,
-        metavar="DIR",
-        help="ledger directory (implies --ledger)",
-    )
-    group.add_argument(
-        "--events", action="store_true", default=default,
-        help="publish telemetry events to the JSONL sink "
-             "(.repro/events by default; stream with repro-defender tail)",
-    )
-    group.add_argument(
-        "--events-dir",
-        default=default if default is argparse.SUPPRESS else None,
-        metavar="DIR",
-        help="event sink directory (implies --events)",
-    )
-    group.add_argument(
-        "--access-log", action="store_true", default=default,
-        help="append one structured JSONL line per served request "
-             "(.repro/access by default; only the serve command writes)",
-    )
-    group.add_argument(
-        "--access-log-dir",
-        default=default if default is argparse.SUPPRESS else None,
-        metavar="DIR",
-        help="access-log directory (implies --access-log)",
-    )
-    group.add_argument(
-        "--cache", action="store_true", default=default,
-        help="memoize solver results in the content-addressed cache "
-             "(.repro/cache by default)",
-    )
-    group.add_argument(
-        "--cache-dir",
-        default=default if default is argparse.SUPPRESS else None,
-        metavar="DIR",
-        help="result-cache directory (implies --cache)",
-    )
+    for flag, help_text, directory, _enable, _disable in _SWITCHES:
+        group.add_argument(f"--{flag}", action="store_true",
+                           default=default, help=help_text)
+        group.add_argument(
+            f"--{flag}-dir",
+            default=default if default is argparse.SUPPRESS else None,
+            metavar="DIR", help=f"{directory} (implies --{flag})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1170,28 +1155,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if trace:
         obs_tracing.enable_tracing(True)
         obs_tracing.clear_trace()
-    ledger_dir = getattr(args, "ledger_dir", None)
-    use_ledger = bool(getattr(args, "ledger", False)) or ledger_dir is not None
-    if use_ledger:
-        obs_ledger.enable_ledger(ledger_dir)
-    events_dir = getattr(args, "events_dir", None)
-    use_events = bool(getattr(args, "events", False)) or events_dir is not None
-    if use_events:
-        obs_events.enable_events(events_dir)
-    access_dir = getattr(args, "access_log_dir", None)
-    use_access = (
-        bool(getattr(args, "access_log", False)) or access_dir is not None
-    )
-    if use_access:
-        obs_access.enable_access_log(access_dir)
-    cache_dir = getattr(args, "cache_dir", None)
-    # The ``cache`` subcommand *inspects* the store via its own --dir; the
-    # memoization switch stays off for it.
-    use_cache = (
-        bool(getattr(args, "cache", False)) or cache_dir is not None
-    ) and args.command != "cache"
-    if use_cache:
-        result_cache.enable_cache(cache_dir)
+    disables = []
+    for flag, _help, _directory, enable, disable in _SWITCHES:
+        dest = flag.replace("-", "_")
+        directory = getattr(args, f"{dest}_dir", None)
+        # The ``cache`` subcommand *inspects* the store via its own
+        # --dir; the memoization switch stays off for it.
+        if (getattr(args, dest, False) or directory is not None) \
+                and not (flag == "cache" and args.command == "cache"):
+            enable(directory)
+            disables.append(disable)
 
     try:
         if args.command == "lint":
@@ -1221,14 +1194,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(f"error: {exc}", err=True)
         return 2
     finally:
-        if use_ledger:
-            obs_ledger.disable_ledger()
-        if use_events:
-            obs_events.disable_events()
-        if use_access:
-            obs_access.disable_access_log()
-        if use_cache:
-            result_cache.disable_cache()
+        for disable in disables:
+            disable()
         if trace or args.command in ("stats", "profile"):
             obs_tracing.enable_tracing(False)
 

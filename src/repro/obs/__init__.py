@@ -14,6 +14,8 @@ for conventions and examples):
   and near-free when disabled; carries the per-request W3C trace
   context (``trace_id``/``span_id``, ``traceparent`` parsing) that
   correlates spans, ledger records, events and access-log lines;
+* :mod:`repro.obs.jsonl` — the env switch, writer and torn-line reader
+  the ledger, the event bus and the access log share;
 * :mod:`repro.obs.ledger` — the run-provenance ledger: a durable
   append-only JSONL record (fingerprint, environment, metrics, span
   tree, outcome) of every wrapped entry-point run;

@@ -18,11 +18,9 @@ bounded ring buffer.  Consumers attach three ways:
   so ``repro-defender tail --follow`` can stream a run from another
   process and finished runs replay exactly.
 
-The bus follows the tracer/ledger cost contract: **opt-in and
-near-free when off**.  :func:`publish` is a single boolean check while
-disabled (the default); enable via :func:`enable_events`, the CLI
-``--events`` flag, or ``REPRO_EVENTS=1`` (``REPRO_EVENTS_DIR`` points
-the sink somewhere else).  Event schema::
+The bus is **opt-in and near-free when off**: :func:`publish` is a
+single boolean check while disabled (the default; switches in
+:mod:`repro.obs.jsonl`).  Event schema::
 
     {"schema": "repro.obs/event/v1", "seq": 17, "ts": 1754640000.123,
      "type": "solver.iteration", "payload": {...}}
@@ -33,7 +31,6 @@ multi-threaded streams have a total order independent of clock ties.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import deque
@@ -41,6 +38,7 @@ from pathlib import Path
 from time import sleep, time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+import repro.obs.jsonl as _jsonl
 import repro.obs.metrics as _metrics
 from repro.obs.log import get_logger
 
@@ -87,50 +85,27 @@ EVENT_TYPES = frozenset({
 
 
 class _BusState:
-    """Process-global bus: switch, ring buffer, subscribers, sink."""
+    """Process-global bus: switch, ring buffer and subscribers."""
 
-    __slots__ = ("enabled", "buffer", "subscribers", "sink", "sink_path",
-                 "seq", "next_token", "lock")
+    __slots__ = ("enabled", "buffer", "subscribers", "seq", "next_token",
+                 "lock")
 
     def __init__(self) -> None:
         self.enabled = False  # repro: lock(lock)
         self.buffer: deque = deque(maxlen=DEFAULT_CAPACITY)  # repro: lock(lock)
         self.subscribers: Dict[int, Callable[[Dict[str, Any]], None]] = {}  # repro: lock(lock)
-        self.sink = None  # repro: lock(lock)
-        self.sink_path: Optional[Path] = None  # repro: lock(lock)
         self.seq = 0  # repro: lock(lock)
         self.next_token = 1  # repro: lock(lock)
         self.lock = threading.Lock()
-        if os.environ.get("REPRO_EVENTS", "") not in ("", "0", "false", "no"):
-            self.enabled = True
-            self._open_sink(Path(
-                os.environ.get("REPRO_EVENTS_DIR", DEFAULT_EVENTS_DIR)
-            ))
-
-    def _open_sink(self, directory: Optional[Path]) -> None:
-        if directory is None:
-            return
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            self.sink_path = directory / SINK_FILENAME
-            self.sink = open(self.sink_path, "a", encoding="utf-8")
-        except OSError as exc:  # the bus must never break the workload
-            self.sink = None
-            self.sink_path = None
-            _log.warning("events.sink.open_failed", directory=str(directory),
-                         error=type(exc).__name__)
-
-    def _close_sink(self) -> None:
-        if self.sink is not None:
-            try:
-                self.sink.close()
-            except OSError:
-                pass
-        self.sink = None
-        self.sink_path = None
 
 
 _STATE = _BusState()
+#: The optional file sink; written under the bus lock so file order is
+#: ``seq`` order.
+_SINK = _jsonl.JsonlSink("events", SINK_FILENAME)
+if _jsonl.env_flag("REPRO_EVENTS"):
+    _STATE.enabled = True
+    _SINK.open(os.environ.get("REPRO_EVENTS_DIR", DEFAULT_EVENTS_DIR))
 
 
 def enable_events(directory: Optional[os.PathLike] = None,
@@ -139,15 +114,15 @@ def enable_events(directory: Optional[os.PathLike] = None,
 
     With ``sink=True`` (the default) every event is appended to
     ``<directory>/events.jsonl`` (``.repro/events/`` when no directory is
-    given); ``sink=False`` keeps events purely in-memory — the mode the
-    overhead benchmark and in-process subscribers use.
+    given; the sink is on only while that file is open); ``sink=False``
+    keeps events purely in-memory — the mode the overhead benchmark and
+    in-process subscribers use.
     """
     with _STATE.lock:
-        _STATE._close_sink()
         if sink:
-            root = Path(directory) if directory is not None \
-                else Path(DEFAULT_EVENTS_DIR)
-            _STATE._open_sink(root)
+            _SINK.open(DEFAULT_EVENTS_DIR if directory is None else directory)
+        else:
+            _SINK.close()
         _STATE.enabled = True
 
 
@@ -155,7 +130,7 @@ def disable_events() -> None:
     """Turn the bus off and close the JSONL sink (buffer is kept)."""
     with _STATE.lock:
         _STATE.enabled = False
-        _STATE._close_sink()
+        _SINK.close()
 
 
 def events_enabled() -> bool:
@@ -166,8 +141,7 @@ def events_enabled() -> bool:
 
 def events_sink_path() -> Optional[Path]:
     """The JSONL file events are appended to (None when sink-less)."""
-    with _STATE.lock:
-        return _STATE.sink_path
+    return _SINK.path
 
 
 def clear_events() -> None:
@@ -201,17 +175,7 @@ def _publish(event_type: str, payload: Dict[str, Any]) -> Dict[str, Any]:
             "payload": payload,
         }
         _STATE.buffer.append(event)
-        if _STATE.sink is not None:
-            try:
-                _STATE.sink.write(
-                    json.dumps(event, sort_keys=True, default=str) + "\n"
-                )
-                _STATE.sink.flush()
-            except (OSError, ValueError) as exc:
-                _metrics.counter("events.sink_errors.count").inc()
-                _log.warning("events.sink.write_failed",
-                             error=type(exc).__name__)
-                _STATE._close_sink()
+        _SINK.write(event)
         callbacks = list(_STATE.subscribers.values())
     _metrics.counter("events.published.count").inc()
     if event_type not in EVENT_TYPES:
@@ -269,34 +233,15 @@ def recent(count: Optional[int] = None,
 
 def read_events(path: os.PathLike,
                 types: Optional[List[str]] = None) -> List[Dict[str, Any]]:
-    """Parse a JSONL event-sink file, tolerating a torn trailing line.
-
-    Corrupt lines are skipped and counted in
-    ``events.read.corrupt_lines.count`` — the sink is append-only, so a
-    torn tail is expected when tailing a live run.
-    """
+    """Parse an event sink (a file, or a directory holding
+    ``events.jsonl``); torn lines are skipped and counted."""
     with _metrics.timer("events.read.seconds"):
         wanted = set(types) if types is not None else None
-        events: List[Dict[str, Any]] = []
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return events
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                _metrics.counter("events.read.corrupt_lines.count").inc()
-                continue
-            if not isinstance(event, dict):
-                continue
-            if wanted is not None and event.get("type") not in wanted:
-                continue
-            events.append(event)
-    return events
+        return [
+            event
+            for event in _jsonl.iter_records(path, "events", SINK_FILENAME)
+            if wanted is None or event.get("type") in wanted
+        ]
 
 
 def tail_events(
@@ -328,20 +273,10 @@ def tail_events(
             # Only consume whole lines; a torn tail stays for next poll.
             complete = chunk.rfind("\n") + 1
             offset += len(chunk[:complete].encode("utf-8"))
-            for line in chunk[:complete].splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    _metrics.counter("events.read.corrupt_lines.count").inc()
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                if wanted is not None and event.get("type") not in wanted:
-                    continue
-                yield event
+            for event in _jsonl.parse_lines(
+                    chunk[:complete].splitlines(), "events", target.name):
+                if wanted is None or event.get("type") in wanted:
+                    yield event
         if not follow or (stop is not None and stop()):
             return
         sleep(poll_interval)

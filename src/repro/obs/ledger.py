@@ -20,11 +20,9 @@ for how long and with what outcome:
 
 The ledger is **opt-in and near-free when off** (the default): wrapped
 entry points call :func:`run`, which returns a shared no-op context
-manager unless the ledger was enabled via :func:`enable_ledger`, the CLI
-``--ledger`` flag, or ``REPRO_LEDGER=1`` (``REPRO_LEDGER_DIR`` overrides
-the directory).  Records go to one JSONL file per entry point
-(``equilibria.solve.jsonl``, ...), append-only — nothing is ever
-rewritten, so the files are a tamper-evident perf/provenance trajectory.
+manager unless the ledger is on (:func:`enable_ledger`, ``--ledger``,
+``REPRO_LEDGER``; see :mod:`repro.obs.jsonl`).  Records go to one JSONL
+file per entry point (``equilibria.solve.jsonl``, ...), append-only.
 
 Reading back: :func:`read_runs` (with entry-point / status / fingerprint
 filters), :func:`find_run` and :func:`run_diff` (field-by-field and
@@ -33,21 +31,23 @@ metric-by-metric comparison of two records).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import platform
-import subprocess
 import sys
 import threading
 from pathlib import Path
 from time import perf_counter, time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 import repro.obs.events as _events
+import repro.obs.jsonl as _jsonl
 import repro.obs.metrics as _metrics
 import repro.obs.resources as _resources
 import repro.obs.tracing as _tracing
+import repro.obs.watchdog as _watchdog
 from repro.obs.log import get_logger
 
 __all__ = [
@@ -86,13 +86,11 @@ class _LedgerState:
     __slots__ = ("enabled", "directory", "lock")
 
     def __init__(self) -> None:
-        self.enabled = False  # repro: lock(lock)
+        self.enabled = _jsonl.env_flag("REPRO_LEDGER")  # repro: lock(lock)
         self.directory = Path(  # repro: lock(lock)
             os.environ.get("REPRO_LEDGER_DIR", DEFAULT_LEDGER_DIR)
         )
         self.lock = threading.Lock()
-        if os.environ.get("REPRO_LEDGER", "") not in ("", "0", "false", "no"):
-            self.enabled = True
 
 
 _STATE = _LedgerState()
@@ -233,22 +231,10 @@ def fingerprint_game(game) -> Dict[str, Any]:
     }
 
 
-_GIT_REV: Optional[str] = None
-
-
+@functools.lru_cache(maxsize=None)
 def _git_revision() -> str:
     """The current short git revision (cached; ``"unknown"`` off-repo)."""
-    global _GIT_REV
-    if _GIT_REV is None:
-        try:
-            _GIT_REV = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True, text=True, timeout=5,
-                cwd=Path(__file__).resolve().parent,
-            ).stdout.strip() or "unknown"
-        except (OSError, subprocess.SubprocessError):
-            _GIT_REV = "unknown"
-    return _GIT_REV
+    return _watchdog.git_revision(Path(__file__).resolve().parent)
 
 
 def capture_environment() -> Dict[str, Any]:
@@ -397,11 +383,9 @@ def _append(record: Dict[str, Any]) -> Path:
     """Append one record to its entry point's JSONL file (atomic line)."""
     with _metrics.timer("ledger.append.seconds"):
         path = _record_path(record["entry_point"])
-        line = json.dumps(record, sort_keys=True, default=str) + "\n"
-        with _STATE.lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(line)
+        line = _jsonl.dumps_line(record)
+        with _STATE.lock, _jsonl.open_append(path) as handle:
+            handle.write(line)
         _metrics.counter("ledger.records.count").inc()
     return path
 
@@ -438,28 +422,6 @@ def run(entry_point: str, game=None,
 # reading back
 
 
-def _iter_records(directory: Path) -> Iterator[Dict[str, Any]]:
-    for path in sorted(directory.glob("*.jsonl")):
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn write at the tail of an append-only log: tolerated,
-                # but counted and logged so silent corruption is visible.
-                _metrics.counter("ledger.read.corrupt_lines.count").inc()
-                _log.warning("ledger.read.corrupt_line", file=path.name)
-                continue
-            if isinstance(record, dict):
-                yield record
-
-
 def read_runs(
     directory: Optional[os.PathLike] = None,
     entry_point: Optional[str] = None,
@@ -479,21 +441,20 @@ def read_runs(
         root = Path(directory) if directory is not None \
             else ledger_directory()
         records = []
-        if root.is_dir():
-            for record in _iter_records(root):
-                if entry_point is not None \
-                        and record.get("entry_point") != entry_point:
+        for record in _jsonl.iter_records(root, "ledger", "*.jsonl"):
+            if entry_point is not None \
+                    and record.get("entry_point") != entry_point:
+                continue
+            if status is not None and record.get("status") != status:
+                continue
+            if fingerprint_sha256 is not None:
+                fp = record.get("fingerprint") or {}
+                if fp.get("sha256") != fingerprint_sha256:
                     continue
-                if status is not None and record.get("status") != status:
-                    continue
-                if fingerprint_sha256 is not None:
-                    fp = record.get("fingerprint") or {}
-                    if fp.get("sha256") != fingerprint_sha256:
-                        continue
-                if since is not None \
-                        and record.get("started_at", 0.0) < since:
-                    continue
-                records.append(record)
+            if since is not None \
+                    and record.get("started_at", 0.0) < since:
+                continue
+            records.append(record)
         records.sort(key=lambda r: r.get("started_at", 0.0))
         if limit is not None and limit >= 0:
             records = records[len(records) - min(limit, len(records)):]

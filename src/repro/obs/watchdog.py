@@ -21,13 +21,17 @@ Entry points:
 
 Schema helpers (:func:`migrate_history`, :func:`load_history_document`)
 live here too so ``tools/bench_smoke.py`` and the tests share one
-migration path from the v1 single-snapshot file.
+migration path from the v1 single-snapshot file, and so does the core
+of both bench harnesses (:func:`record_history`, :func:`watch_bench`).
 """
 
 from __future__ import annotations
 
 import json
 import statistics
+import subprocess
+import sys
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -41,8 +45,12 @@ __all__ = [
     "SCHEMA_V2",
     "Regression",
     "WatchReport",
+    "MAX_HISTORY",
     "migrate_history",
     "load_history_document",
+    "git_revision",
+    "record_history",
+    "watch_bench",
     "check",
     "watch_file",
 ]
@@ -57,6 +65,9 @@ DEFAULT_RATIO = 1.5
 
 #: Trailing history entries considered per case (newest first).
 DEFAULT_WINDOW = 20
+
+#: History entries a bench trajectory file keeps (oldest dropped first).
+MAX_HISTORY = 100
 
 
 class Regression:
@@ -185,6 +196,44 @@ def load_history_document(path) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------
+# the bench-harness core
+
+
+def git_revision(root) -> str:
+    """Short ``HEAD`` revision of the checkout at ``root``, or "unknown"."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=root, capture_output=True, text=True, timeout=5,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
+def record_history(path, cases: Dict[str, Any], seconds: Dict[str, float],
+                   slack: Dict[str, float], rev: str) -> Dict[str, Any]:
+    """Rewrite the bench trajectory file ``path`` (created when missing)
+    with the latest ``cases`` snapshot, ``slack``, and a history entry of
+    per-case ``seconds`` for revision ``rev``.  Re-recording a revision
+    replaces its entry, so duplicates never bias the trailing median;
+    the newest :data:`MAX_HISTORY` entries are kept."""
+    with _metrics.timer("watchdog.record.seconds"):
+        document = load_history_document(path) if Path(path).exists() \
+            else {"schema": SCHEMA_V2, "slack": {}, "cases": {}}
+        entry = {
+            "git_rev": rev,
+            "timestamp": datetime.now(timezone.utc).isoformat(
+                timespec="seconds"),
+            "cases": {name: seconds[name] for name in sorted(seconds)},
+        }
+        document.update(slack=slack, cases=cases, history=([
+            e for e in document.get("history", []) if e.get("git_rev") != rev
+        ] + [entry])[-MAX_HISTORY:])
+        Path(path).write_text(json.dumps(document, indent=2) + "\n")
+    return document
+
+
+# --------------------------------------------------------------------------
 # the comparator
 
 
@@ -291,6 +340,28 @@ def watch_file(
             label = f"revision {against}"
     return check(history, current, ratio=ratio, window=window,
                  baseline_label=label)
+
+
+def watch_bench(path, current: Dict[str, float], tool: str, label: str,
+                against: Optional[str] = None,
+                ratio: Optional[float] = None, strict: bool = False) -> int:
+    """A bench harness's ``--watch`` exit code: ``current`` against the
+    history of ``path`` (``tool`` writes it; ``label`` prefixes errors)."""
+    with _metrics.timer("watchdog.bench.seconds"):
+        if not Path(path).exists():
+            print(f"{path} missing; run python {tool} --write first",
+                  file=sys.stderr)
+            return 1 if strict else 0
+        try:
+            report = watch_file(
+                path, current=current, against=against,
+                ratio=DEFAULT_RATIO if ratio is None else ratio,
+            )
+        except ValueError as exc:
+            print(f"{label}: {exc}", file=sys.stderr)
+            return 1
+        print(report.summary())
+    return 1 if (strict and not report.ok) else 0
 
 
 # --------------------------------------------------------------------------

@@ -428,24 +428,21 @@ class DefenderService:
 
         Runs for every connection — including ones that died before a
         response could be written — so the operational record is
-        complete.  The access line and ``serve.request`` event are
-        single-boolean no-ops while their sinks are off (the obs cost
-        contract); the SLO engine's in-memory append is always on.
+        complete.  The access line and the ``serve.request`` event carry
+        the same fields and are no-ops while their sinks are off (the
+        obs cost contract); the SLO engine's append is always on.
         """
         metrics.histogram("serve.request.seconds").observe(latency_s)
-        trace_id = None if trace is None else trace.trace_id
-        self.slo.observe(endpoint=endpoint or "/", status=status,
+        fields = dict(
+            trace_id=None if trace is None else trace.trace_id,
+            method=method, endpoint=endpoint or "/", status=status,
+            error_code=error_code, latency_s=latency_s, cache_hit=cache_hit,
+            inflight=self.pool.inflight,
+        )
+        self.slo.observe(endpoint=fields["endpoint"], status=status,
                          latency_s=latency_s)
-        obs_access.log_request(
-            trace_id=trace_id, method=method, endpoint=endpoint or "/",
-            status=status, error_code=error_code, latency_s=latency_s,
-            cache_hit=cache_hit, inflight=self.pool.inflight,
-        )
-        obs_events.publish(
-            "serve.request", trace_id=trace_id, method=method,
-            endpoint=endpoint or "/", status=status, error_code=error_code,
-            latency_s=latency_s,
-        )
+        obs_access.log_request(**fields)
+        obs_events.publish("serve.request", **fields)
 
 
 @contextlib.contextmanager

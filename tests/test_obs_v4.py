@@ -245,14 +245,6 @@ class TestAccessLog:
         (read_back,) = obs_access.read_access(tmp_path)
         assert read_back == record
 
-    def test_read_access_skips_corrupt_lines(self, tmp_path):
-        sink = tmp_path / obs_access.SINK_FILENAME
-        good = {"schema": obs_access.ACCESS_SCHEMA, "endpoint": "/solve",
-                "status": 200}
-        sink.write_text(json.dumps(good) + "\n{torn line\n[1, 2]\n")
-        records = obs_access.read_access(sink)
-        assert records == [good]
-
     def test_read_access_missing_file_is_empty(self, tmp_path):
         assert obs_access.read_access(tmp_path / "absent.jsonl") == []
 

@@ -423,22 +423,40 @@ class TestCorrelationHeaders:
 
 
 class TestEndToEndCorrelation:
+    #: A trace id no other request in this module uses: the service is
+    #: module-scoped, so an earlier request's epilogue can land after
+    #: this test enables the sinks, and only the id tells them apart.
+    TRACE_ID = "0af7651916cd43dd8448eb211c80319c"
+
     def test_one_trace_id_across_every_sink(self, tmp_path, service):
         """The acceptance loop: response header == ledger record ==
-        run events == access line == span tree, for one request."""
+        run events == access line == ``serve.request`` event == span
+        tree, for one request."""
         _svc, base = service
+        access_dir, events_dir = tmp_path / "access", tmp_path / "events"
+        events_file = events_dir / obs_events.SINK_FILENAME
+
+        def mine(records):
+            return [r for r in records if r.get("trace_id") == self.TRACE_ID
+                    or r.get("payload", {}).get("trace_id") == self.TRACE_ID]
+
+        def served_events():
+            return [e for e in mine(obs_events.read_events(events_file))
+                    if e["type"] == "serve.request"]
+
         obs_ledger.enable_ledger(tmp_path / "ledger")
-        obs_events.enable_events(tmp_path / "events")
-        obs_access.enable_access_log(tmp_path / "access")
+        obs_events.enable_events(events_dir)
+        obs_access.enable_access_log(access_dir)
         try:
             status, _body, headers = post_full(
                 base, "/solve", json.dumps({"game": PATH_GAME}).encode(),
-                headers={"traceparent": VALID_TRACEPARENT})
+                headers={"traceparent":
+                         f"00-{self.TRACE_ID}-b7ad6b7169203331-01"})
             assert status == 200
             trace_id = headers["X-Request-Id"]
-            assert trace_id == "4bf92f3577b34da6a3ce929d0e0e4736"
-            _wait_for(lambda: obs_access.read_access(tmp_path / "access"),
-                      "access line written")
+            assert trace_id == self.TRACE_ID
+            _wait_for(lambda: mine(obs_access.read_access(access_dir))
+                      and served_events(), "access line and event written")
         finally:
             obs_access.disable_access_log()
             obs_events.disable_events()
@@ -452,20 +470,24 @@ class TestEndToEndCorrelation:
         assert records[0]["spans"]
         assert all(s["trace_id"] == trace_id for s in records[0]["spans"])
 
-        events = obs_events.read_events(
-            tmp_path / "events" / obs_events.SINK_FILENAME)
+        events = obs_events.read_events(events_file)
         run_events = [e for e in events if e["type"] in
                       ("run.start", "run.end")
                       and e["payload"]["entry_point"] == "serve.solve"]
         assert len(run_events) == 2
         assert all(e["payload"]["trace_id"] == trace_id for e in run_events)
 
-        (line,) = obs_access.read_access(tmp_path / "access")
-        assert line["trace_id"] == trace_id
+        (line,) = mine(obs_access.read_access(access_dir))
         assert line["endpoint"] == "/solve"
         assert line["method"] == "POST"
         assert line["status"] == 200
         assert line["error_code"] is None
+        # The event stream alone answers what the access line does,
+        # cache polarity and pool occupancy included.
+        (event,) = served_events()
+        fields = {key: value for key, value in line.items()
+                  if key not in ("schema", "ts")}
+        assert event["payload"] == fields
 
     def test_request_latency_histogram(self, service):
         _svc, base = service

@@ -29,21 +29,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
-from datetime import datetime, timezone
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 BENCH_FILE = REPO_ROOT / "BENCH_SERVE.json"
-MAX_HISTORY = 100
 
 #: Regression gate versus the committed snapshot: HTTP round-trips are
 #: noisier than in-process kernels, so the slack is wider than
@@ -61,16 +58,6 @@ GAME = {
     "k": 2,
     "nu": 1,
 }
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _post(base: str, path: str, body: bytes, headers=None) -> int:
@@ -212,36 +199,15 @@ def _history_scalar(name: str, profile: dict) -> float:
     return profile["p95_s"]
 
 
-def _load_document() -> dict:
-    from repro.obs.watchdog import SCHEMA_V2, load_history_document
-
-    if not BENCH_FILE.exists():
-        return {
-            "schema": SCHEMA_V2,
-            "slack": {"relative": SLACK_REL, "absolute_s": SLACK_ABS},
-            "cases": {},
-            "history": [],
-        }
-    return load_history_document(BENCH_FILE)
-
-
 def write(cases: dict) -> None:
-    document = _load_document()
-    document["slack"] = {"relative": SLACK_REL, "absolute_s": SLACK_ABS}
-    document["cases"] = {name: cases[name] for name in sorted(cases)}
-    rev = _git_rev()
-    entry = {
-        "git_rev": rev,
-        "timestamp": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
-        "cases": {name: _history_scalar(name, profile)
-                  for name, profile in sorted(cases.items())},
-    }
-    history = [e for e in document.get("history", [])
-               if e.get("git_rev") != rev]
-    history.append(entry)
-    document["history"] = history[-MAX_HISTORY:]
-    BENCH_FILE.write_text(json.dumps(document, indent=2) + "\n")
+    from repro.obs.watchdog import git_revision, record_history
+
+    rev = git_revision(REPO_ROOT)
+    document = record_history(
+        BENCH_FILE, {name: cases[name] for name in sorted(cases)},
+        {name: _history_scalar(name, profile)
+         for name, profile in cases.items()},
+        {"relative": SLACK_REL, "absolute_s": SLACK_ABS}, rev)
     print(f"wrote {BENCH_FILE} "
           f"({len(document['history'])} history entries, newest {rev})")
 
@@ -251,7 +217,9 @@ def check(cases: dict) -> int:
         print(f"{BENCH_FILE} missing; run python tools/bench_serve.py "
               "--write", file=sys.stderr)
         return 1
-    baseline = _load_document()["cases"]
+    from repro.obs.watchdog import load_history_document
+
+    baseline = load_history_document(BENCH_FILE)["cases"]
     failures = []
     for name, profile in cases.items():
         base = baseline.get(name, {}).get("p95_s")
@@ -275,24 +243,13 @@ def check(cases: dict) -> int:
 
 
 def watch(cases: dict, against=None, ratio=None, strict=False) -> int:
-    from repro.obs.watchdog import DEFAULT_RATIO, watch_file
+    from repro.obs.watchdog import watch_bench
 
-    if not BENCH_FILE.exists():
-        print(f"{BENCH_FILE} missing; run python tools/bench_serve.py "
-              "--write first", file=sys.stderr)
-        return 1 if strict else 0
     current = {name: _history_scalar(name, profile)
                for name, profile in cases.items()}
-    try:
-        report = watch_file(
-            BENCH_FILE, current=current, against=against,
-            ratio=DEFAULT_RATIO if ratio is None else ratio,
-        )
-    except ValueError as exc:
-        print(f"bench-serve --watch: {exc}", file=sys.stderr)
-        return 1
-    print(report.summary())
-    return 1 if (strict and not report.ok) else 0
+    return watch_bench(BENCH_FILE, current, "tools/bench_serve.py",
+                       "bench-serve --watch", against=against, ratio=ratio,
+                       strict=strict)
 
 
 def main() -> int:

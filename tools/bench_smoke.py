@@ -25,21 +25,15 @@ speedup against a fixed origin rather than a moving one.
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
 import tempfile
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 BENCH_FILE = REPO_ROOT / "BENCH_KERNELS.json"
-
-#: History entries kept in the trajectory file (oldest dropped first).
-MAX_HISTORY = 100
 
 #: Pre-kernel (seed) wall-clock seconds for the tracked cases, best-of-3.
 REFERENCE = {
@@ -65,16 +59,6 @@ _CORRELATION_CALLS = 50_000
 #: Regression gate: fail when current > baseline * (1 + SLACK_REL) + SLACK_ABS.
 SLACK_REL = 0.20
 SLACK_ABS = 0.05
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _cases():
@@ -197,24 +181,10 @@ def run_cases():
     return timings
 
 
-def _load_document():
-    """The committed trajectory as a schema-v2 document (migrating v1)."""
-    from repro.obs.watchdog import SCHEMA_V2, load_history_document
-
-    if not BENCH_FILE.exists():
-        return {
-            "schema": SCHEMA_V2,
-            "slack": {"relative": SLACK_REL, "absolute_s": SLACK_ABS},
-            "cases": {},
-            "history": [],
-        }
-    return load_history_document(BENCH_FILE)
-
-
 def write(timings) -> None:
-    document = _load_document()
-    document["slack"] = {"relative": SLACK_REL, "absolute_s": SLACK_ABS}
-    document["cases"] = {
+    from repro.obs.watchdog import git_revision, record_history
+
+    cases = {
         name: {
             "wall_clock_s": timings[name],
             "reference_s": REFERENCE.get(name),
@@ -226,21 +196,10 @@ def write(timings) -> None:
         }
         for name in sorted(timings)
     }
-    rev = _git_rev()
-    entry = {
-        "git_rev": rev,
-        "timestamp": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "cases": {name: timings[name] for name in sorted(timings)},
-    }
-    # Re-running --write at the same revision replaces its entry instead
-    # of stacking duplicates that would bias the trailing median.
-    history = [e for e in document.get("history", [])
-               if e.get("git_rev") != rev]
-    history.append(entry)
-    document["history"] = history[-MAX_HISTORY:]
-    BENCH_FILE.write_text(json.dumps(document, indent=2) + "\n")
+    rev = git_revision(REPO_ROOT)
+    document = record_history(
+        BENCH_FILE, cases, timings,
+        {"relative": SLACK_REL, "absolute_s": SLACK_ABS}, rev)
     print(f"wrote {BENCH_FILE} "
           f"({len(document['history'])} history entries, newest {rev})")
 
@@ -250,7 +209,9 @@ def check(timings) -> int:
         print(f"{BENCH_FILE} missing; run python tools/bench_smoke.py --write",
               file=sys.stderr)
         return 1
-    baseline = _load_document()["cases"]
+    from repro.obs.watchdog import load_history_document
+
+    baseline = load_history_document(BENCH_FILE)["cases"]
     failures = []
     for name, seconds in timings.items():
         base = baseline.get(name, {}).get("wall_clock_s")
@@ -274,22 +235,11 @@ def check(timings) -> int:
 
 def watch(timings, against=None, ratio=None, strict=False) -> int:
     """Live timings vs the trailing-median history (the watchdog face)."""
-    from repro.obs.watchdog import DEFAULT_RATIO, watch_file
+    from repro.obs.watchdog import watch_bench
 
-    if not BENCH_FILE.exists():
-        print(f"{BENCH_FILE} missing; run python tools/bench_smoke.py "
-              "--write first", file=sys.stderr)
-        return 1 if strict else 0
-    try:
-        report = watch_file(
-            BENCH_FILE, current=timings, against=against,
-            ratio=DEFAULT_RATIO if ratio is None else ratio,
-        )
-    except ValueError as exc:
-        print(f"bench-watch: {exc}", file=sys.stderr)
-        return 1
-    print(report.summary())
-    return 1 if (strict and not report.ok) else 0
+    return watch_bench(BENCH_FILE, timings, "tools/bench_smoke.py",
+                       "bench-watch", against=against, ratio=ratio,
+                       strict=strict)
 
 
 def main() -> int:
