@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perfbench-check bench bench-smoke bench-smoke-baseline bench-watch bench-serve bench-serve-baseline cache-smoke fuzz-smoke obs-check report-smoke serve-smoke slo-smoke api-docs api-docs-check lint lint-changed lint-sarif lint-baseline mypy ci
+.PHONY: test perfbench-check bench bench-smoke bench-smoke-baseline bench-watch cache-smoke fuzz-smoke obs-check report-smoke serve-smoke slo-smoke api-docs api-docs-check lint lint-changed lint-sarif lint-baseline mypy ci
 
 ## tier-1 test suite (the gate every PR must keep green)
 test:
@@ -17,12 +17,14 @@ perfbench-check:
 	$(PYTHON) -m pytest -q perfbench
 
 ## regenerate the experiment tables + benchmark telemetry
-## (writes benchmarks/results/*.{txt,json}, bench_summary.json, BENCH_OBS.json)
+## (writes benchmarks/results/*.{txt,json} and bench_summary.json)
 bench:
 	$(PYTHON) -m pytest -q benchmarks
 
-## time the solver hot paths and fail on >20% regression versus the
-## committed BENCH_KERNELS.json (skips cleanly when scipy is absent)
+## time the tracked hot paths in host-corrected reference seconds and
+## fail when any median exceeds the newest committed BENCH_KERNELS.json
+## entry by more than its MAD-derived band (repro.obs.watchdog.check;
+## skips cleanly when scipy is absent)
 bench-smoke:
 	@if $(PYTHON) -c "import numpy, scipy" >/dev/null 2>&1; then \
 		$(PYTHON) tools/bench_smoke.py --check; \
@@ -31,15 +33,15 @@ bench-smoke:
 	fi
 
 ## re-baseline BENCH_KERNELS.json from the current hot-path timings
-## (appends one history entry keyed by the current git revision)
+## (appends one history entry stamped with the git revision and whether
+## the tree is dirty)
 bench-smoke-baseline:
 	$(PYTHON) tools/bench_smoke.py --write
 
-## perf-regression watchdog: newest committed history entry versus the
-## trailing-median history (report-only; run bench_smoke.py --watch
-## --strict to gate on it)
+## perf-regression watchdog: the newest committed history entry versus
+## the earlier ones, through the same comparator as bench-smoke
 bench-watch:
-	$(PYTHON) -c "from repro.obs.watchdog import _main; raise SystemExit(_main())" --file BENCH_KERNELS.json
+	$(PYTHON) -c "from repro.obs.watchdog import _main; raise SystemExit(_main())" --file BENCH_KERNELS.json --strict
 
 ## result-cache lifecycle gate: cold solve -> byte-identical hit ->
 ## distinct weighted identities -> gc -> miss, on the committed fixtures
@@ -57,16 +59,6 @@ serve-smoke:
 ## access-log fixture and fail the breaching one
 slo-smoke:
 	$(PYTHON) tools/slo_smoke.py
-
-## load-generate against the service and fail on a p95 regression versus
-## the committed BENCH_SERVE.json snapshot
-bench-serve:
-	$(PYTHON) tools/bench_serve.py --check
-
-## re-baseline BENCH_SERVE.json from the current request profiles
-## (appends one history entry keyed by the current git revision)
-bench-serve-baseline:
-	$(PYTHON) tools/bench_serve.py --write
 
 ## differential fuzz gate: replay the counterexample corpus, then a
 ## fixed-seed fresh batch across every solver path, then a smaller

@@ -9,9 +9,8 @@ timestamp-free) so experiment tables can be diffed programmatically.
 The session fixture :func:`_obs_session_telemetry` additionally collects
 per-experiment wall-clock and the process-global metrics registry
 (double-oracle iterations, LP solve-time histograms, simulation
-throughput, …) and writes ``benchmarks/results/bench_summary.json`` plus
-the repo-root ``BENCH_OBS.json`` — the perf trajectory that optimisation
-PRs diff against.  Schema documented in ``docs/observability.md``.
+throughput, …) and writes ``benchmarks/results/bench_summary.json``.
+Schema documented in ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 BENCH_SUMMARY_SCHEMA = "repro.obs/bench-summary/v1"
 
@@ -75,7 +73,7 @@ def _obs_experiment_timer(request):
 
 @pytest.fixture(scope="session", autouse=True)
 def _obs_session_telemetry():
-    """Write bench_summary.json + BENCH_OBS.json after the benchmark run."""
+    """Write bench_summary.json after the benchmark run."""
     registry = obs_metrics.get_registry()
     registry.reset()
     _experiment_seconds.clear()
@@ -94,7 +92,6 @@ def _obs_session_telemetry():
         },
         "metrics": registry.snapshot(),
     }
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "bench_summary.json").write_text(text)
-    (REPO_ROOT / "BENCH_OBS.json").write_text(text)
+    (RESULTS_DIR / "bench_summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -12,7 +12,7 @@ Usage examples (after ``pip install -e .``)::
     repro-defender profile network.edges -k 2 --chrome-trace trace.json
     repro-defender lint --strict --baseline
     repro-defender fuzz --count 50 --seed 7 --corpus tests/corpus --replay
-    repro-defender watch --file BENCH_KERNELS.json --ratio 1.5
+    repro-defender watch --file BENCH_KERNELS.json --strict
     repro-defender tail --follow --type solver.iteration
     repro-defender ledger stats --group-by git_rev
     repro-defender ledger report -o report.html --markdown report.md
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     # watch takes no graph — it compares benchmark timings to history.
     p_watch = sub.add_parser(
         "watch",
-        help="check benchmark timings against their trailing-median history",
+        help="check benchmark timings against their baseline history entry",
         parents=[obs_parent],
     )
     watch_arguments(p_watch)

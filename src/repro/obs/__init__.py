@@ -22,8 +22,9 @@ for conventions and examples):
 * :mod:`repro.obs.prof` — the deterministic profiler: span trees as
   folded-stack flamegraphs, Chrome ``trace_event`` JSON and self/total
   aggregation tables;
-* :mod:`repro.obs.watchdog` — the perf-regression watchdog comparing
-  benchmark timings against their trailing-median history;
+* :mod:`repro.obs.watchdog` — the perf-regression gate: host-corrected
+  benchmark timings (median and MAD) and the one comparator that judges
+  them against a baseline;
 * :mod:`repro.obs.events` — the live telemetry event bus: typed run
   events (``solver.iteration``, ``lp.solve``, ...) in a bounded ring
   buffer with subscribers and an opt-in JSONL sink;

@@ -33,8 +33,9 @@ from __future__ import annotations
 import json
 import math
 import threading
+from fractions import Fraction
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -48,7 +49,22 @@ __all__ = [
     "histogram",
     "timer",
     "render_snapshot",
+    "nearest_rank",
 ]
+
+
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` (in [0, 100]) of an ascending
+    sequence: its ``ceil(q * n / 100)``-th value (at least the first),
+    0.0 when empty.  The rank is computed exactly on ``q``'s decimal
+    value, so ``q=99.9`` over 1000 values is the 999th, not the 1000th
+    that float rounding of ``99.9 / 100 * 1000`` gives."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100]; got {q}")
+    if not sorted_values:
+        return 0.0
+    rank = math.ceil(Fraction(str(q)) * len(sorted_values) / 100)
+    return float(sorted_values[max(1, rank) - 1])
 
 
 class Counter:
@@ -145,13 +161,7 @@ class Histogram:
 
         Returns 0.0 for an empty histogram.
         """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100]; got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self._samples), q)
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.6g})"

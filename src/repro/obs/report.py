@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import repro.obs.metrics as _metrics
 from repro.obs.ledger import read_runs
 from repro.obs.log import get_logger
+from repro.obs.watchdog import load_history_document, watch_document
 
 __all__ = [
     "GROUP_KEYS",
@@ -75,14 +76,6 @@ def _group_key(record: Dict[str, Any], group_by: str) -> str:
     )
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending sequence (q in [0, 100])."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, -(-len(sorted_values) * q // 100))  # ceil without math
-    return float(sorted_values[int(rank) - 1])
-
-
 def aggregate_runs(
     records: Sequence[Dict[str, Any]], group_by: str = "entry_point"
 ) -> List[Dict[str, Any]]:
@@ -109,8 +102,8 @@ def aggregate_runs(
                 "errors": errors,
                 "error_rate": errors / len(members),
                 "duration_s": {
-                    "p50": _percentile(durations, 50),
-                    "p95": _percentile(durations, 95),
+                    "p50": _metrics.nearest_rank(durations, 50),
+                    "p95": _metrics.nearest_rank(durations, 95),
                     "mean": sum(durations) / len(durations),
                     "min": durations[0],
                     "max": durations[-1],
@@ -354,40 +347,34 @@ def _convergence_section(
 def _watchdog_section(watchdog_doc: Optional[Dict[str, Any]]) -> str:
     if not watchdog_doc:
         return "<p class='sub'>No benchmark trajectory file available.</p>"
-    history = [
-        entry for entry in watchdog_doc.get("history", [])
-        if isinstance(entry.get("cases"), dict)
-    ]
-    cases = sorted({
-        name for entry in history for name in entry["cases"]
-    })
-    if not cases:
+    history = watchdog_doc.get("history") or []
+    if not history:
         return "<p class='sub'>Benchmark trajectory has no history.</p>"
+    verdict = watch_document(watchdog_doc)
+    regressed = {r.case for r in verdict.regressions}
     rows = []
-    for case in cases:
-        values = [
-            float(entry["cases"][case]) for entry in history
-            if entry["cases"].get(case) is not None
+    for case, latest in sorted((history[-1].get("cases") or {}).items()):
+        medians = [
+            float(entry["cases"][case]["median_s"]) for entry in history
+            if case in (entry.get("cases") or {})
         ]
-        if not values:
-            continue
-        trailing = sorted(values[:-1]) or values
-        median = _percentile(trailing, 50)
-        regressed = median > 0 and values[-1] > median * 1.5
         status = (
             '<span class="status regressed">&#9650; regressed</span>'
-            if regressed else '<span class="status ok">&#10003; ok</span>'
+            if case in regressed else
+            '<span class="status">no baseline</span>'
+            if case in verdict.skipped else
+            '<span class="status ok">&#10003; ok</span>'
         )
         rows.append(
             f"<tr><td>{html.escape(case)}</td>"
-            f'<td class="num">{_fmt_s(values[-1])}</td>'
-            f'<td class="num">{_fmt_s(median)}</td>'
-            f"<td>{_sparkline_svg(values)}</td><td>{status}</td></tr>"
+            f'<td class="num">{_fmt_s(float(latest["median_s"]))}</td>'
+            f'<td class="num">{_fmt_s(float(latest["mad_s"]))}</td>'
+            f"<td>{_sparkline_svg(medians)}</td><td>{status}</td></tr>"
         )
     return (
         "<table><thead><tr><th>benchmark case</th>"
-        '<th class="num">latest</th><th class="num">trailing median</th>'
-        "<th>timing history</th><th>watchdog</th></tr></thead><tbody>"
+        '<th class="num">latest median</th><th class="num">MAD</th>'
+        "<th>median history</th><th>watchdog</th></tr></thead><tbody>"
         + "".join(rows) + "</tbody></table>"
     )
 
@@ -440,7 +427,7 @@ def render_report_html(
 
     No external resources: styles are inline CSS custom properties
     (light and dark), charts are inline SVG sparklines.  ``watchdog_doc``
-    is a parsed ``BENCH_KERNELS.json`` (schema v2) folded into a
+    is a parsed ``BENCH_KERNELS.json`` (schema v3) folded into a
     benchmark-history section when given; ``slo_report`` is an evaluated
     ``repro.obs/slo-report/v1`` document (:func:`repro.obs.slo
     .evaluate_slos`) rendered as a service-level-objective panel.
@@ -607,8 +594,6 @@ def write_report(
         records = read_runs(directory=ledger_dir)
         watchdog_doc = None
         if bench_file is not None and Path(bench_file).exists():
-            from repro.obs.watchdog import load_history_document
-
             try:
                 watchdog_doc = load_history_document(bench_file)
             except (ValueError, json.JSONDecodeError) as exc:

@@ -453,8 +453,7 @@ def running_service(
 
     The server is fully started (port bound and resolved) before the
     body runs, and stopped — pool drained — on exit.  This is the
-    harness behind the tests, ``tools/serve_smoke.py`` and
-    ``tools/bench_serve.py``.
+    harness behind the tests and ``tools/serve_smoke.py``.
     """
     service = DefenderService(config)
     loop = asyncio.new_event_loop()

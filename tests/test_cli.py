@@ -380,11 +380,11 @@ class TestWatch:
 
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({
-            "schema": "repro.kernels/bench-smoke/v2",
-            "cases": {},
+            "schema": "repro.kernels/bench-smoke/v3",
             "history": [
-                {"git_rev": f"r{i}", "timestamp": None,
-                 "cases": {"case.a": v}}
+                {"git_rev": f"r{i}", "dirty": False, "timestamp": None,
+                 "cases": {"case.a": {"median_s": v, "mad_s": 0.005,
+                                      "reps": 15}}}
                 for i, v in enumerate(history_values)
             ],
         }))

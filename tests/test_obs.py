@@ -62,6 +62,19 @@ class TestHistogram:
         assert h.count == 100
         assert h.mean == pytest.approx(50.5)
 
+    @pytest.mark.parametrize("count,q,rank", [
+        (1000, 99.9, 999), (2000, 99.9, 1998), (100, 95, 95), (7, 50, 4),
+    ])
+    def test_one_exact_nearest_rank(self, count, q, rank):
+        # metrics, report and slo share this helper; float rounding of
+        # 99.9 / 100 * 1000 must not push the rank to 1000.
+        values = [float(v) for v in range(1, count + 1)]
+        assert obs_metrics.nearest_rank(values, q) == float(rank)
+        h = Histogram("t.seconds")
+        for v in values:
+            h.observe(v)
+        assert h.percentile(q) == float(rank)
+
     def test_empty_histogram_is_safe(self):
         h = Histogram("t.seconds")
         assert h.percentile(50) == 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -326,18 +327,22 @@ class TestChromeTrace:
 # watchdog
 
 
+def _summary(median, mad=0.0, reps=15):
+    return {"median_s": median, "mad_s": mad, "reps": reps}
+
+
 def _history(values, case="case.a", rev_prefix="r"):
     return [
-        {"git_rev": f"{rev_prefix}{i}", "timestamp": None,
-         "cases": {case: v}}
+        {"git_rev": f"{rev_prefix}{i}", "dirty": False, "timestamp": None,
+         "cases": {case: _summary(v, 0.004)}}
         for i, v in enumerate(values)
     ]
 
 
 class TestWatchdogCheck:
     def test_injected_2x_slowdown_detected(self):
-        history = _history([0.10, 0.11, 0.09, 0.10, 0.12])
-        report = watchdog.check(history, {"case.a": 0.20})
+        report = watchdog.check({"case.a": _summary(0.10, 0.005)},
+                                {"case.a": _summary(0.20, 0.010)})
         assert not report.ok
         regression = report.regressions[0]
         assert regression.case == "case.a"
@@ -346,125 +351,176 @@ class TestWatchdogCheck:
         assert "2.00x" in regression.describe()
 
     def test_steady_timing_passes(self):
-        history = _history([0.10, 0.11, 0.09, 0.10, 0.12])
-        report = watchdog.check(history, {"case.a": 0.12})
+        report = watchdog.check({"case.a": _summary(0.10, 0.005)},
+                                {"case.a": _summary(0.102, 0.005)})
         assert report.ok
         assert report.checked == ["case.a"]
 
     def test_median_defeats_single_outlier(self):
-        # One historic 10x spike must not raise the bar.
-        history = _history([0.10, 0.10, 1.0, 0.10, 0.10])
-        assert not watchdog.check(history, {"case.a": 0.20}).ok
+        # One 10x repetition must not raise the bar.
+        baseline = watchdog.summarize([0.10] * 6 + [1.0])
+        assert baseline["median_s"] == pytest.approx(0.10)
+        assert not watchdog.check({"case.a": baseline},
+                                  {"case.a": _summary(0.20)}).ok
 
     def test_no_history_case_skipped_not_fatal(self):
-        report = watchdog.check(_history([0.1]), {"case.b": 5.0})
+        report = watchdog.check({"case.a": _summary(0.1)},
+                                {"case.b": _summary(5.0)})
         assert report.ok
         assert report.skipped == ["case.b"]
-        assert "no trailing history" in report.summary()
+        assert "no baseline for case.b" in report.summary()
 
-    def test_window_limits_lookback(self):
-        # Old slow era followed by a fast era: a small window must judge
-        # against the fast era only.
-        history = _history([1.0] * 10 + [0.1] * 5)
-        assert watchdog.check(history, {"case.a": 0.3}, window=15).ok
-        assert not watchdog.check(history, {"case.a": 0.3}, window=5).ok
+    def test_band_is_z_sigmas_of_the_noisier_run(self):
+        base, now = _summary(0.10, 0.004, 63), _summary(0.10, 0.003, 21)
+        # 1.4826 * MAD estimates sigma; the larger MAD sets the band
+        expected = watchdog.BAND_Z * 1.4826 * 0.004
+        assert watchdog.band(base, now) == pytest.approx(expected)
+        assert watchdog.band(now, base) == pytest.approx(expected)
+        assert watchdog.band(base, now) == pytest.approx(expected)
+        limit = 0.10 + expected
+        assert watchdog.check({"c": base},
+                              {"c": _summary(limit * 0.999, 0.003, 21)}).ok
+        assert not watchdog.check({"c": base},
+                                  {"c": _summary(limit * 1.001, 0.003, 21)}).ok
 
-    def test_custom_ratio(self):
-        history = _history([0.10] * 3)
-        assert watchdog.check(history, {"case.a": 0.25}, ratio=3.0).ok
-        assert not watchdog.check(history, {"case.a": 0.25}, ratio=2.0).ok
+    def test_summarize_median_and_mad(self):
+        assert watchdog.summarize([1.0, 2.0, 4.0, 8.0, 9.0]) == {
+            "median_s": 4.0, "mad_s": 3.0, "reps": 5}
+
+
+def _trivial_cases():
+    """A module-level case factory, so spawned processes can import it."""
+    return {"first": lambda: None, "second": lambda: sum(range(100))}, \
+        (lambda: None)
+
+
+class TestMeasure:
+    def test_one_process_runs_cases_round_robin(self):
+        calls, resets = [], []
+
+        def factory():
+            return ({name: (lambda name=name: calls.append(name))
+                     for name in ("first", "second")},
+                    lambda: resets.append(1))
+
+        samples = watchdog._sample(factory, frozenset(), False)
+        reps = len(samples["first"])
+        # 7..21 repetitions shared out over the processes
+        assert reps == -(-21 // watchdog.PROCESSES)
+        assert len(samples["second"]) == reps
+        # warm-up round, then alternating repetitions
+        assert calls == ["first", "second"] * (reps + 1)
+        assert len(resets) == len(calls)
+        assert all(x >= 0.0 for x in samples["first"])
+        # a baseline takes three times the repetitions
+        longer = watchdog._sample(factory, frozenset(), True)
+        assert len(longer["first"]) == 3 * reps
+
+    def test_measure_pools_the_processes(self):
+        pytest.importorskip("scipy")
+        summaries = watchdog.measure(_trivial_cases, native={"second"})
+        assert set(summaries) == {"first", "second"}
+        for summary in summaries.values():
+            assert summary["reps"] == \
+                watchdog.PROCESSES * -(-21 // watchdog.PROCESSES)
+            assert summary["median_s"] >= 0.0 and summary["mad_s"] >= 0.0
+
+    def test_calibration_slices_are_cpu_time(self):
+        assert 0.0 < watchdog._calibration_slice(list(range(1 << 17))) < 1.0
+        pytest.importorskip("scipy")
+        problem = watchdog._native_problem()
+        assert 0.0 < watchdog._native_slice(problem) < 1.0
 
 
 class TestWatchdogFile:
-    def _write(self, tmp_path, document):
+    def _write(self, tmp_path, history):
         path = tmp_path / "bench.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps({"schema": watchdog.SCHEMA,
+                                    "history": history}))
         return path
 
     def test_newest_entry_vs_trailing(self, tmp_path):
-        document = {
-            "schema": watchdog.SCHEMA_V2, "cases": {},
-            "history": _history([0.1, 0.1, 0.1, 0.5]),
-        }
-        report = watchdog.watch_file(self._write(tmp_path, document))
+        path = self._write(tmp_path, _history([0.1, 0.1, 0.1, 0.5]))
+        report = watchdog.watch_file(path)
         assert not report.ok
         assert "r3" in report.baseline_label
 
     def test_live_timings_against_full_history(self, tmp_path):
-        document = {
-            "schema": watchdog.SCHEMA_V2, "cases": {},
-            "history": _history([0.1, 0.1, 0.1]),
-        }
-        path = self._write(tmp_path, document)
-        assert watchdog.watch_file(path, current={"case.a": 0.1}).ok
-        assert not watchdog.watch_file(path, current={"case.a": 0.9}).ok
+        path = self._write(tmp_path, _history([0.1, 0.1, 0.1]))
+        assert watchdog.watch_file(
+            path, current={"case.a": _summary(0.1, 0.004)}).ok
+        assert not watchdog.watch_file(
+            path, current={"case.a": _summary(0.9, 0.004)}).ok
 
     def test_against_pins_single_revision(self, tmp_path):
-        document = {
-            "schema": watchdog.SCHEMA_V2, "cases": {},
-            "history": _history([0.05, 0.4, 0.1]),
-        }
-        path = self._write(tmp_path, document)
+        path = self._write(tmp_path, _history([0.05, 0.4, 0.1]))
+        current = {"case.a": _summary(0.2, 0.004)}
         # Against the slow r1 entry 0.2s is fine; against fast r0 it is not.
-        assert watchdog.watch_file(
-            path, current={"case.a": 0.2}, against="r1"
-        ).ok
-        assert not watchdog.watch_file(
-            path, current={"case.a": 0.2}, against="r0"
-        ).ok
+        assert watchdog.watch_file(path, current=current, against="r1").ok
+        assert not watchdog.watch_file(path, current=current,
+                                       against="r0").ok
 
     def test_against_unknown_revision_raises(self, tmp_path):
-        document = {
-            "schema": watchdog.SCHEMA_V2, "cases": {}, "history": [],
-        }
         with pytest.raises(ValueError, match="no history entry"):
             watchdog.watch_file(
-                self._write(tmp_path, document), current={}, against="zzz"
+                self._write(tmp_path, []), current={}, against="zzz"
             )
 
     def test_committed_trajectory_passes(self):
-        """The real BENCH_KERNELS.json must be watchdog-clean as committed."""
+        """The real BENCH_KERNELS.json must be schema v3, stamped, and
+        watchdog-clean as committed."""
         from pathlib import Path
 
         path = Path(__file__).parent.parent / "BENCH_KERNELS.json"
         report = watchdog.watch_file(path)
         assert report.ok, report.summary()
-        assert report.checked  # it actually compared something
+        newest = watchdog.load_history_document(path)["history"][-1]
+        assert newest["git_rev"] and isinstance(newest["dirty"], bool)
+        assert len(newest["cases"]) >= 13
+        for summary in newest["cases"].values():
+            assert summary["median_s"] > 0 and summary["mad_s"] >= 0
+            assert summary["reps"] >= 7
 
 
-class TestMigration:
-    V1 = {
-        "schema": watchdog.SCHEMA_V1,
-        "slack": {"relative": 0.2, "absolute_s": 0.05},
-        "cases": {
-            "case.a": {"wall_clock_s": 0.125, "reference_s": 0.5},
-            "case.b": {"wall_clock_s": 0.250, "reference_s": None},
-        },
-    }
+class TestSchema:
+    def test_unknown_schema_rejected(self, tmp_path):
+        # v1/v2 held raw wall seconds; there is no migration path to v3.
+        path = tmp_path / "bench.json"
+        for schema in ("repro.kernels/bench-smoke/v1",
+                       "repro.kernels/bench-smoke/v2", "something/else"):
+            path.write_text(json.dumps({"schema": schema, "history": []}))
+            with pytest.raises(ValueError, match="unrecognized"):
+                watchdog.load_history_document(path)
 
-    def test_v1_becomes_pre_history_entry(self):
-        migrated = watchdog.migrate_history(self.V1)
-        assert migrated["schema"] == watchdog.SCHEMA_V2
-        assert migrated["cases"] == self.V1["cases"]  # snapshot preserved
-        (entry,) = migrated["history"]
-        assert entry["git_rev"] == "pre-history"
-        assert entry["cases"] == {"case.a": 0.125, "case.b": 0.250}
 
-    def test_v2_passes_through_unchanged(self):
-        document = {"schema": watchdog.SCHEMA_V2, "history": []}
-        assert watchdog.migrate_history(document) is document
+class TestRecordHistory:
+    def _git(self, root, *args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=root, check=True, capture_output=True)
 
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="unrecognized"):
-            watchdog.migrate_history({"schema": "something/else"})
+    def test_entry_stamped_with_revision_and_dirty_flag(self, tmp_path):
+        self._git(tmp_path, "init", "-q")
+        (tmp_path / "tracked.txt").write_text("a\n")
+        self._git(tmp_path, "add", "tracked.txt")
+        self._git(tmp_path, "commit", "-q", "-m", "init")
+        bench = tmp_path / "bench.json"
+        cases = {"case.a": _summary(0.1, 0.004)}
 
-    def test_load_history_document_migrates(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(self.V1))
-        assert (
-            watchdog.load_history_document(path)["schema"]
-            == watchdog.SCHEMA_V2
-        )
+        clean = watchdog.record_history(bench, cases, tmp_path)["history"]
+        assert clean[-1]["dirty"] is False
+        assert clean[-1]["git_rev"] == watchdog.git_revision(tmp_path)
+
+        (tmp_path / "untracked.txt").write_text("ignored\n")
+        assert watchdog.git_dirty(tmp_path) is False
+        (tmp_path / "tracked.txt").write_text("b\n")
+        history = watchdog.record_history(bench, cases, tmp_path)["history"]
+        # same revision: the entry is replaced, now marked dirty
+        assert len(history) == 1 and history[0]["dirty"] is True
+        assert watchdog.load_history_document(bench)["history"] == history
+
+    def test_outside_a_checkout(self, tmp_path):
+        assert watchdog.git_revision(tmp_path / "nowhere") == "unknown"
+        assert watchdog.git_dirty(tmp_path / "nowhere") is None
 
 
 class TestCanonicalJson:

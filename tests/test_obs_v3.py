@@ -421,19 +421,19 @@ class TestReportRendering:
         assert "0" in html
 
     def test_html_folds_in_watchdog_history(self):
+        def entry(rev, median):
+            return {"git_rev": rev, "dirty": False, "timestamp": None,
+                    "cases": {"double_oracle.medium_a": {
+                        "median_s": median, "mad_s": 0.001, "reps": 15}}}
+
         doc = {
-            "schema": "repro.kernels/bench-smoke/v2",
-            "cases": {},
-            "history": [
-                {"git_rev": "aaa1111", "timestamp": None,
-                 "cases": {"double_oracle.medium_a": 0.10}},
-                {"git_rev": "bbb2222", "timestamp": None,
-                 "cases": {"double_oracle.medium_a": 0.11}},
-            ],
+            "schema": "repro.kernels/bench-smoke/v3",
+            "history": [entry("aaa1111", 0.10), entry("bbb2222", 0.20)],
         }
         html = report.render_report_html(_fake_records(), watchdog_doc=doc)
         assert "double_oracle.medium_a" in html
         assert "Benchmark watchdog" in html
+        assert "regressed" in html
 
     def test_markdown_summary(self):
         md = report.render_report_markdown(_fake_records())
@@ -544,25 +544,23 @@ class TestCliFaces:
 
         from repro.obs.watchdog import run_watch_from_args
 
+        def entry(rev, median):
+            return {"git_rev": rev, "dirty": False, "timestamp": None,
+                    "cases": {"case.x": {"median_s": median, "mad_s": 0.01,
+                                         "reps": 15}}}
+
         doc = {
-            "schema": "repro.kernels/bench-smoke/v2",
-            "slack": {},
-            "cases": {},
-            "history": [
-                {"git_rev": "aaa", "timestamp": None,
-                 "cases": {"case.x": 0.10}},
-                {"git_rev": "bbb", "timestamp": None,
-                 "cases": {"case.x": 0.50}},
-            ],
+            "schema": "repro.kernels/bench-smoke/v3",
+            "history": [entry("aaa", 0.10), entry("bbb", 0.50)],
         }
         path = tmp_path / "BENCH.json"
         path.write_text(json.dumps(doc))
-        args = argparse.Namespace(file=str(path), against=None, ratio=1.5,
-                                  window=20, strict=False, fmt="json")
+        args = argparse.Namespace(file=str(path), against=None, strict=True,
+                                  fmt="json")
         lines = []
-        assert run_watch_from_args(args, emit=lines.append) == 0
+        assert run_watch_from_args(args, emit=lines.append) == 1
         verdict = json.loads("\n".join(lines))
-        assert verdict["schema"] == "repro.obs/watch-report/v1"
+        assert verdict["schema"] == "repro.obs/watch-report/v2"
         assert verdict["ok"] is False
         assert verdict["regressions"][0]["case"] == "case.x"
 
@@ -574,3 +572,15 @@ class TestCliFaces:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["ok"] is True
         assert "error" in verdict
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_watch_json_ok_matches_exit_code(self, tmp_path, capsys, strict):
+        from repro.cli import main
+
+        argv = ["watch", "--file", str(tmp_path / "none.json"),
+                "--format", "json"] + (["--strict"] if strict else [])
+        code = main(argv)
+        assert code == (1 if strict else 0)
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["ok"] is (code == 0)
+        assert "missing" in verdict["error"]

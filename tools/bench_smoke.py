@@ -1,33 +1,25 @@
 #!/usr/bin/env python
 """Hot-path benchmark smoke test (``make bench-smoke``).
 
-Times the tracked solver hot paths — double oracle, fictitious play, and
-the Monte-Carlo engines — on small fixed instances, best-of-3, and
+Times the tracked solver hot paths, the telemetry off-paths and the
+inbound trace context on small fixed instances through
+:func:`repro.obs.watchdog.measure` (host-corrected reference seconds,
+median and MAD over repetitions; see that module), and
 
-* ``--write``   refreshes the committed ``BENCH_KERNELS.json`` trajectory
-  file: updates the latest-snapshot ``cases`` block *and appends* one
-  history entry keyed by the current git revision (schema v2; a v1 file
-  is migrated in place, its old snapshot preserved as the
-  ``pre-history`` entry);
-* ``--check``   (default) re-times the same cases and fails when any
-  tracked path regressed more than 20% (plus a 50 ms absolute slack for
-  scheduler noise) against the committed latest snapshot;
-* ``--watch``   re-times the cases and compares them against the
-  trailing-median history via :mod:`repro.obs.watchdog` — report-only
-  unless ``--strict`` (the ``make bench-watch`` CI step).
-
-The ``REFERENCE`` timings below were measured on the pre-kernel code path
-(the BENCH_OBS.json-era solvers, commit 38fe232) on the same instances,
-best-of-3, and are embedded so the trajectory file always evidences the
-speedup against a fixed origin rather than a moving one.
+* ``--write``   appends one history entry to the committed
+  ``BENCH_KERNELS.json`` (schema v3), stamped with the git revision and
+  whether the tree was dirty;
+* ``--check``   (default) fails when any case regressed against the
+  newest committed entry, as judged by
+  :func:`repro.obs.watchdog.check`.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -35,30 +27,24 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 BENCH_FILE = REPO_ROOT / "BENCH_KERNELS.json"
 
-#: Pre-kernel (seed) wall-clock seconds for the tracked cases, best-of-3.
-REFERENCE = {
-    "double_oracle.medium_a": 0.2078,
-    "double_oracle.medium_b": 0.4345,
-    "double_oracle.cached": None,  # added with the result cache; hit path
-    "fictitious_play.medium": 0.9336,
-    "simulation.engine.small": None,  # added with the kernel; no seed datum
-    "simulation.fast.medium": None,
-    "fuzz.batch.small": None,  # added with repro.fuzz; no seed datum
-    "events.publish.off": None,  # added with the event bus; no seed datum
-    "events.publish.on": None,
-    "trace_context.off": None,  # added with request correlation; no seed datum
-    "access_log.off": None,
-}
-
 #: Publishes per event-bus micro-bench repetition.
 _BUS_PUBLISHES = 50_000
 
-#: Disabled-path calls per correlation micro-bench repetition.
+#: Calls per correlation micro-bench repetition.
 _CORRELATION_CALLS = 50_000
 
-#: Regression gate: fail when current > baseline * (1 + SLACK_REL) + SLACK_ABS.
-SLACK_REL = 0.20
-SLACK_ABS = 0.05
+#: An inbound W3C ``traceparent``, as a caller would send it.
+_TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+#: Cases that spend most of their time in HiGHS or numpy: the native
+#: calibration slice tracks their drift far better than the pure-Python
+#: one (run-to-run spread of the medians on the reference host: 1.3-3.4%
+#: against 2.5-5.6%; the solver-light double_oracle.cached and
+#: weighted_double_oracle.medium track the pure-Python slice better).
+_NATIVE = frozenset({
+    "double_oracle.medium_a", "double_oracle.medium_b",
+    "simulation.fast.medium", "fuzz.batch.small",
+})
 
 
 def _cases():
@@ -71,6 +57,7 @@ def _cases():
     from repro.simulation.fast import simulate_fast
     from repro.solvers.double_oracle import double_oracle
     from repro.solvers.fictitious_play import fictitious_play
+    from repro.weighted.game import WeightedTupleGame, weighted_double_oracle
 
     import repro.cache as result_cache
     from repro.obs import events as obs_events
@@ -105,6 +92,13 @@ def _cases():
             with obs_tracing.span("bench.case"):
                 pass
 
+    def trace_context_inbound() -> None:
+        # What the service pays per request that carries a traceparent:
+        # parse and adopt the caller's trace, then echo it back.
+        for _ in range(_CORRELATION_CALLS):
+            context = obs_tracing.start_trace(_TRACEPARENT)
+            obs_tracing.format_traceparent(context.trace_id, context.span_id)
+
     def access_log_off() -> None:
         # The disabled access log: log_request() falls through on one
         # attribute load, so a service run without --access-log pays
@@ -117,6 +111,12 @@ def _cases():
 
     do_a = TupleGame(random_bipartite_graph(15, 25, 0.15, seed=60), 4, nu=1)
     do_b = TupleGame(random_bipartite_graph(25, 40, 0.10, seed=1000), 5, nu=1)
+    # do_b's graph with seeded vertex weights from perfbench's do-exact
+    # weight set.
+    rng = random.Random(1000)
+    weighted = WeightedTupleGame(
+        do_b.graph, 5,
+        {v: rng.choice((1, 2, 3, 5)) for v in do_b.graph.vertices()})
 
     # Result-cache hit path: populate a throwaway store once here, then
     # every timed repetition replays from it (clear_shared_oracles wipes
@@ -144,6 +144,8 @@ def _cases():
         "double_oracle.medium_a": lambda: double_oracle(do_a),
         "double_oracle.medium_b": lambda: double_oracle(do_b),
         "double_oracle.cached": cached_double_oracle,
+        "weighted_double_oracle.medium": lambda: weighted_double_oracle(
+            weighted),
         "fictitious_play.medium": lambda: fictitious_play(fp, rounds=60),
         "simulation.engine.small": lambda: simulate(
             sim_game, sim_config, trials=20_000, seed=0
@@ -161,47 +163,33 @@ def _cases():
         # Correlation-layer off-cost (50k disabled calls each).
         "trace_context.off": trace_context_off,
         "access_log.off": access_log_off,
+        # Correlation-layer on-cost (50k inbound traceparents).
+        "trace_context.inbound": trace_context_inbound,
     }, clear_shared_oracles
 
 
-def run_cases():
-    cases, clear_shared_oracles = _cases()
-    timings = {}
-    for name, fn in cases.items():
-        best = float("inf")
-        for _ in range(3):
-            # Each repetition pays the oracle build again — the tracked
-            # number is a cold solve, comparable to the reference runs.
-            clear_shared_oracles()
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        timings[name] = best
-        print(f"  {name:28s} {best * 1000:8.1f} ms")
+def run_cases(baseline=False):
+    from repro.obs.watchdog import measure
+
+    # _cases runs in each measuring process.  Its reset,
+    # clear_shared_oracles, makes every repetition pay the oracle build
+    # again: the tracked number is a cold solve.
+    timings = measure(_cases, native=_NATIVE, baseline=baseline)
+    for name, summary in timings.items():
+        print(f"  {name:32s} {summary['median_s'] * 1000:9.2f} ms "
+              f"± {summary['mad_s'] * 1000:7.2f} ms MAD "
+              f"over {summary['reps']} reps")
     return timings
 
 
 def write(timings) -> None:
-    from repro.obs.watchdog import git_revision, record_history
+    from repro.obs.watchdog import record_history
 
-    cases = {
-        name: {
-            "wall_clock_s": timings[name],
-            "reference_s": REFERENCE.get(name),
-            "speedup_vs_reference": (
-                round(REFERENCE[name] / timings[name], 2)
-                if REFERENCE.get(name)
-                else None
-            ),
-        }
-        for name in sorted(timings)
-    }
-    rev = git_revision(REPO_ROOT)
-    document = record_history(
-        BENCH_FILE, cases, timings,
-        {"relative": SLACK_REL, "absolute_s": SLACK_ABS}, rev)
-    print(f"wrote {BENCH_FILE} "
-          f"({len(document['history'])} history entries, newest {rev})")
+    document = record_history(BENCH_FILE, timings, REPO_ROOT)
+    newest = document["history"][-1]
+    print(f"wrote {BENCH_FILE} ({len(document['history'])} history "
+          f"entries, newest {newest['git_rev']}"
+          f"{' (dirty)' if newest['dirty'] else ''})")
 
 
 def check(timings) -> int:
@@ -209,66 +197,34 @@ def check(timings) -> int:
         print(f"{BENCH_FILE} missing; run python tools/bench_smoke.py --write",
               file=sys.stderr)
         return 1
-    from repro.obs.watchdog import load_history_document
+    from repro.obs.watchdog import watch_file
 
-    baseline = load_history_document(BENCH_FILE)["cases"]
-    failures = []
-    for name, seconds in timings.items():
-        base = baseline.get(name, {}).get("wall_clock_s")
-        if base is None:
-            failures.append(f"{name}: not in committed baseline")
-            continue
-        limit = base * (1.0 + SLACK_REL) + SLACK_ABS
-        if seconds > limit:
-            failures.append(
-                f"{name}: {seconds:.3f}s exceeds {limit:.3f}s "
-                f"(baseline {base:.3f}s + 20% + {SLACK_ABS * 1000:.0f}ms)"
-            )
-    if failures:
-        print("bench-smoke REGRESSION:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print(f"bench-smoke OK: {len(timings)} hot paths within budget")
-    return 0
-
-
-def watch(timings, against=None, ratio=None, strict=False) -> int:
-    """Live timings vs the trailing-median history (the watchdog face)."""
-    from repro.obs.watchdog import watch_bench
-
-    return watch_bench(BENCH_FILE, timings, "tools/bench_smoke.py",
-                       "bench-watch", against=against, ratio=ratio,
-                       strict=strict)
+    report = watch_file(BENCH_FILE, current=timings)
+    print(report.summary())
+    if report.ok and not report.skipped:
+        print(f"bench-smoke OK: {len(report.checked)} hot paths within "
+              "their bands")
+        return 0
+    print("bench-smoke REGRESSION" if not report.ok
+          else "bench-smoke: cases missing from the committed baseline",
+          file=sys.stderr)
+    return 1
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--write", action="store_true",
-                      help="refresh BENCH_KERNELS.json and append a history "
-                           "entry for the current git revision")
+                      help="append a history entry for the current git "
+                           "revision to BENCH_KERNELS.json")
     mode.add_argument("--check", action="store_true",
-                      help="fail on >20%% regression vs the baseline (default)")
-    mode.add_argument("--watch", action="store_true",
-                      help="compare live timings to the trailing-median "
-                           "history (report-only unless --strict)")
-    parser.add_argument("--against", default=None, metavar="REV",
-                        help="with --watch: pin the baseline to one git "
-                             "revision's history entry")
-    parser.add_argument("--ratio", type=float, default=None,
-                        help="with --watch: slowdown ratio that trips the "
-                             "alarm (default: 1.5)")
-    parser.add_argument("--strict", action="store_true",
-                        help="with --watch: exit non-zero on regressions")
+                      help="fail on a regression against the newest "
+                           "committed entry (default)")
     args = parser.parse_args()
-    timings = run_cases()
+    timings = run_cases(baseline=args.write)
     if args.write:
         write(timings)
         return 0
-    if args.watch:
-        return watch(timings, against=args.against, ratio=args.ratio,
-                     strict=args.strict)
     return check(timings)
 
 
