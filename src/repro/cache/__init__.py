@@ -15,13 +15,13 @@ games differing only in weights therefore occupy *different* cache
 entries (the bug this package's PR fixed before building on it).
 
 Like the ledger, the cache is **opt-in and near-free when off** (the
-default): instrumented solvers run through :func:`cached_solve`, whose
+default): instrumented solvers run through a :class:`CachedCall`, whose
 :func:`lookup` returns a shared no-op miss unless caching was enabled
 via :func:`enable_cache`, the CLI ``--cache`` flag, or ``REPRO_CACHE=1``
 (``REPRO_CACHE_DIR`` overrides the directory, default ``.repro/cache``).
 The disabled path is a single attribute load — no fingerprinting, no
-I/O — and the solver's output is byte-identical with the cache on or
-off (hits replay the exact serialized payload a cold solve produced).
+encoding, no I/O — and the solver's output is byte-identical with the
+cache on or off (hits replay the exact payload a cold solve produced).
 
 Failures never break a solve: a probe or store that raises (corrupt
 file, full disk) is logged, counted in ``cache.errors.count`` and
@@ -34,8 +34,11 @@ import json
 import os
 import threading
 from contextlib import ExitStack
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, ContextManager, Dict, Iterable, Optional
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterable, Optional, Tuple,
+)
 
 from repro.core.game import GameError
 from repro.obs import get_logger, metrics
@@ -56,8 +59,7 @@ __all__ = [
     "get_cache",
     "open_store",
     "lookup",
-    "cached_solve",
-    "decode_result",
+    "CachedCall",
 ]
 
 _log = get_logger("repro.cache")
@@ -129,40 +131,34 @@ def open_store(directory: Optional[os.PathLike] = None) -> ResultCache:
     return ResultCache(root / _STORE_FILENAME)
 
 
+@dataclass
 class CacheProbe:
     """Outcome of one cache lookup, and the handle to fill a miss.
 
     ``hit`` / ``payload`` report the lookup; on a miss the solver calls
     :meth:`store` with the serialized result it just computed.  The
-    shared no-op instance (returned while caching is off) ignores
-    :meth:`store`, so solver code is identical either way
-    (:func:`cached_solve` is that code).
+    shared no-op instance (returned while caching is off) is not
+    ``active``: it ignores :meth:`store`, and :meth:`CachedCall.run`
+    skips the encode for it.
     """
 
-    __slots__ = ("hit", "payload", "_fingerprint", "_solver", "_params",
-                 "_active")
-
-    def __init__(self, hit: bool = False, payload: Optional[str] = None,
-                 fingerprint: str = "", solver: str = "",
-                 params: Optional[Dict[str, Any]] = None,
-                 active: bool = False) -> None:
-        self.hit = hit
-        self.payload = payload
-        self._fingerprint = fingerprint
-        self._solver = solver
-        self._params = params or {}
-        self._active = active
+    hit: bool = False
+    payload: Optional[str] = field(default=None, repr=False)
+    fingerprint: str = field(default="", repr=False)
+    solver: str = ""
+    params: Dict[str, Any] = field(default_factory=dict, repr=False)
+    active: bool = False
 
     def store(self, payload: str) -> None:
         """Record the freshly computed payload (no-op when caching is off)."""
-        if not self._active or self.hit:
+        if not self.active or self.hit:
             return
         try:
-            get_cache().store(self._fingerprint, self._solver,
-                              self._params, payload)
+            get_cache().store(self.fingerprint, self.solver, self.params,
+                              payload)
         except Exception as exc:  # caching must never break the solve
             metrics.counter("cache.errors.count").inc()
-            _log.warning("cache.store.failed", solver=self._solver,
+            _log.warning("cache.store.failed", solver=self.solver,
                          error=type(exc).__name__)
 
     def replay(self, decoder: Any) -> Any:
@@ -172,9 +168,9 @@ class CacheProbe:
         from an older library version — is demoted to a miss: the error
         is counted on ``cache.errors.count``, ``hit`` flips to ``False``
         so the caller's compute path runs and its :meth:`store` call
-        overwrites the bad entry with a fresh payload.  (The ledger
-        record keeps the ``cache_hit`` stamped at probe time; the error
-        counter and warning log carry the demotion.)
+        overwrites the bad entry with a fresh payload.  (A library ledger
+        run keeps the ``cache_hit`` stamped at probe time; the service
+        replays before it opens a run, so it records a plain miss.)
         """
         if not self.hit:
             return None
@@ -182,33 +178,15 @@ class CacheProbe:
             return decoder(self.payload)
         except Exception as exc:  # caching must never break the solve
             metrics.counter("cache.errors.count").inc()
-            _log.warning("cache.replay.failed", solver=self._solver,
+            _log.warning("cache.replay.failed", solver=self.solver,
                          error=type(exc).__name__)
             self.hit = False
             self.payload = None
             return None
 
-    def __repr__(self) -> str:
-        return f"CacheProbe(hit={self.hit}, solver={self._solver!r})"
-
 
 #: Shared miss returned while the cache is disabled.
 _MISS = CacheProbe()
-
-
-def _active_probe(game: Any, solver: str,
-                  params: Dict[str, Any]) -> CacheProbe:
-    try:
-        fingerprint = game_sha256(game)
-        payload = get_cache().probe(fingerprint, solver, params)
-    except Exception as exc:  # caching must never break the solve
-        metrics.counter("cache.errors.count").inc()
-        _log.warning("cache.lookup.failed", solver=solver,
-                     error=type(exc).__name__)
-        return _MISS
-    return CacheProbe(hit=payload is not None, payload=payload,
-                      fingerprint=fingerprint, solver=solver,
-                      params=params, active=True)
 
 
 def lookup(game: Any, solver: str, params: Dict[str, Any]) -> CacheProbe:
@@ -223,51 +201,101 @@ def lookup(game: Any, solver: str, params: Dict[str, Any]) -> CacheProbe:
     # disabled path free of locking.
     if not _STATE.enabled:  # repro: noqa[LCK001]
         return _MISS
-    return _active_probe(game, solver, params)
+    try:
+        fingerprint = game_sha256(game)
+        payload = get_cache().probe(fingerprint, solver, params)
+    except Exception as exc:  # caching must never break the solve
+        metrics.counter("cache.errors.count").inc()
+        _log.warning("cache.lookup.failed", solver=solver,
+                     error=type(exc).__name__)
+        return _MISS
+    return CacheProbe(hit=payload is not None, payload=payload,
+                      fingerprint=fingerprint, solver=solver,
+                      params=params, active=True)
 
 
-def cached_solve(
-    game: Any, solver: str, params: Dict[str, Any],
-    compute: Callable[[], Any], encode: Callable[[Any], str],
-    decode: Callable[[str], Any], attributes: Dict[str, Any],
-    scope: Optional[Callable[[], Iterable[ContextManager]]] = None,
-) -> Any:
-    """One cache-aware solve, replayed or computed and stored.
+@dataclass(frozen=True)
+class CachedCall:
+    """One library entry point's cache identity, and the way to run it.
 
-    Probe, open the ledger run ``solver`` (``attributes`` plus
-    ``cache_hit``), enter the contexts ``scope()`` returns (spans and
-    timers, built once the run has switched tracing on), then replay the
-    hit through ``decode`` — or ``compute()`` and store
-    ``encode(result)``."""
-    probe = lookup(game, solver, params)
-    with obs_ledger.run(solver, game=game, **attributes,
-                        cache_hit=probe.hit), ExitStack() as stack:
-        for context in (scope() if scope is not None else ()):
-            stack.enter_context(context)
-        result = probe.replay(decode)
-        if result is None:
-            result = compute()
-            probe.store(encode(result))
-        return result
+    ``solver`` names the cache entries and the ledger run; the call's
+    keyword parameters are the cache params verbatim.  ``compute(game,
+    **params)`` solves cold; ``encode`` writes the result document,
+    stamped ``format_tag``, and ``build(payload)`` rebuilds the result
+    from the parsed document (:meth:`decode`).
+    ``attributes(params)`` stamps the ledger run (default: the params),
+    ``scope(game, params)`` is called as the run opens and returns the
+    spans and timers to enter, and ``finish(game, params, result)`` runs
+    after every call that returns.
 
+    Calling it is the library path: :meth:`probe`, then :meth:`run`.
+    The service splits the two: it probes inline, answers a hit checked
+    by :meth:`check`, and runs a miss on a worker with the same probe.
+    """
 
-def decode_result(text: str, format_tag: str, what: str,
-                  build: Callable[[Dict[str, Any]], Any]) -> Any:
-    """Parse a result document tagged ``format_tag`` via ``build(payload)``.
+    solver: str
+    compute: Callable[..., Any]
+    encode: Callable[[Any], str]
+    build: Callable[[Dict[str, Any]], Any]
+    format_tag: str
+    attributes: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
+    scope: Optional[
+        Callable[[Any, Dict[str, Any]], Iterable[ContextManager]]] = None
+    finish: Optional[Callable[[Any, Dict[str, Any], Any], None]] = None
 
-    Every defect is a :class:`~repro.core.game.GameError` naming
-    ``what``."""
-    with metrics.timer("cache.decode.seconds"):
+    def __call__(self, game: Any, **params: Any) -> Any:
+        return self.run(game, params, self.probe(game, params))[0]
+
+    def probe(self, game: Any, params: Dict[str, Any]) -> CacheProbe:
+        return lookup(game, self.solver, params)
+
+    def check(self, text: str) -> Dict[str, Any]:
+        """Parse a stored document and check its format tag, without
+        rebuilding the result: the served hit's decoder, and the first
+        half of :meth:`decode`."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise GameError(f"invalid {what} document: {exc}") from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != format_tag:
             raise GameError(
-                f"unrecognized {what} format (expected {format_tag!r})"
-            )
-        try:
-            return build(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(f"malformed {what} payload: {exc}") from exc
+                f"invalid {self.solver} document: {exc}") from exc
+        if not isinstance(payload, dict) \
+                or payload.get("format") != self.format_tag:
+            raise GameError(f"unrecognized {self.solver} format "
+                            f"(expected {self.format_tag!r})")
+        return payload
+
+    def decode(self, text: str) -> Any:
+        """Rebuild the result from a stored document; every defect is a
+        :class:`~repro.core.game.GameError` naming the solver."""
+        with metrics.timer("cache.decode.seconds"):
+            payload = self.check(text)
+            try:
+                return self.build(payload)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise GameError(
+                    f"malformed {self.solver} payload: {exc}") from exc
+
+    def run(self, game: Any, params: Dict[str, Any], probe: CacheProbe,
+            text: bool = False) -> Tuple[Any, Optional[str]]:
+        """Replay ``probe``'s hit, or compute and store: ``(result, text)``.
+
+        A cold result is encoded once, and only when the store keeps it
+        or the caller asks for ``text``; that one document is both the
+        stored payload and the returned text.  A hit returns its payload.
+        """
+        attributes = params if self.attributes is None \
+            else self.attributes(params)
+        with obs_ledger.run(self.solver, game=game, **attributes,
+                            cache_hit=probe.hit), ExitStack() as stack:
+            for context in self.scope(game, params) if self.scope else ():
+                stack.enter_context(context)
+            result = probe.replay(self.decode)
+            encoded = probe.payload
+            if result is None:
+                result = self.compute(game, **params)
+                if probe.active or text:
+                    encoded = self.encode(result)
+                    probe.store(encoded)
+        if self.finish is not None:
+            self.finish(game, params, result)
+        return result, encoded

@@ -126,10 +126,10 @@ def game_from_json(text: str) -> Any:
     return _game_from_payload(payload)
 
 
-def configuration_to_json(config: MixedConfiguration) -> str:
-    """Serialize a mixed configuration (with its game) to JSON."""
+def _configuration_payload(config: MixedConfiguration) -> Dict[str, Any]:
+    """Canonical payload of a mixed configuration (with its game)."""
     game = config.game
-    payload = {
+    return {
         "format": _FORMAT,
         "game": _game_payload(game),
         "vertex_players": [
@@ -147,20 +147,17 @@ def configuration_to_json(config: MixedConfiguration) -> str:
             )
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def configuration_from_json(text: str) -> MixedConfiguration:
-    """Parse and fully re-validate a serialized mixed configuration.
+def configuration_to_json(config: MixedConfiguration) -> str:
+    """Serialize a mixed configuration (with its game) to JSON."""
+    return json.dumps(_configuration_payload(config), indent=2,
+                      sort_keys=True)
 
-    Raises :class:`~repro.core.game.GameError` on any structural defect:
-    wrong format tag, missing keys, probabilities that do not sum to one,
-    strategies outside the game.
-    """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameError(f"invalid JSON configuration document: {exc}") from exc
+
+def _configuration_from_payload(payload: Any) -> MixedConfiguration:
+    """Check the format tag of a configuration payload, then rebuild and
+    fully re-validate the configuration it describes."""
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise GameError(
             f"unrecognized configuration format (expected {_FORMAT!r})"
@@ -189,11 +186,25 @@ def configuration_from_json(text: str) -> MixedConfiguration:
     return MixedConfiguration(game, vp_dists, tp_dist)
 
 
+def configuration_from_json(text: str) -> MixedConfiguration:
+    """Parse and fully re-validate a serialized mixed configuration.
+
+    Raises :class:`~repro.core.game.GameError` on any structural defect:
+    wrong format tag, missing keys, probabilities that do not sum to one,
+    strategies outside the game.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GameError(f"invalid JSON configuration document: {exc}") from exc
+    return _configuration_from_payload(payload)
+
+
 def solve_result_to_json(result: Any) -> str:
     """Serialize a :class:`~repro.equilibria.solve.SolveResult` with its
     equilibrium, kind and gain (one self-contained deployment document)."""
-    inner = json.loads(configuration_to_json(result.mixed))
-    inner["solve"] = {
+    payload = _configuration_payload(result.mixed)
+    payload["solve"] = {
         "kind": result.kind,
         "defender_gain": result.defender_gain,
         "partition": (
@@ -205,4 +216,4 @@ def solve_result_to_json(result: Any) -> str:
             }
         ),
     }
-    return json.dumps(inner, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True)

@@ -25,16 +25,16 @@ gain.
 
 from __future__ import annotations
 
-import json
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
 import repro.cache as result_cache
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.profits import expected_profit_tp, pure_profit_tp
 from repro.core.pure import find_pure_nash
+from repro.core.serialize import _FORMAT as _CONFIGURATION_FORMAT
 from repro.core.serialize import (
-    configuration_from_json,
+    _configuration_from_payload,
     solve_result_to_json,
 )
 from repro.equilibria.atuple import algorithm_a_tuple
@@ -46,6 +46,7 @@ from repro.obs import get_logger, metrics, tracing
 _log = get_logger("repro.equilibria.solve")
 
 __all__ = [
+    "SOLVE_CALL",
     "SolveResult",
     "solve_game",
     "solve_result_from_json",
@@ -126,45 +127,15 @@ def solve_game(
         graphs beyond the exact-search size it may be a false negative of
         the greedy partition heuristic.
     """
-    metrics.counter("equilibria.solve.count").inc()
-
-    def compute() -> SolveResult:
-        # Prewarm the coverage kernel: every downstream verification
-        # bridge (pure-NE checks, best-response certificates) queries the
-        # same (graph, k) and now hits the shared cache.
-        shared_oracle(game.graph, game.k)
-        try:
-            return _solve_game_impl(game, seed, allow_extensions)
-        except NoEquilibriumFoundError:
-            metrics.counter("equilibria.solve.kind.none.count").inc()
-            raise
-
-    params = {"seed": seed, "allow_extensions": allow_extensions}
-    result = result_cache.cached_solve(
-        game, "equilibria.solve", params, compute,
-        solve_result_to_json, solve_result_from_json,
-        attributes=params,
-        scope=lambda: [
-            tracing.span("equilibria.solve", n=game.graph.n, k=game.k,
-                         nu=game.nu),
-            metrics.timer("equilibria.solve.seconds"),
-        ],
-    )
-    # Record which strategy of the solve cascade fired.
-    metrics.counter(f"equilibria.solve.kind.{result.kind}.count").inc()
-    _log.info(
-        "equilibria.solved", kind=result.kind, k=game.k, nu=game.nu,
-        defender_gain=result.defender_gain,
-    )
-    return result
+    return SOLVE_CALL(game, seed=seed, allow_extensions=allow_extensions)
 
 
 def solve_result_from_json(text: str) -> SolveResult:
     """Parse a :func:`repro.core.serialize.solve_result_to_json` document.
 
     The replay half of the result cache: the equilibrium profile is
-    rebuilt through :func:`~repro.core.serialize.configuration_from_json`
-    (which fully re-validates it, weighted games included) and the
+    rebuilt and fully re-validated (weighted games included) as by
+    :func:`~repro.core.serialize.configuration_from_json`, and the
     recorded ``kind`` / ``defender_gain`` / ``partition`` are restored
     verbatim, so re-serializing the result reproduces the document
     byte-for-byte.  The degenerate ``pure`` view of pure equilibria is
@@ -173,25 +144,64 @@ def solve_result_from_json(text: str) -> SolveResult:
 
     Raises :class:`~repro.core.game.GameError` on malformed documents.
     """
-    with metrics.timer("cache.decode.seconds"):
-        mixed = configuration_from_json(text)
-        try:
-            payload = json.loads(text)
-            solve = payload["solve"]
-            kind = str(solve["kind"])
-            defender_gain = float(solve["defender_gain"])
-            partition: Optional[Partition] = None
-            if solve.get("partition") is not None:
-                partition = (
-                    frozenset(solve["partition"]["independent_set"]),
-                    frozenset(solve["partition"]["vertex_cover"]),
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameError(
-                f"malformed solve-result payload: {exc}"
-            ) from exc
-        return SolveResult(kind, mixed, None, partition,
-                           defender_gain=defender_gain)
+    return SOLVE_CALL.decode(text)
+
+
+def _solve_result_from_payload(payload: Dict[str, Any]) -> SolveResult:
+    mixed = _configuration_from_payload(payload)
+    solve = payload["solve"]
+    partition: Optional[Partition] = None
+    if solve.get("partition") is not None:
+        partition = (
+            frozenset(solve["partition"]["independent_set"]),
+            frozenset(solve["partition"]["vertex_cover"]),
+        )
+    return SolveResult(str(solve["kind"]), mixed, None, partition,
+                       defender_gain=float(solve["defender_gain"]))
+
+
+def _solve_cold(game: TupleGame, seed: int,
+                allow_extensions: bool) -> SolveResult:
+    # Prewarm the coverage kernel: every downstream verification bridge
+    # (pure-NE checks, best-response certificates) queries the same
+    # (graph, k) and now hits the shared cache.
+    shared_oracle(game.graph, game.k)
+    try:
+        return _solve_game_impl(game, seed, allow_extensions)
+    except NoEquilibriumFoundError:
+        metrics.counter("equilibria.solve.kind.none.count").inc()
+        raise
+
+
+def _solve_scope(game: TupleGame, _params: Dict[str, Any]) -> List[Any]:
+    """Count the solve, then time it under one span."""
+    metrics.counter("equilibria.solve.count").inc()
+    return [
+        tracing.span("equilibria.solve", n=game.graph.n, k=game.k,
+                     nu=game.nu),
+        metrics.timer("equilibria.solve.seconds"),
+    ]
+
+
+def _solve_finish(game: TupleGame, _params: Dict[str, Any],
+                  result: SolveResult) -> None:
+    # Record which strategy of the solve cascade fired.
+    metrics.counter(f"equilibria.solve.kind.{result.kind}.count").inc()
+    _log.info(
+        "equilibria.solved", kind=result.kind, k=game.k, nu=game.nu,
+        defender_gain=result.defender_gain,
+    )
+
+
+#: :func:`solve_game`'s cache identity and cold path, shared with the
+#: ``/solve`` endpoint of :mod:`repro.serve`.
+SOLVE_CALL = result_cache.CachedCall(
+    "equilibria.solve", _solve_cold,
+    # Looked up at call time, so a rebound module attribute is honoured.
+    lambda result: solve_result_to_json(result),
+    _solve_result_from_payload, _CONFIGURATION_FORMAT,
+    scope=_solve_scope, finish=_solve_finish,
+)
 
 
 def _solve_game_impl(

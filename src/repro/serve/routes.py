@@ -1,42 +1,38 @@
 """Endpoint registry for the solve service: validate, probe, run, record.
 
-Each endpoint is an :class:`EndpointSpec` tying a URL name to a runner
-over the library entry points, reusing the canonical result codecs so a
-served response body is exactly the stored/replayed cache document
-wrapped in the ``repro.serve/response/v1`` envelope.
-
-The request lifecycle is deliberately ordered:
+A cached endpoint's :class:`EndpointSpec` points at the library entry
+point's own :class:`~repro.cache.CachedCall`, so a request's cache key
+is the key the in-process call mints, and a response body is exactly the
+stored cache document wrapped in the ``repro.serve/response/v1``
+envelope.  The request lifecycle is deliberately ordered:
 
 1. **validate** (:func:`repro.serve.schemas.parse_request`) — nothing
    invalid ever reaches a worker, mints a cache key or writes a ledger
    record;
-2. **probe** the result cache with *exactly* the parameter dictionary
-   the in-process solver would use — hits are decoded and served inline
-   (no worker slot), recorded with ``cache_hit=True``;
-3. **run** on a worker thread, wrapped in a ``serve.<endpoint>`` ledger
-   run (which publishes ``run.start`` / ``run.end`` on the event bus)
-   nested around the solver's own record.
+2. **probe** once — a hit whose document passes
+   :meth:`~repro.cache.CachedCall.check` is served inline (no worker
+   slot), recorded with ``cache_hit=True``; a bad row is demoted to a
+   miss;
+3. **run** on a worker thread with that same probe, wrapped in a
+   ``serve.<endpoint>`` ledger run (which publishes ``run.start`` /
+   ``run.end`` on the event bus) nested around the solver's own record;
+   the one encoding of the result is both the stored payload and the
+   response body.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, cast
 
-import repro.cache as result_cache
+from repro.cache import CacheProbe, CachedCall
 from repro.core.game import GameError, TupleGame
-from repro.core.serialize import solve_result_to_json
-from repro.equilibria import NoEquilibriumFoundError, solve_game
+from repro.equilibria import NoEquilibriumFoundError
+from repro.equilibria.solve import SOLVE_CALL
 from repro.obs import get_logger, metrics, tracing
 from repro.obs import ledger as obs_ledger
-from repro.solvers.double_oracle import (
-    double_oracle,
-    double_oracle_result_to_json,
-)
-from repro.solvers.fictitious_play import (
-    fictitious_play,
-    fictitious_play_result_to_json,
-)
+from repro.solvers.double_oracle import DOUBLE_ORACLE_CALL
+from repro.solvers.fictitious_play import FICTITIOUS_PLAY_CALL
 from repro.solvers.ranges import (
     StrategyRanges,
     attacker_vertex_ranges,
@@ -51,33 +47,6 @@ from repro.serve.schemas import (
 __all__ = ["ENDPOINTS", "EndpointSpec", "PreparedRequest", "prepare"]
 
 _log = get_logger("repro.serve.routes")
-
-
-def _solve_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
-    result = solve_game(game, seed=params["seed"],
-                        allow_extensions=params["allow_extensions"])
-    return json.loads(solve_result_to_json(result))
-
-
-def _double_oracle_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
-    result = double_oracle(
-        game,
-        tolerance=params["tolerance"],
-        max_iterations=params["max_iterations"],
-        method=params["method"],
-        lazy_attacker=params["lazy_attacker"],
-    )
-    return json.loads(double_oracle_result_to_json(result))
-
-
-def _fictitious_play_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
-    result = fictitious_play(
-        game,
-        rounds=params["rounds"],
-        method=params["method"],
-        tolerance=params["tolerance"],
-    )
-    return json.loads(fictitious_play_result_to_json(result))
 
 
 def _ranges_doc(ranges: StrategyRanges) -> Dict[str, Any]:
@@ -108,62 +77,25 @@ def _ranges_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
     return payload
 
 
-class EndpointSpec:
-    """One POST endpoint: its runner plus its cache identity.
-
-    ``cache_solver`` / ``cache_params`` mirror the probe the library
-    entry point performs internally, letting the service answer repeat
-    requests without occupying a worker.  Endpoints whose library calls
-    do not cache (``/ranges``) set ``cache_solver=None``.
-    """
-
-    __slots__ = ("name", "runner", "cache_solver", "cache_params")
-
-    def __init__(
-        self,
-        name: str,
-        runner: Callable[[TupleGame, Dict[str, Any]], Any],
-        cache_solver: Optional[str] = None,
-        cache_params: Optional[
-            Callable[[Dict[str, Any]], Dict[str, Any]]
-        ] = None,
-    ) -> None:
-        self.name = name
-        self.runner = runner
-        self.cache_solver = cache_solver
-        self.cache_params = cache_params
+Runner = Callable[[TupleGame, Dict[str, Any]], Any]
 
 
-#: URL name (without the leading slash) -> spec.  The cache parameter
-#: mappings must match the library entry points key-for-key or the fast
-#: path would silently miss forever.
+class EndpointSpec(NamedTuple):
+    """One POST endpoint and what answers it.
+
+    ``call`` is the library entry point's :class:`~repro.cache.CachedCall`;
+    ``/ranges``, which the library does not cache, sets ``runner``."""
+
+    call: Optional[CachedCall] = None
+    runner: Optional[Runner] = None
+
+
+#: URL name (without the leading slash) -> spec.
 ENDPOINTS: Dict[str, EndpointSpec] = {
-    "solve": EndpointSpec(
-        "solve", _solve_payload,
-        cache_solver="equilibria.solve",
-        cache_params=lambda p: {
-            "seed": p["seed"], "allow_extensions": p["allow_extensions"],
-        },
-    ),
-    "double-oracle": EndpointSpec(
-        "double-oracle", _double_oracle_payload,
-        cache_solver="solvers.double_oracle",
-        cache_params=lambda p: {
-            "tolerance": p["tolerance"],
-            "max_iterations": p["max_iterations"],
-            "method": p["method"],
-            "lazy_attacker": p["lazy_attacker"],
-        },
-    ),
-    "fictitious-play": EndpointSpec(
-        "fictitious-play", _fictitious_play_payload,
-        cache_solver="solvers.fictitious_play",
-        cache_params=lambda p: {
-            "rounds": p["rounds"], "method": p["method"],
-            "tolerance": p["tolerance"],
-        },
-    ),
-    "ranges": EndpointSpec("ranges", _ranges_payload),
+    "solve": EndpointSpec(SOLVE_CALL),
+    "double-oracle": EndpointSpec(DOUBLE_ORACLE_CALL),
+    "fictitious-play": EndpointSpec(FICTITIOUS_PLAY_CALL),
+    "ranges": EndpointSpec(runner=_ranges_payload),
 }
 
 
@@ -176,21 +108,15 @@ def _envelope(name: str, payload: Any, cache_hit: bool) -> Dict[str, Any]:
     }
 
 
-class PreparedRequest:
+class PreparedRequest(NamedTuple):
     """A validated request: either an inline response or worker work.
 
     ``response`` is set when the result cache answered (no worker slot
     needed); otherwise ``run`` is the thunk the app hands to the pool.
     """
 
-    __slots__ = ("endpoint", "response", "run")
-
-    def __init__(self, endpoint: str,
-                 response: Optional[Dict[str, Any]] = None,
-                 run: Optional[Callable[[], Dict[str, Any]]] = None) -> None:
-        self.endpoint = endpoint
-        self.response = response
-        self.run = run
+    response: Optional[Dict[str, Any]] = None
+    run: Optional[Callable[[], Dict[str, Any]]] = None
 
 
 def _translate(endpoint: str, exc: GameError) -> RequestError:
@@ -216,25 +142,23 @@ def prepare(endpoint: str, body: bytes) -> PreparedRequest:
     if spec is None:
         raise RequestError(f"unknown endpoint /{endpoint}",
                            status=404, code="not-found")
+    call, runner = spec.call, spec.runner
     with tracing.span("serve.prepare", endpoint=endpoint), \
             metrics.timer("serve.prepare.seconds"):
         game, params = parse_request(endpoint, body)
-
-        if spec.cache_solver is not None and spec.cache_params is not None:
-            probe = result_cache.lookup(
-                game, spec.cache_solver, spec.cache_params(params)
-            )
-            if probe.hit:
+        probe: Optional[CacheProbe] = None
+        if call is not None:
+            probe = call.probe(game, params)
+            payload = probe.replay(call.check)
+            if payload is not None:
                 metrics.counter("serve.cache_hit.count").inc()
                 with obs_ledger.run(f"serve.{endpoint}", game=game,
                                     cache_hit=True, **params):
-                    payload = json.loads(probe.payload)
+                    pass
                 _log.info("serve.cache_hit", endpoint=endpoint,
                           trace_id=tracing.current_trace_id())
                 return PreparedRequest(
-                    endpoint,
-                    response=_envelope(endpoint, payload, cache_hit=True),
-                )
+                    response=_envelope(endpoint, payload, cache_hit=True))
 
     def run() -> Dict[str, Any]:
         try:
@@ -242,9 +166,14 @@ def prepare(endpoint: str, body: bytes) -> PreparedRequest:
                                 cache_hit=False, **params), \
                     tracing.span("serve.run", endpoint=endpoint), \
                     metrics.timer(f"serve.{endpoint}.seconds"):
-                payload = spec.runner(game, params)
+                if call is not None and probe is not None:
+                    # ``text=True``: the one encoding, also with the cache off.
+                    _, text = call.run(game, params, probe, text=True)
+                    result = json.loads(cast(str, text))
+                else:
+                    result = cast(Runner, runner)(game, params)
         except GameError as exc:
             raise _translate(endpoint, exc) from exc
-        return _envelope(endpoint, payload, cache_hit=False)
+        return _envelope(endpoint, result, cache_hit=False)
 
-    return PreparedRequest(endpoint, run=run)
+    return PreparedRequest(run=run)

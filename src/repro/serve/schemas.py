@@ -25,7 +25,7 @@ import json
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.game import GameError
-from repro.core.serialize import game_from_json
+from repro.core.serialize import _game_from_payload
 from repro.obs import metrics
 
 __all__ = [
@@ -153,8 +153,9 @@ def _choice_param(choices: Tuple[str, ...], default: str) -> Tuple[Any, Callable
 _COVERAGE_METHODS = ("auto", "exhaustive", "bnb", "greedy")
 
 #: Per-endpoint parameter schema: name -> (default, validator).  The
-#: names and defaults mirror the library entry points exactly, so a
-#: request's cache key equals the key an in-process call would mint.
+#: validated dict is passed to the library's cached call as its keyword
+#: params, so names and defaults must match the entry point's signature;
+#: tests prime the cache through the library and expect a served hit.
 _PARAM_SPECS: Dict[str, Dict[str, Tuple[Any, Callable]]] = {
     "solve": {
         "seed": _int_param(0, minimum=0),
@@ -237,12 +238,9 @@ def parse_request(endpoint: str, body: bytes) -> Tuple[Any, Dict[str, Any]]:
             raise RequestError("'game' must be a JSON object",
                                code="invalid-game")
         try:
-            # Round-tripping through the canonical serializer
-            # re-validates everything: labels, edge structure, k/nu
-            # ranges, weights.
-            game = game_from_json(json.dumps(document["game"]))
-        except RequestError:
-            raise
+            # The canonical game constructors re-validate everything:
+            # labels, edge structure, k/nu ranges, weights.
+            game = _game_from_payload(document["game"])
         except GameError as exc:
             raise RequestError(f"invalid game payload: {exc}",
                                code="invalid-game") from exc

@@ -49,6 +49,7 @@ from repro.solvers.lp import (
 )
 
 __all__ = [
+    "DOUBLE_ORACLE_CALL",
     "DoubleOracleResult",
     "double_oracle",
     "double_oracle_result_to_json",
@@ -156,18 +157,7 @@ def double_oracle_result_from_json(text: str) -> DoubleOracleResult:
     Raises :class:`~repro.core.game.GameError` on malformed documents or
     a format tag this reader does not understand.
     """
-    return result_cache.decode_result(
-        text, _RESULT_FORMAT, "double-oracle",
-        lambda payload: DoubleOracleResult(
-            _lp_solution_from_payload(payload),
-            int(payload["iterations"]),
-            int(payload["defender_pool_size"]),
-            int(payload["attacker_pool_size"]),
-            float(payload["certified_gap"]),
-            [float(g) for g in payload["gap_history"]],
-            bool(payload["exact"]),
-        ),
-    )
+    return DOUBLE_ORACLE_CALL.decode(text)
 
 
 def _initial_defender_pool(oracle: CoverageOracle) -> List[EdgeTuple]:
@@ -227,20 +217,33 @@ def double_oracle(
     improve after ``max_iterations`` (not observed in practice; a guard
     against pathological tolerance settings).
     """
-    graph = game.graph
-    return result_cache.cached_solve(
-        game, "solvers.double_oracle",
-        {"tolerance": tolerance, "max_iterations": max_iterations,
-         "method": method, "lazy_attacker": lazy_attacker},
-        lambda: _double_oracle_loop(
-            game, None, tolerance, max_iterations, method, lazy_attacker
-        ),
-        double_oracle_result_to_json,
-        double_oracle_result_from_json,
-        attributes={"method": method, "lazy_attacker": lazy_attacker},
-        scope=lambda: [tracing.span("double_oracle.solve", n=graph.n,
-                                    m=graph.m, k=game.k)],
+    return DOUBLE_ORACLE_CALL(
+        game, tolerance=tolerance, max_iterations=max_iterations,
+        method=method, lazy_attacker=lazy_attacker,
     )
+
+
+#: :func:`double_oracle`'s cache identity and cold path, shared with the
+#: ``/double-oracle`` endpoint of :mod:`repro.serve`.
+DOUBLE_ORACLE_CALL = result_cache.CachedCall(
+    "solvers.double_oracle",
+    lambda game, **params: _double_oracle_loop(game, None, **params),
+    double_oracle_result_to_json,
+    lambda payload: DoubleOracleResult(
+        _lp_solution_from_payload(payload),
+        int(payload["iterations"]),
+        int(payload["defender_pool_size"]),
+        int(payload["attacker_pool_size"]),
+        float(payload["certified_gap"]),
+        [float(g) for g in payload["gap_history"]],
+        bool(payload["exact"]),
+    ),
+    _RESULT_FORMAT,
+    attributes=lambda params: {"method": params["method"],
+                               "lazy_attacker": params["lazy_attacker"]},
+    scope=lambda game, _params: [tracing.span(
+        "double_oracle.solve", n=game.graph.n, m=game.graph.m, k=game.k)],
+)
 
 
 def _double_oracle_loop(

@@ -19,7 +19,7 @@ bounds).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
@@ -30,6 +30,7 @@ from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
 
 __all__ = [
+    "FICTITIOUS_PLAY_CALL",
     "FictitiousPlayResult",
     "fictitious_play",
     "fictitious_play_result_to_json",
@@ -151,21 +152,7 @@ def fictitious_play_result_from_json(text: str) -> FictitiousPlayResult:
     Raises :class:`~repro.core.game.GameError` on malformed documents or
     an unknown format tag.
     """
-    return result_cache.decode_result(
-        text, _RESULT_FORMAT, "fictitious-play",
-        lambda payload: FictitiousPlayResult(
-            int(payload["rounds"]),
-            float(payload["lower_bound"]),
-            float(payload["upper_bound"]),
-            {v: float(p) for v, p in payload["attacker_strategy"]},
-            {
-                tuple(tuple(e) for e in t): float(p)
-                for t, p in payload["defender_strategy"]
-            },
-            [(float(lower), float(upper))
-             for lower, upper in payload["history"]],
-        ),
-    )
+    return FICTITIOUS_PLAY_CALL.decode(text)
 
 
 def fictitious_play(
@@ -194,7 +181,12 @@ def fictitious_play(
     GameError
         On degenerate parameters (``rounds < 1``, ``tolerance <= 0``).
     """
-    graph = game.graph
+    _check_params(rounds, tolerance)
+    return FICTITIOUS_PLAY_CALL(game, rounds=rounds, method=method,
+                                tolerance=tolerance)
+
+
+def _check_params(rounds: int, tolerance: Optional[float]) -> None:
     # Parameter validation happens before the cache probe: invalid
     # parameters must never mint a cache key (or a ledger record claiming
     # a run happened), and ``rounds=0`` would otherwise surface as a bare
@@ -207,19 +199,9 @@ def fictitious_play(
             f"fictitious play needs a positive tolerance; got {tolerance}"
         )
 
-    result = result_cache.cached_solve(
-        game, "solvers.fictitious_play",
-        {"rounds": rounds, "method": method, "tolerance": tolerance},
-        lambda: _run_fictitious_play(game, rounds, method, tolerance),
-        fictitious_play_result_to_json,
-        fictitious_play_result_from_json,
-        attributes={"max_rounds": rounds, "method": method},
-        scope=lambda: [
-            tracing.span("fictitious_play.run", n=graph.n, k=game.k,
-                         max_rounds=rounds),
-            metrics.timer("fictitious_play.run.seconds"),
-        ],
-    )
+
+def _fictitious_play_finish(_game: TupleGame, _params: Dict[str, Any],
+                            result: FictitiousPlayResult) -> None:
     metrics.counter("fictitious_play.runs.count").inc()
     metrics.counter("fictitious_play.rounds.count").inc(result.rounds)
     metrics.gauge("fictitious_play.residual").set(result.gap)
@@ -227,7 +209,37 @@ def fictitious_play(
         "fictitious_play.finished", rounds=result.rounds,
         value=result.value_estimate, residual=result.gap,
     )
-    return result
+
+
+#: :func:`fictitious_play`'s cache identity and cold path, shared with the
+#: ``/fictitious-play`` endpoint of :mod:`repro.serve` (whose schema
+#: enforces the parameter checks :func:`fictitious_play` makes first).
+FICTITIOUS_PLAY_CALL = result_cache.CachedCall(
+    "solvers.fictitious_play",
+    lambda game, **params: _run_fictitious_play(game, **params),
+    fictitious_play_result_to_json,
+    lambda payload: FictitiousPlayResult(
+        int(payload["rounds"]),
+        float(payload["lower_bound"]),
+        float(payload["upper_bound"]),
+        {v: float(p) for v, p in payload["attacker_strategy"]},
+        {
+            tuple(tuple(e) for e in t): float(p)
+            for t, p in payload["defender_strategy"]
+        },
+        [(float(lower), float(upper))
+         for lower, upper in payload["history"]],
+    ),
+    _RESULT_FORMAT,
+    attributes=lambda params: {"max_rounds": params["rounds"],
+                               "method": params["method"]},
+    scope=lambda game, params: [
+        tracing.span("fictitious_play.run", n=game.graph.n, k=game.k,
+                     max_rounds=params["rounds"]),
+        metrics.timer("fictitious_play.run.seconds"),
+    ],
+    finish=_fictitious_play_finish,
+)
 
 
 def _run_fictitious_play(

@@ -44,7 +44,10 @@ import repro.cache as result_cache
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.profits import all_hit_probabilities, all_vertex_masses
-from repro.core.serialize import configuration_from_json, configuration_to_json
+from repro.core.serialize import (
+    _configuration_from_payload,
+    _configuration_payload,
+)
 from repro.core.tuples import all_tuples, tuple_vertices
 from repro.graphs.core import Graph, Vertex
 from repro.solvers.best_response import best_tuple
@@ -226,11 +229,7 @@ def weighted_lp_result_from_json(
     text: str,
 ) -> Tuple[MixedConfiguration, LPSolution]:
     """Parse a :func:`weighted_lp_result_to_json` document (re-validated)."""
-    return result_cache.decode_result(
-        text, _LP_RESULT_FORMAT, "weighted-LP",
-        lambda payload: (_configuration_from_payload(payload),
-                         _lp_solution_from_payload(payload["solution"])),
-    )
+    return _WEIGHTED_LP_CALL.decode(text)
 
 
 def weighted_do_result_to_json(
@@ -244,23 +243,15 @@ def weighted_do_result_from_json(
     text: str,
 ) -> Tuple[MixedConfiguration, float]:
     """Parse a :func:`weighted_do_result_to_json` document (re-validated)."""
-    return result_cache.decode_result(
-        text, _DO_RESULT_FORMAT, "weighted double-oracle",
-        lambda payload: (_configuration_from_payload(payload),
-                         float(payload["value"])),
-    )
+    return _WEIGHTED_DO_CALL.decode(text)
 
 
 def _result_json(format_tag: str, config: MixedConfiguration,
                  **fields) -> str:
     payload = {"format": format_tag,
-               "configuration": json.loads(configuration_to_json(config)),
+               "configuration": _configuration_payload(config),
                **fields}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _configuration_from_payload(payload: Dict) -> MixedConfiguration:
-    return configuration_from_json(json.dumps(payload["configuration"]))
 
 
 def weighted_lp_equilibrium(
@@ -274,17 +265,23 @@ def weighted_lp_equilibrium(
     ``tuple_limit`` replays the stored result, and the ledger record is
     stamped with ``cache_hit``.
     """
-    def compute() -> Tuple[MixedConfiguration, LPSolution]:
-        solution = weighted_minimax(game, tuple_limit=tuple_limit)
-        return _configuration(game, solution), solution
+    return _WEIGHTED_LP_CALL(game, tuple_limit=tuple_limit)
 
-    return result_cache.cached_solve(
-        game, "weighted.lp_equilibrium", {"tuple_limit": tuple_limit},
-        compute,
-        lambda result: weighted_lp_result_to_json(*result),
-        weighted_lp_result_from_json,
-        attributes={"tuple_limit": tuple_limit},
-    )
+
+def _weighted_lp_cold(
+    game: WeightedTupleGame, tuple_limit: int
+) -> Tuple[MixedConfiguration, LPSolution]:
+    solution = weighted_minimax(game, tuple_limit=tuple_limit)
+    return _configuration(game, solution), solution
+
+
+_WEIGHTED_LP_CALL = result_cache.CachedCall(
+    "weighted.lp_equilibrium", _weighted_lp_cold,
+    lambda result: weighted_lp_result_to_json(*result),
+    lambda payload: (_configuration_from_payload(payload["configuration"]),
+                     _lp_solution_from_payload(payload["solution"])),
+    _LP_RESULT_FORMAT,
+)
 
 
 def weighted_double_oracle(
@@ -307,26 +304,33 @@ def weighted_double_oracle(
     within ``max_iterations`` or its certified gap exceeds
     ``2·tolerance``.
     """
-    def compute() -> Tuple[MixedConfiguration, float]:
-        result = _double_oracle_loop(
-            game.base, game.weights, tolerance, max_iterations,
-            method="auto", lazy_attacker=False,
-        )
-        if not result.exact:
-            raise GameError(
-                f"weighted double oracle stalled short of the optimum "
-                f"(certified gap {result.certified_gap!r})"
-            )
-        solution = _escape_solution(result.solution)
-        return _configuration(game, solution), solution.value
+    return _WEIGHTED_DO_CALL(game, tolerance=tolerance,
+                             max_iterations=max_iterations)
 
-    params = {"tolerance": tolerance, "max_iterations": max_iterations}
-    return result_cache.cached_solve(
-        game, "weighted.double_oracle", params, compute,
-        lambda result: weighted_do_result_to_json(*result),
-        weighted_do_result_from_json,
-        attributes=params,
+
+def _weighted_do_cold(
+    game: WeightedTupleGame, tolerance: float, max_iterations: int
+) -> Tuple[MixedConfiguration, float]:
+    result = _double_oracle_loop(
+        game.base, game.weights, tolerance, max_iterations,
+        method="auto", lazy_attacker=False,
     )
+    if not result.exact:
+        raise GameError(
+            f"weighted double oracle stalled short of the optimum "
+            f"(certified gap {result.certified_gap!r})"
+        )
+    solution = _escape_solution(result.solution)
+    return _configuration(game, solution), solution.value
+
+
+_WEIGHTED_DO_CALL = result_cache.CachedCall(
+    "weighted.double_oracle", _weighted_do_cold,
+    lambda result: weighted_do_result_to_json(*result),
+    lambda payload: (_configuration_from_payload(payload["configuration"]),
+                     float(payload["value"])),
+    _DO_RESULT_FORMAT,
+)
 
 
 def _configuration(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import time
 
 import pytest
 
 import repro.cache as result_cache
+import repro.equilibria.solve as solve_module
 from repro.cache.keys import cache_key, game_sha256, params_json
 from repro.cache.migrations import (
     MIGRATIONS,
@@ -282,16 +284,20 @@ class TestFacade:
                                                          game):
         calls = []
 
-        def compute():
-            calls.append(1)
+        def compute(_game, p):
+            calls.append(p)
             return 42
 
+        call = result_cache.CachedCall(
+            "test.solver", compute,
+            lambda result: json.dumps({"format": "test.v1", "value": result}),
+            lambda payload: payload["value"], "test.v1",
+            scope=lambda _game, _params: [
+                metrics.timer("test.solver.seconds")],
+        )
+
         def solve():
-            return result_cache.cached_solve(
-                game, "test.solver", {"p": 1}, compute, str, int,
-                attributes={"p": 1},
-                scope=lambda: [metrics.timer("test.solver.seconds")],
-            )
+            return call(game, p=1)
 
         obs_ledger.enable_ledger(tmp_path / "ledger")
         result_cache.enable_cache(tmp_path / "cache")
@@ -309,6 +315,24 @@ class TestFacade:
         timer = metrics.get_registry().snapshot()["histograms"][
             "test.solver.seconds"]
         assert timer["count"] == 2  # the scope wraps hits and misses
+
+    def test_result_is_encoded_only_when_stored(self, tmp_path, game,
+                                                monkeypatch):
+        encodes = []
+
+        def counting_encoder(result):
+            encodes.append(1)
+            return solve_result_to_json(result)
+
+        monkeypatch.setattr(solve_module, "solve_result_to_json",
+                            counting_encoder)
+        solve_game(game)
+        assert encodes == []  # cache off: nothing to store, no encode
+        result_cache.enable_cache(tmp_path)
+        solve_game(game)
+        assert encodes == [1]  # cold: one encode, stored
+        solve_game(game)
+        assert encodes == [1]  # hit: replayed, not re-encoded
 
 
 # --------------------------------------------------------------------------

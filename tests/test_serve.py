@@ -16,6 +16,9 @@ import urllib.request
 import pytest
 
 import repro.cache as result_cache
+import repro.equilibria.solve as solve_module
+from repro.core.serialize import game_from_json, solve_result_to_json
+from repro.equilibria import solve_game
 from repro.obs import access as obs_access
 from repro.obs import events as obs_events
 from repro.obs import ledger as obs_ledger
@@ -29,7 +32,15 @@ from repro.serve import (
     WorkerPool,
     running_service,
 )
-from repro.serve.routes import EndpointSpec
+from repro.serve.routes import EndpointSpec, prepare
+from repro.solvers.double_oracle import (
+    double_oracle,
+    double_oracle_result_to_json,
+)
+from repro.solvers.fictitious_play import (
+    fictitious_play,
+    fictitious_play_result_to_json,
+)
 
 PATH_GAME = {
     "vertices": [1, 2, 3, 4],
@@ -350,6 +361,127 @@ class TestObservability:
         assert body2["cache_hit"] is False  # different params, different key
 
 
+#: (endpoint, library call, non-default params) for every cached endpoint.
+LIBRARY_CALLS = [
+    ("solve", lambda game, **p: solve_result_to_json(solve_game(game, **p)),
+     {"seed": 3, "allow_extensions": False}),
+    ("double-oracle",
+     lambda game, **p: double_oracle_result_to_json(double_oracle(game, **p)),
+     {"tolerance": 1e-7, "max_iterations": 50, "method": "bnb",
+      "lazy_attacker": True}),
+    ("fictitious-play",
+     lambda game, **p: fictitious_play_result_to_json(
+         fictitious_play(game, **p)),
+     {"rounds": 7, "method": "greedy", "tolerance": 0.5}),
+]
+
+
+def _cache_rows():
+    store = result_cache.get_cache()
+    with store._lock:
+        return [row[0] for row in store._conn.execute(
+            "SELECT payload FROM cache_entries")]
+
+
+def _rewrite_cache_rows(payload):
+    store = result_cache.get_cache()
+    with store._lock:
+        with store._conn:
+            store._conn.execute("UPDATE cache_entries SET payload = ?",
+                                (payload,))
+
+
+class TestServedCacheClient:
+    """The service answers through the library's own cached calls."""
+
+    @pytest.mark.parametrize("endpoint, library, params", LIBRARY_CALLS,
+                             ids=[c[0] for c in LIBRARY_CALLS])
+    @pytest.mark.parametrize("defaults", [True, False],
+                             ids=["defaults", "params"])
+    def test_library_primed_entry_is_a_served_hit(
+            self, tmp_path, service, endpoint, library, params, defaults):
+        _svc, base = service
+        params = {} if defaults else params
+        game = game_from_json(json.dumps(PATH_GAME))
+        result_cache.enable_cache(tmp_path)
+        try:
+            document = json.loads(library(game, **params))
+            status, body = post(base, f"/{endpoint}",
+                                {"game": PATH_GAME, "params": params})
+        finally:
+            result_cache.disable_cache()
+        assert status == 200
+        assert body["cache_hit"] is True
+        assert body["result"] == document
+
+    def test_unique_request_counts_one_miss(self, tmp_path, service):
+        _svc, base = service
+        misses = metrics.counter("cache.misses.count")
+        result_cache.enable_cache(tmp_path)
+        try:
+            before = misses.value
+            status, body = post(base, "/solve", {"game": PATH_GAME})
+            after = misses.value
+        finally:
+            result_cache.disable_cache()
+        assert status == 200 and body["cache_hit"] is False
+        assert after == before + 1
+
+    def test_one_fingerprint_probe_and_encode_per_request(
+            self, tmp_path, monkeypatch):
+        calls = {"fingerprint": 0, "probe": 0, "encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(result_cache, "game_sha256",
+                            counted("fingerprint", result_cache.game_sha256))
+        monkeypatch.setattr(result_cache.ResultCache, "probe",
+                            counted("probe", result_cache.ResultCache.probe))
+        monkeypatch.setattr(solve_module, "solve_result_to_json",
+                            counted("encode", solve_result_to_json))
+        body = json.dumps({"game": PATH_GAME}).encode()
+        result_cache.enable_cache(tmp_path)
+        try:
+            miss = prepare("solve", body)
+            assert miss.response is None
+            cold = miss.run()
+            assert calls == {"fingerprint": 1, "probe": 1, "encode": 1}
+            hit = prepare("solve", body)
+        finally:
+            result_cache.disable_cache()
+        assert calls == {"fingerprint": 2, "probe": 2, "encode": 1}
+        assert hit.response == {**cold, "cache_hit": True}
+
+    @pytest.mark.parametrize("defect", [
+        pytest.param(lambda text: json.dumps({"format": "old-v0"}),
+                     id="stale-format"),
+        pytest.param(lambda text: text[:len(text) // 2], id="torn"),
+    ])
+    def test_bad_row_is_served_as_a_miss(self, tmp_path, service, defect):
+        _svc, base = service
+        errors = metrics.counter("cache.errors.count")
+        result_cache.enable_cache(tmp_path)
+        try:
+            _s, cold = post(base, "/solve", {"game": PATH_GAME})
+            (stored,) = _cache_rows()
+            _rewrite_cache_rows(defect(stored))
+            before = errors.value
+            status, body = post(base, "/solve", {"game": PATH_GAME})
+            assert errors.value == before + 1
+            assert _cache_rows() == [stored]  # the bad row is rewritten
+            _s, again = post(base, "/solve", {"game": PATH_GAME})
+        finally:
+            result_cache.disable_cache()
+        assert status == 200
+        assert body == cold  # a miss, with the correct result
+        assert again["cache_hit"] is True
+        assert again["result"] == cold["result"]
+
+
 def _wait_for(condition, label, timeout=10.0):
     """Poll until ``condition()`` — the request epilogue (counters,
     access lines, events) runs after the response bytes are written, so
@@ -584,7 +716,7 @@ def _slow_spec(release: threading.Event) -> EndpointSpec:
     def runner(_game, _params):
         release.wait(timeout=30.0)
         return {"slept": True}
-    return EndpointSpec("solve", runner)
+    return EndpointSpec(runner=runner)
 
 
 class TestBackpressure:

@@ -12,7 +12,13 @@ Replays the full cache lifecycle on the committed fixture games in
 3. solve the two weighted fixtures (differing only in vertex weights)
    and require distinct fingerprints *and* distinct cache entries —
    the regression this PR-line exists to prevent;
-4. ``gc`` the store empty and require the next solve to **miss** again.
+4. ``gc`` the store empty and require the next solve to **miss** again;
+5. on a fresh store, solve the plain fixture cold through the library,
+   then require ``repro.serve.routes.prepare("solve", ...)`` to answer
+   **inline** with the byte-equal document; then tear the stored row
+   and require the library path, and after a stale-format row the
+   served path, to **demote** it to a miss (``cache.errors.count``
+   rises by one) and rewrite it with the correct document.
 
 Exits non-zero on any failure, so the ``ci`` Makefile target catches a
 cache that returns stale or wrong-identity results the moment it rots.
@@ -24,6 +30,8 @@ Usage::
 
 from __future__ import annotations
 
+import json
+import sqlite3
 import sys
 import tempfile
 from pathlib import Path
@@ -112,6 +120,74 @@ def run_smoke() -> list:
                                 "the reference")
         finally:
             result_cache.disable_cache()
+    failures += _served_path(game)
+    return failures
+
+
+def _served_path(game) -> list:
+    """One cache client: the service answers from the library's entry,
+    and both paths demote a bad row to a miss and rewrite it."""
+    import repro.cache as result_cache
+    from repro.core.serialize import game_to_json, solve_result_to_json
+    from repro.equilibria.solve import solve_game
+    from repro.serve.routes import prepare
+
+    failures = []
+    body = json.dumps({"game": json.loads(game_to_json(game))}).encode()
+
+    def corrupt(payload: str) -> None:
+        path = result_cache.get_cache().path
+        with sqlite3.connect(str(path)) as conn:
+            conn.execute("UPDATE cache_entries SET payload = ?", (payload,))
+        conn.close()
+
+    def stored() -> list:
+        conn = sqlite3.connect(str(result_cache.get_cache().path))
+        try:
+            return [row[0] for row in conn.execute(
+                "SELECT payload FROM cache_entries")]
+        finally:
+            conn.close()
+
+    with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as tmp:
+        result_cache.enable_cache(tmp)
+        try:
+            cold = solve_result_to_json(solve_game(game))
+            response = prepare("solve", body).response
+            if response is None or response["cache_hit"] is not True:
+                failures.append("served /solve missed the entry the "
+                                "library call stored")
+            elif json.dumps(response["result"], indent=2,
+                            sort_keys=True) != cold:
+                failures.append("served hit is not byte-equal to the "
+                                "library document")
+
+            errors = _counter("cache.errors.count")
+            corrupt(cold[:len(cold) // 2])
+            if solve_result_to_json(solve_game(game)) != cold:
+                failures.append("library solve over a torn row returned "
+                                "a different document")
+            if _counter("cache.errors.count") != errors + 1 \
+                    or stored() != [cold]:
+                failures.append("library path did not demote and rewrite "
+                                "a torn row")
+
+            errors = _counter("cache.errors.count")
+            corrupt(json.dumps({"format": "old-v0"}))
+            prepared = prepare("solve", body)
+            if prepared.response is not None or prepared.run is None:
+                failures.append("served /solve answered a stale-format "
+                                "row as a hit")
+            elif json.dumps(prepared.run()["result"], indent=2,
+                            sort_keys=True) != cold:
+                failures.append("served miss over a stale-format row "
+                                "returned a different document")
+            if _counter("cache.errors.count") != errors + 1 \
+                    or stored() != [cold]:
+                failures.append("served path did not demote and rewrite "
+                                "a stale-format row")
+        finally:
+            result_cache.disable_cache()
     return failures
 
 
@@ -126,7 +202,8 @@ def main() -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print("cache smoke OK: cold/hit byte-identical, weighted identities "
-          "distinct, gc returns the store to cold")
+          "distinct, gc returns the store to cold, served hits byte-equal, "
+          "bad rows demoted and rewritten on both paths")
     return 0
 
 
