@@ -111,7 +111,6 @@ class LintConfig:
                 "repro.obs.prof",
                 "repro.obs.watchdog",
                 "repro.obs.events",
-                "repro.obs.resources",
                 "repro.obs.report",
                 "repro.obs.access",
                 "repro.obs.slo",

@@ -17,8 +17,8 @@ for conventions and examples):
 * :mod:`repro.obs.jsonl` — the env switch, writer and torn-line reader
   the ledger, the event bus and the access log share;
 * :mod:`repro.obs.ledger` — the run-provenance ledger: a durable
-  append-only JSONL record (fingerprint, environment, metrics, span
-  tree, outcome) of every wrapped entry-point run;
+  append-only JSONL record (fingerprint, environment, metrics, process
+  resources, span tree, outcome) of every wrapped entry-point run;
 * :mod:`repro.obs.prof` — the deterministic profiler: span trees as
   folded-stack flamegraphs, Chrome ``trace_event`` JSON and self/total
   aggregation tables;
@@ -27,10 +27,7 @@ for conventions and examples):
   them against a baseline;
 * :mod:`repro.obs.events` — the live telemetry event bus: typed run
   events (``solver.iteration``, ``lp.solve``, ...) in a bounded ring
-  buffer with subscribers and an opt-in JSONL sink;
-* :mod:`repro.obs.resources` — the daemon-thread process resource
-  sampler (RSS, CPU, GC, threads) feeding the metrics registry and the
-  ``resources`` block of every ledger record;
+  buffer and an opt-in JSONL sink;
 * :mod:`repro.obs.report` — ledger analytics (grouped latency
   percentiles, error rates, cross-revision deltas) and the
   self-contained HTML/markdown run reports;
@@ -68,9 +65,7 @@ from repro.obs.events import (
     publish,
     read_events,
     recent,
-    subscribe,
     tail_events,
-    unsubscribe,
 )
 from repro.obs.ledger import (
     disable_ledger,
@@ -104,12 +99,6 @@ from repro.obs.report import (
     render_report_html,
     render_report_markdown,
     write_report,
-)
-from repro.obs.resources import (
-    sample_once,
-    sampler_running,
-    start_sampler,
-    stop_sampler,
 )
 from repro.obs.slo import (
     SloEngine,
@@ -151,17 +140,11 @@ __all__ = [
     "publish",
     "read_events",
     "recent",
-    "subscribe",
     "tail_events",
-    "unsubscribe",
     "aggregate_runs",
     "render_report_html",
     "render_report_markdown",
     "write_report",
-    "sample_once",
-    "sampler_running",
-    "start_sampler",
-    "stop_sampler",
     "aggregate",
     "render_aggregate",
     "to_chrome_trace",

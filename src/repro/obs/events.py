@@ -1,4 +1,4 @@
-"""Live telemetry event bus: typed run events, bounded and subscribable.
+"""Live telemetry event bus: typed run events in a bounded buffer.
 
 The ledger records *what a run was* after it finished; this module
 streams *what a run is doing* while it happens.  Instrumented code
@@ -6,11 +6,8 @@ publishes small typed events — per-iteration solver progress
 (``solver.iteration``), LP solves (``lp.solve``), fuzz cases
 (``fuzz.case``), benchmark cases (``bench.case``) and run boundaries
 (``run.start`` / ``run.end``) — into a process-global, thread-safe,
-bounded ring buffer.  Consumers attach three ways:
+bounded ring buffer.  Consumers attach two ways:
 
-* :func:`subscribe` — an in-process callback invoked synchronously on
-  every published event (subscriber exceptions are caught, counted in
-  ``events.subscriber_errors.count`` and never break the publisher);
 * :func:`recent` — snapshot the newest buffered events (the live view
   behind ``repro-defender tail``);
 * the **JSONL sink** — when enabled with a directory, every event is
@@ -40,7 +37,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import repro.obs.jsonl as _jsonl
 import repro.obs.metrics as _metrics
-from repro.obs.log import get_logger
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -52,15 +48,11 @@ __all__ = [
     "events_enabled",
     "events_sink_path",
     "publish",
-    "subscribe",
-    "unsubscribe",
     "recent",
     "clear_events",
     "read_events",
     "tail_events",
 ]
-
-_log = get_logger("repro.obs.events")
 
 EVENT_SCHEMA = "repro.obs/event/v1"
 DEFAULT_EVENTS_DIR = ".repro/events"
@@ -85,17 +77,14 @@ EVENT_TYPES = frozenset({
 
 
 class _BusState:
-    """Process-global bus: switch, ring buffer and subscribers."""
+    """Process-global bus: switch, ring buffer and sequence number."""
 
-    __slots__ = ("enabled", "buffer", "subscribers", "seq", "next_token",
-                 "lock")
+    __slots__ = ("enabled", "buffer", "seq", "lock")
 
     def __init__(self) -> None:
         self.enabled = False  # repro: lock(lock)
         self.buffer: deque = deque(maxlen=DEFAULT_CAPACITY)  # repro: lock(lock)
-        self.subscribers: Dict[int, Callable[[Dict[str, Any]], None]] = {}  # repro: lock(lock)
         self.seq = 0  # repro: lock(lock)
-        self.next_token = 1  # repro: lock(lock)
         self.lock = threading.Lock()
 
 
@@ -115,8 +104,8 @@ def enable_events(directory: Optional[os.PathLike] = None,
     With ``sink=True`` (the default) every event is appended to
     ``<directory>/events.jsonl`` (``.repro/events/`` when no directory is
     given; the sink is on only while that file is open); ``sink=False``
-    keeps events purely in-memory — the mode the overhead benchmark and
-    in-process subscribers use.
+    keeps events purely in-memory — the mode the overhead benchmark
+    uses.
     """
     with _STATE.lock:
         if sink:
@@ -145,7 +134,7 @@ def events_sink_path() -> Optional[Path]:
 
 
 def clear_events() -> None:
-    """Drop all buffered events (subscribers and the sink are kept)."""
+    """Drop all buffered events (the sink is kept)."""
     with _STATE.lock:
         _STATE.buffer.clear()
 
@@ -176,38 +165,10 @@ def _publish(event_type: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         }
         _STATE.buffer.append(event)
         _SINK.write(event)
-        callbacks = list(_STATE.subscribers.values())
     _metrics.counter("events.published.count").inc()
     if event_type not in EVENT_TYPES:
         _metrics.counter("events.unknown_type.count").inc()
-    for callback in callbacks:
-        try:
-            callback(event)
-        except Exception as exc:  # a bad subscriber never breaks the run
-            _metrics.counter("events.subscriber_errors.count").inc()
-            _log.warning("events.subscriber.failed",
-                         error=type(exc).__name__)
     return event
-
-
-def subscribe(callback: Callable[[Dict[str, Any]], None]) -> int:
-    """Attach an in-process callback to every published event.
-
-    The callback runs synchronously on the publisher's thread; exceptions
-    it raises are swallowed (and counted).  Returns a token for
-    :func:`unsubscribe`.
-    """
-    with _STATE.lock, _metrics.timer("events.subscribe.seconds"):
-        token = _STATE.next_token
-        _STATE.next_token += 1
-        _STATE.subscribers[token] = callback
-    return token
-
-
-def unsubscribe(token: int) -> bool:
-    """Detach a subscriber; True when the token was attached."""
-    with _STATE.lock:
-        return _STATE.subscribers.pop(token, None) is not None
 
 
 def recent(count: Optional[int] = None,

@@ -30,8 +30,10 @@ _log = get_logger("repro.obs.jsonl")
 
 
 def env_flag(name: str) -> bool:
-    """True unless env var ``name`` is unset, empty, 0, false or no."""
-    return os.environ.get(name, "") not in ("", "0", "false", "no")
+    """True unless env var ``name`` is unset or, stripped and lower-cased,
+    empty, ``0``, ``false``, ``no`` or ``off``."""
+    value = os.environ.get(name, "").strip().lower()
+    return value not in ("", "0", "false", "no", "off")
 
 
 def dumps_line(record: Dict[str, Any]) -> str:

@@ -32,6 +32,7 @@ metric-by-metric comparison of two records).
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -40,12 +41,11 @@ import sys
 import threading
 from pathlib import Path
 from time import perf_counter, time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import repro.obs.events as _events
 import repro.obs.jsonl as _jsonl
 import repro.obs.metrics as _metrics
-import repro.obs.resources as _resources
 import repro.obs.tracing as _tracing
 import repro.obs.watchdog as _watchdog
 from repro.obs.log import get_logger
@@ -71,10 +71,11 @@ __all__ = [
 
 _log = get_logger("repro.obs.ledger")
 
-RECORD_SCHEMA = "repro.obs/ledger-record/v3"
+RECORD_SCHEMA = "repro.obs/ledger-record/v4"
 #: Previous record schemas, still accepted by the readers (v2 added the
-#: ``resources`` block; v3 added the ``trace_id`` correlation field —
-#: every other field is unchanged).
+#: ``resources`` block; v3 added the ``trace_id`` correlation field; v4
+#: dropped the block's two sampler-thread fields — every other field is
+#: unchanged).
 RECORD_SCHEMA_V2 = "repro.obs/ledger-record/v2"
 RECORD_SCHEMA_V1 = "repro.obs/ledger-record/v1"
 DEFAULT_LEDGER_DIR = ".repro/ledger"
@@ -250,6 +251,53 @@ def capture_environment() -> Dict[str, Any]:
     }
 
 
+def _rss_bytes() -> Tuple[Optional[int], Optional[int]]:
+    """``(VmRSS, VmHWM)`` in bytes from one read of ``/proc/self/status``.
+
+    Without ``/proc`` both fall back to ``getrusage``'s peak RSS
+    (kilobytes on Linux, bytes on macOS — normalized here), and to
+    ``None`` when that is unavailable too.
+    """
+    status: Dict[str, int] = {}
+    try:
+        with open("/proc/self/status", "r", encoding="ascii") as handle:
+            for line in handle:
+                key, _, value = line.partition(":")
+                if key in ("VmRSS", "VmHWM"):
+                    status[key] = int(value.split()[0]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    if len(status) == 2:
+        return status["VmRSS"], status["VmHWM"]
+    try:
+        import resource as _resource
+
+        peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
+        if os.uname().sysname != "Darwin":
+            peak *= 1024
+    except (ImportError, OSError, AttributeError):
+        return None, None
+    return (peak, peak) if peak > 0 else (None, None)
+
+
+def _resources() -> Dict[str, Any]:
+    """The record's ``resources`` block, read once as the record is built.
+
+    ``rss_peak_bytes`` is the kernel's process-lifetime peak
+    (``VmHWM``), not a peak of this run alone.
+    """
+    rss, peak = _rss_bytes()
+    times = os.times()
+    return {
+        "rss_bytes": rss,
+        "rss_peak_bytes": peak,
+        "cpu_user_s": times.user,
+        "cpu_system_s": times.system,
+        "gc_collections": sum(s["collections"] for s in gc.get_stats()),
+        "threads": threading.active_count(),
+    }
+
+
 # --------------------------------------------------------------------------
 # recording
 
@@ -314,7 +362,6 @@ class _RunContext:
             # trace per HTTP request), a freshly minted one otherwise.
             self._trace_id = _tracing.current_trace_id(create=True)
             self._trace_mark = len(_tracing.get_trace())
-            _resources.start_sampler()
         else:
             self._trace_id = _tracing.current_trace_id()
         _events.publish("run.start", entry_point=self.entry_point,
@@ -335,7 +382,6 @@ class _RunContext:
             spans = [
                 s.to_dict() for s in _tracing.get_trace()[self._trace_mark:]
             ]
-            resources = _resources.snapshot()
             record: Dict[str, Any] = {
                 "schema": RECORD_SCHEMA,
                 "entry_point": self.entry_point,
@@ -347,7 +393,7 @@ class _RunContext:
                 "attributes": self.attributes,
                 "env": capture_environment(),
                 "metrics": _metrics.get_registry().snapshot(),
-                "resources": resources,
+                "resources": _resources(),
                 "spans": spans,
             }
             if exc_type is not None:
@@ -365,11 +411,10 @@ class _RunContext:
             )
         finally:
             # Cleanup must survive a failed record build: a serialization
-            # error must not leave auto-enabled tracing (or the sampler)
-            # running for the rest of the process.
+            # error must not leave auto-enabled tracing on for the rest of
+            # the process.
             if self._auto_trace:
                 _tracing.enable_tracing(False)
-            _resources.stop_sampler()
         return False
 
 

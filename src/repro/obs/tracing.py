@@ -14,12 +14,10 @@ check, so instrumented hot paths cost a few nanoseconds per call when
 nobody is looking.  Enable with :func:`enable_tracing` (the CLI's
 ``--trace`` flag, or ``REPRO_TRACE=1`` in the environment).
 
-When tracing is on, every finished span also feeds the global metrics
-registry: a histogram named ``span.<name>.seconds`` (the ``span.``
-prefix keeps trace-derived timings apart from the always-on timers of
-the instrumented code).  Completed root spans accumulate in a
-per-context trace buffer; :func:`get_trace` returns them and
-:func:`render_trace` formats the indented tree.
+Completed root spans accumulate in a per-context trace buffer;
+:func:`get_trace` returns them and :func:`render_trace` formats the
+indented tree.  Span time is read from that tree (the profiler, the
+ledger's ``spans``); spans feed no metrics.
 
 Correlation (PR 10): the trace buffer lives in a
 :class:`contextvars.ContextVar` rather than ``threading.local``, so a
@@ -44,7 +42,6 @@ from functools import wraps
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.obs.metrics as _metrics
 from repro.obs.jsonl import env_flag
 
 __all__ = [
@@ -317,8 +314,8 @@ class _SpanContext:
         # Exception-safety: spans abandoned above this one (entered but
         # never exited — a generator that died, a manual __enter__ with no
         # matching exit) are closed here rather than dropped: they keep
-        # their partial duration, carry error status, stay in the tree as
-        # children of the span below them, and still feed their histogram.
+        # their partial duration, carry error status and stay in the tree
+        # as children of the span below them.
         while stack and stack[-1] is not current:
             abandoned = stack.pop()
             abandoned.duration_s = end - abandoned.start
@@ -332,18 +329,12 @@ class _SpanContext:
                 parent.children.append(abandoned)
             else:
                 state.roots.append(abandoned)
-            _metrics.histogram(f"span.{abandoned.name}.seconds").observe(
-                abandoned.duration_s
-            )
         if stack:
             stack.pop()
         if stack:
             stack[-1].children.append(current)
         else:
             state.roots.append(current)
-        _metrics.histogram(f"span.{current.name}.seconds").observe(
-            current.duration_s
-        )
         return False
 
 

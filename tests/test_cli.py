@@ -355,7 +355,7 @@ class TestLedgerFlags:
         ) == 0
         path = d / "equilibria.solve.jsonl"
         record = json.loads(path.read_text().splitlines()[0])
-        assert record["schema"] == "repro.obs/ledger-record/v3"
+        assert record["schema"] == "repro.obs/ledger-record/v4"
         assert record["status"] == "ok"
         assert record["fingerprint"]["k"] == 2
         assert record["spans"]

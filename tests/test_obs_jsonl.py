@@ -85,6 +85,10 @@ def test_read_events_of_a_sink_directory(tmp_path):
 @pytest.mark.parametrize("value,on", [
     ("", False), ("0", False), ("false", False), ("no", False),
     ("1", True), ("yes", True), ("true", True),
+    # Case and surrounding whitespace are ignored; ``off`` is off.
+    ("False", False), ("FALSE", False), ("No", False), ("off", False),
+    ("OFF", False), (" 0 ", False), ("\tfalse\n", False), ("  ", False),
+    ("True", True), ("YES", True), (" 1 ", True), ("on", True),
 ])
 def test_env_flag(monkeypatch, value, on):
     monkeypatch.setenv("REPRO_TEST_FLAG", value)

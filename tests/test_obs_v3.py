@@ -1,4 +1,4 @@
-"""Tests for repro.obs v3: event bus, resource sampler, ledger analytics."""
+"""Tests for repro.obs v3: event bus, ledger resources, ledger analytics."""
 
 from __future__ import annotations
 
@@ -9,24 +9,20 @@ import pytest
 
 from repro.core.game import TupleGame
 from repro.graphs.generators import complete_bipartite_graph, cycle_graph
-from repro.obs import events, ledger, report, resources
+from repro.obs import events, ledger, report
 from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Every test starts and ends with the bus/ledger/sampler off."""
+    """Every test starts and ends with the bus and the ledger off."""
     events.disable_events()
     events.clear_events()
     ledger.disable_ledger()
-    while resources.sampler_running():
-        resources.stop_sampler()
     yield
     events.disable_events()
     events.clear_events()
     ledger.disable_ledger()
-    while resources.sampler_running():
-        resources.stop_sampler()
 
 
 def _counter(name):
@@ -71,31 +67,6 @@ class TestEventBus:
         buffered = events.recent(types=["bench.case"])
         assert len(buffered) <= events.DEFAULT_CAPACITY
         assert buffered[-1]["payload"]["i"] == events.DEFAULT_CAPACITY + 49
-
-    def test_subscribe_and_unsubscribe(self):
-        events.enable_events(sink=False)
-        seen = []
-        token = events.subscribe(seen.append)
-        events.publish("fuzz.case", ok=True)
-        assert events.unsubscribe(token)
-        events.publish("fuzz.case", ok=False)
-        assert [e["payload"]["ok"] for e in seen] == [True]
-        assert not events.unsubscribe(token)
-
-    def test_bad_subscriber_never_breaks_publish(self):
-        events.enable_events(sink=False)
-        before = _counter("events.subscriber_errors.count")
-
-        def explode(event):
-            raise RuntimeError("bad subscriber")
-
-        token = events.subscribe(explode)
-        try:
-            event = events.publish("run.start", entry_point="x")
-        finally:
-            events.unsubscribe(token)
-        assert event is not None
-        assert _counter("events.subscriber_errors.count") == before + 1
 
     def test_unknown_type_counted_but_delivered(self):
         events.enable_events(sink=False)
@@ -212,50 +183,6 @@ class TestSolverInstrumentation:
 
 
 # --------------------------------------------------------------------------
-# resource sampler
-
-
-class TestResourceSampler:
-    def test_sample_once_shape(self):
-        sample = resources.sample_once()
-        assert sample["rss_bytes"] > 0
-        assert sample["cpu_user_s"] >= 0.0
-        assert sample["cpu_system_s"] >= 0.0
-        assert sample["gc_collections"] >= 0
-        assert sample["threads"] >= 1
-
-    def test_sampler_lifecycle_is_reentrant(self):
-        resources.start_sampler(interval=0.01)
-        resources.start_sampler(interval=0.01)
-        assert resources.sampler_running()
-        resources.stop_sampler()
-        assert resources.sampler_running()  # outer holder still active
-        resources.stop_sampler()
-        assert not resources.sampler_running()
-
-    def test_stop_without_start_is_safe(self):
-        resources.stop_sampler()
-        assert not resources.sampler_running()
-
-    def test_snapshot_after_sampling(self):
-        resources.start_sampler(interval=0.01)
-        try:
-            snapshot = resources.snapshot()
-        finally:
-            resources.stop_sampler()
-        assert snapshot["samples"] >= 1
-        assert snapshot["rss_peak_bytes"] >= snapshot["rss_bytes"] > 0
-        assert snapshot["sampler_running"] is True
-
-    def test_sampler_feeds_registry_gauges(self):
-        resources.start_sampler(interval=0.01)
-        resources.stop_sampler()
-        gauges = obs_metrics.get_registry().snapshot()["gauges"]
-        assert gauges.get("process.rss_bytes", 0) > 0
-        assert gauges.get("process.threads", 0) >= 1
-
-
-# --------------------------------------------------------------------------
 # ledger v2 integration
 
 
@@ -268,9 +195,21 @@ class TestLedgerV2:
         assert record["schema"] == ledger.RECORD_SCHEMA
         assert record["schema"] != ledger.RECORD_SCHEMA_V1
         block = record["resources"]
-        assert block["samples"] >= 1
-        assert block["rss_bytes"] > 0
-        assert block["rss_peak_bytes"] >= block["rss_bytes"]
+        assert set(block) == {"rss_bytes", "rss_peak_bytes", "cpu_user_s",
+                              "cpu_system_s", "gc_collections", "threads"}
+        assert block["rss_peak_bytes"] >= block["rss_bytes"] > 0
+        assert block["cpu_user_s"] >= 0.0
+        assert block["cpu_system_s"] >= 0.0
+        assert block["gc_collections"] >= 0
+
+    def test_recorded_run_starts_no_thread(self, tmp_path):
+        ledger.enable_ledger(tmp_path)
+        threads = threading.active_count()
+        with ledger.run("demo.run"):
+            assert threading.active_count() == threads
+        assert threading.active_count() == threads
+        record = ledger.read_runs(directory=tmp_path)[-1]
+        assert record["resources"]["threads"] == threads
 
     def test_run_publishes_boundary_events(self, tmp_path):
         ledger.enable_ledger(tmp_path)
@@ -295,11 +234,6 @@ class TestLedgerV2:
         assert types.count("run.start") == 1
         assert types.count("run.end") == 1
 
-    def test_events_only_mode_skips_sampler(self):
-        events.enable_events(sink=False)
-        with ledger.run("demo.run"):
-            assert not resources.sampler_running()
-
     def test_error_run_publishes_error_status(self, tmp_path):
         events.enable_events(sink=False)
         ledger.enable_ledger(tmp_path)
@@ -308,7 +242,6 @@ class TestLedgerV2:
                 raise RuntimeError("boom")
         end = events.recent(types=["run.end"])[-1]["payload"]
         assert end["status"] == "error"
-        assert not resources.sampler_running()
 
 
 # --------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def _cases():
             obs_events.publish("bench.case", case="bus-off", index=index)
 
     def publish_on() -> None:
-        # Ring buffer + lock, no sink: the marginal cost a live `tail`
-        # subscriber imposes on an instrumented solver loop.
+        # Ring buffer + lock, no sink: the marginal cost the live bus
+        # imposes on an instrumented solver loop.
         obs_events.enable_events(sink=False)
         try:
             for index in range(_BUS_PUBLISHES):

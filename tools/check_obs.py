@@ -5,9 +5,10 @@ with tracing, the provenance ledger *and the telemetry event bus*
 enabled, then asserts that the instrumentation actually fired: a
 non-empty metrics snapshot with the expected solver counters, a JSON
 export that round-trips, a Prometheus export that mentions the LP
-histogram, a collected span tree, ledger records that satisfy the
-``repro.obs/ledger-record/v3`` schema (content-addressed run ids, a
-``trace_id``, a ``resources`` block from the sampler), an event sink whose
+histogram, a collected span tree that feeds no ``span.*`` histogram,
+no telemetry thread left alive, ledger records that satisfy the
+``repro.obs/ledger-record/v4`` schema (content-addressed run ids, a
+``trace_id``, a ``resources`` block), an event sink whose
 ``solver.iteration`` stream replays the double-oracle gap/pool
 trajectory, and profiler + HTML-report exports that match their formats.
 Exits non-zero on any failure, so CI (the ``ci`` Makefile target)
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 try:
@@ -56,18 +58,21 @@ CACHED_ENTRY_POINTS = (
 )
 
 
-#: Record fields the ledger-record/v3 schema requires on every line.
+#: Record fields the ledger-record/v4 schema requires on every line.
 LEDGER_REQUIRED_KEYS = (
     "schema", "run_id", "entry_point", "started_at", "duration_s",
     "status", "trace_id", "fingerprint", "attributes", "env", "metrics",
     "resources", "spans",
 )
 
-#: Fields the resource sampler contributes to every v3 record.
-RESOURCES_REQUIRED_KEYS = (
+#: Exactly the fields of a v4 record's ``resources`` block.
+RESOURCES_KEYS = frozenset({
     "rss_bytes", "rss_peak_bytes", "cpu_user_s", "cpu_system_s",
-    "gc_collections", "threads", "samples", "sampler_running",
-)
+    "gc_collections", "threads",
+})
+
+#: The thread the deleted resource sampler ran; none may be alive.
+SAMPLER_THREAD_NAME = "repro-obs-resources"
 
 #: The committed multi-revision ledger fixture behind `make report-smoke`.
 FIXTURE_LEDGER_DIR = (
@@ -141,6 +146,15 @@ def check() -> list:
     if "repro_lp_solve_seconds" not in registry.to_prometheus():
         failures.append("Prometheus export is missing the LP solve histogram")
 
+    span_histograms = sorted(name for name in snapshot["histograms"]
+                             if name.startswith("span."))
+    if span_histograms:
+        failures.append("spans fed histograms (span time is read from the "
+                        f"tree): {', '.join(span_histograms)}")
+    if any(t.name == SAMPLER_THREAD_NAME for t in threading.enumerate()):
+        failures.append(f"a {SAMPLER_THREAD_NAME!r} thread is alive after "
+                        "the workload")
+
     spans = get_trace()
     if not spans:
         failures.append("tracing collected no spans")
@@ -150,7 +164,7 @@ def check() -> list:
 
 
 def check_ledger(ledger_dir: Path) -> list:
-    """Validate the live ledger records against ledger-record/v3."""
+    """Validate the live ledger records against ledger-record/v4."""
     from repro.obs.ledger import RECORD_SCHEMA, _canonical_sha256, read_runs
 
     failures = []
@@ -186,17 +200,18 @@ def check_ledger(ledger_dir: Path) -> list:
     for record in records:
         rid = record.get("run_id", "?")
         resources = record.get("resources") or {}
-        for key in RESOURCES_REQUIRED_KEYS:
-            if key not in resources:
-                failures.append(
-                    f"ledger record {rid}: resources block missing {key!r}"
-                )
-        if resources.get("samples", 0) < 1:
+        if set(resources) != RESOURCES_KEYS:
             failures.append(
-                f"ledger record {rid}: resource sampler took no samples"
+                f"ledger record {rid}: resources keys "
+                f"{sorted(resources)} != {sorted(RESOURCES_KEYS)}"
             )
-        if resources.get("rss_bytes", 0) <= 0:
-            failures.append(f"ledger record {rid}: rss_bytes not positive")
+        rss = resources.get("rss_bytes") or 0
+        peak = resources.get("rss_peak_bytes") or 0
+        if not peak >= rss > 0:
+            failures.append(
+                f"ledger record {rid}: expected rss_peak_bytes >= "
+                f"rss_bytes > 0, got {peak} and {rss}"
+            )
     # Every solver entry point probes the result cache before opening
     # its ledger run, so the record must stamp a boolean ``cache_hit``
     # — and the twice-solved workload must show both polarities.
