@@ -21,6 +21,10 @@ check                         theorem     cross-checked paths
                                           oracle; both profiles verify
 ``unit-weight-agreement``     —           unit-weight escape value vs
                                           ``1 −`` plain LP value
+``incremental-lp``            —           every double-oracle restricted duel,
+                                          plain and weighted: the grown
+                                          model vs a fresh one-shot duel vs
+                                          the two-LP (``−Aᵀ``) route
 ``graph-io-roundtrip``        —           graph JSON + edge-list codecs
 ``kernel-reference``          —           coverage kernel vs brute-force argmax
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
@@ -60,9 +64,9 @@ from repro.graphs.io import (
 from repro.kernels.coverage import shared_oracle
 from repro.matching.covers import minimum_edge_cover_size
 from repro.simulation.fast import simulate_fast
-from repro.solvers.double_oracle import double_oracle
+from repro.solvers.double_oracle import _double_oracle_loop, double_oracle
 from repro.solvers.fictitious_play import fictitious_play
-from repro.solvers.lp import solve_minimax
+from repro.solvers.lp import LPSolution, _minimax, solve_minimax
 from repro.solvers.ranges import attacker_vertex_ranges
 from repro.weighted.game import (
     WeightedTupleGame,
@@ -81,6 +85,10 @@ accurate to ~1e-9; the slack absorbs accumulation across pipelines)."""
 #: cycles on small instances.
 _RANGES_TUPLE_LIMIT = 150
 _RANGES_MAX_N = 8
+
+#: ``incremental-lp`` compares LP values of the same restricted duel, so
+#: it holds them to solver accuracy, not the cross-pipeline slack.
+_INCREMENTAL_LP_TOLERANCE = 1e-9
 
 _SIMULATION_TRIALS = 4_000
 _FP_ROUNDS = 120
@@ -352,6 +360,39 @@ def check_unit_weight_agreement(
     return []
 
 
+def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
+    """On every double-oracle iteration, plain and on the weighted lift,
+    the value of the restricted duel the loop grows column by column
+    equals that of a freshly built one-shot duel over the same pools, and
+    the two-LP (``−Aᵀ``) route equals the dual-read attacker route, within
+    :data:`_INCREMENTAL_LP_TOLERANCE`."""
+    out: List[Violation] = []
+    for label, weights in (("plain", None),
+                           ("weighted", _weighted_lift(game).weights)):
+        def audit(solution: LPSolution, attackers, defenders,
+                  label=label, weights=weights) -> None:
+            fresh = _minimax(attackers, defenders, tuple_vertices, weights,
+                             dual_attacker=True).value
+            two_lp = _minimax(attackers, defenders, tuple_vertices,
+                              weights, dual_attacker=False).value
+            for route, value, reference in (
+                ("incremental", solution.value, fresh),
+                ("two-LP", two_lp, fresh),
+            ):
+                if not _close(value, reference, _INCREMENTAL_LP_TOLERANCE):
+                    out.append(Violation(
+                        "incremental-lp",
+                        f"{label} double oracle, {len(defenders)} defender "
+                        f"tuples: {route} value {value!r} != fresh "
+                        f"dual-read value {reference!r}",
+                    ))
+
+        _double_oracle_loop(game, weights, tolerance=1e-9,
+                            max_iterations=300, method="auto",
+                            lazy_attacker=False, audit=audit)
+    return out
+
+
 def check_graph_io_roundtrip(game: TupleGame, tol: float) -> List[Violation]:
     """The graph codecs must be lossless on every generated label shape.
 
@@ -475,6 +516,7 @@ INVARIANTS: Dict[str, Check] = {
     "weighted-serialize-roundtrip": check_weighted_serialize_roundtrip,
     "weighted-value-agreement": check_weighted_value_agreement,
     "unit-weight-agreement": check_unit_weight_agreement,
+    "incremental-lp": check_incremental_lp,
     "graph-io-roundtrip": check_graph_io_roundtrip,
     "kernel-reference": check_kernel_reference,
     "simulation-agreement": check_simulation_agreement,

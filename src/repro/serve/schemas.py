@@ -9,8 +9,9 @@ the wire contract is strict: a request must be a JSON object of the form
     {"game": { ...canonical game payload... }, "params": { ... }}
 
 where ``game`` is the same canonical document
-:func:`repro.core.serialize.game_to_json` emits (vertices, edges, ``k``,
-``nu``, optional weighted-model discriminator) and ``params`` carries
+:func:`repro.core.serialize.game_to_json` emits for a plain game
+(vertices, edges, ``k``, ``nu``; no served solver models vertex weights,
+so a weighted game is rejected) and ``params`` carries
 only the endpoint's declared parameters.  Everything is validated here —
 types, ranges, unknown keys — *before* the request can touch a worker or
 mint a cache key, and every defect maps to one structured
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.core.game import GameError
+from repro.core.game import GameError, TupleGame
 from repro.core.serialize import _game_from_payload
 from repro.obs import metrics
 
@@ -211,9 +212,9 @@ def parse_request(endpoint: str, body: bytes) -> Tuple[Any, Dict[str, Any]]:
 
     Raises :class:`RequestError` — never a bare exception — on malformed
     JSON (``invalid-json``), a body that is not the documented envelope
-    (``invalid-request``), a game payload the serializer rejects
-    (``invalid-game``) or parameters outside the endpoint's schema
-    (``invalid-params``).
+    (``invalid-request``), a game payload the serializer rejects or a
+    weighted game (``invalid-game``) or parameters outside the endpoint's
+    schema (``invalid-params``).
     """
     with metrics.timer("serve.validate.seconds"):
         try:
@@ -244,5 +245,12 @@ def parse_request(endpoint: str, body: bytes) -> Tuple[Any, Dict[str, Any]]:
         except GameError as exc:
             raise RequestError(f"invalid game payload: {exc}",
                                code="invalid-game") from exc
+        if not isinstance(game, TupleGame):
+            # No served solver models vertex weights: answering a
+            # weighted game would ignore them or crash in the worker.
+            raise RequestError(
+                f"the /{endpoint} endpoint takes unweighted games only",
+                code="invalid-game",
+            )
         params = _validate_params(endpoint, document.get("params"))
         return game, params

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import json
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
@@ -44,7 +44,10 @@ from repro.solvers.lp import (
     LPSolution,
     _lp_solution_from_payload,
     _lp_solution_payload,
+    _MatrixDuel,
     _minimax,
+    _payoff_matrix,
+    _solve_duel,
     minimax_over_strategies,
 )
 
@@ -253,10 +256,21 @@ def _double_oracle_loop(
     max_iterations: int,
     method: str,
     lazy_attacker: bool,
+    audit: Optional[
+        Callable[[LPSolution, List[Vertex], List[EdgeTuple]], None]
+    ] = None,
 ) -> DoubleOracleResult:
     """The loop over the duel of ``game``: payoff ``cov[t, v]``, or with
     vertex ``weights`` the negated escape ``w(v)·(cov[t, v] − 1)`` (values
-    and gaps in those units)."""
+    and gaps in those units).
+
+    With the eager attacker pool the rows never change, so the loop keeps
+    one :class:`~repro.solvers.lp._MatrixDuel` and adds one column per
+    new defender tuple; the lazy pool rebuilds the two-LP duel each
+    iteration.  ``audit(solution, attacker_pool, defender_pool)``, when
+    given, sees every restricted optimum (the fuzz invariants re-solve
+    it from scratch).
+    """
     oracle = shared_oracle(game.graph, game.k)
     vertices = oracle.vertices
     defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
@@ -265,19 +279,25 @@ def _double_oracle_loop(
         [vertices[0]] if lazy_attacker else list(vertices)
     )
     attacker_seen: Set[Vertex] = set(attacker_pool)
-    # The plain duel goes through the public entry point (and its span).
-    duel = (minimax_over_strategies if weights is None
-            else functools.partial(_minimax, weights=weights))
+    restricted = None if lazy_attacker else _MatrixDuel(_payoff_matrix(
+        vertices, defender_pool, tuple_vertices, weights))
+    # The plain rebuilt duel goes through the public entry point (and its
+    # span); both take the two-LP path.
+    rebuilt = (minimax_over_strategies if weights is None else
+               functools.partial(_minimax, weights=weights,
+                                 dual_attacker=False))
 
     solution = None
     gap = float("inf")
     gap_history: List[float] = []
     oracle_timer = metrics.histogram("double_oracle.oracle.seconds")
     for iteration in range(1, max_iterations + 1):
-        solution = duel(
-            attacker_pool, defender_pool, tuple_vertices,
-            dual_attacker=not lazy_attacker,
-        )
+        if restricted is None:
+            solution = rebuilt(attacker_pool, defender_pool, tuple_vertices)
+        else:
+            solution = _solve_duel(restricted, vertices, defender_pool)
+        if audit is not None:
+            audit(solution, attacker_pool, defender_pool)
 
         # Defender oracle: best tuple against the attacker's mixture over
         # the *full* vertex set (off-pool vertices have mass 0); weighted,
@@ -321,6 +341,9 @@ def _double_oracle_loop(
         if def_payoff > solution.value + tolerance and best_def not in defender_seen:
             defender_pool.append(best_def)
             defender_seen.add(best_def)
+            if restricted is not None:
+                restricted.add_column(_payoff_matrix(
+                    vertices, [best_def], tuple_vertices, weights)[0])
             improved = True
         if att_payoff < solution.value - tolerance and best_att not in attacker_seen:
             attacker_pool.append(best_att)

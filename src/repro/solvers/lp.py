@@ -19,15 +19,27 @@ This is the package's only game LP: the defender maximizes the minimum
 column payoff of a matrix — the 0/1 coverage ``cov[t, v]`` here, the
 negated escape ``w(v)·(cov[t, v] − 1)`` for :mod:`repro.weighted`.
 
-Solved with ``scipy.optimize.linprog`` (HiGHS).
+Solved by HiGHS through scipy's bundled binding
+``scipy.optimize._highspy._core._Highs`` (scipy >= 1.17.1): one
+:class:`_MatrixDuel` model per duel, which the double-oracle loop grows by
+one column per iteration so each restricted solve warm-starts from the
+previous optimal basis.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+except ImportError as exc:
+    raise ImportError(
+        "repro.solvers.lp needs the HiGHS binding that scipy bundles as "
+        "scipy.optimize._highspy._core._Highs (scipy >= 1.17.1); "
+        f"importing it failed: {exc}"
+    ) from exc
 
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
@@ -129,6 +141,86 @@ def _prune_and_normalize(raw: np.ndarray, keys: List) -> Dict:
     }
 
 
+class _MatrixDuel:
+    """One HiGHS model of the duel over a defender-payoff matrix ``A``:
+    maximize ``z`` s.t. ``Σₜ pₜ·A[t, r] ≥ z`` for every attacker
+    strategy ``r``, ``Σ p = 1``, ``p ≥ 0``.
+
+    ``A`` has one row per defender strategy ``t`` (an LP column ``pₜ``)
+    and one column per attacker strategy ``r`` (an LP row).
+    :meth:`add_column` appends one defender strategy and the next
+    :meth:`solve` warm-starts from the previous optimal basis, so the
+    double-oracle loop grows one model instead of rebuilding it every
+    iteration.
+    """
+
+    __slots__ = ("_highs", "_attackers", "_z")
+
+    def __init__(self, payoff: np.ndarray) -> None:
+        count, attackers = payoff.shape
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        # LP row r < attackers reads z − Σₜ pₜ·A[t, r] ≤ 0, the last one
+        # Σ p = 1.  The p columns come first and z after them: the column
+        # order decides which optimal vertex of a degenerate duel HiGHS
+        # returns, and this one keeps one-shot results byte-identical to
+        # earlier releases.
+        highs.addRows(
+            attackers + 1, np.append(np.full(attackers, -np.inf), 1.0),
+            np.append(np.zeros(attackers), 1.0), 0,
+            np.zeros(attackers + 1, np.int32), np.empty(0, np.int32),
+            np.empty(0),
+        )
+        self._highs = highs
+        self._attackers = attackers
+        self.add_columns(payoff)
+        # z is free with cost −1: HiGHS minimizes.
+        self._z = count
+        highs.addCol(-1.0, -np.inf, np.inf, attackers,
+                     np.arange(attackers, dtype=np.int32), np.ones(attackers))
+
+    def add_columns(self, payoff: np.ndarray) -> None:
+        """Append one column per row of ``payoff``, in one bulk call."""
+        count = payoff.shape[0]
+        entries = np.hstack([-payoff, np.ones((count, 1))])
+        columns, rows = np.nonzero(entries)
+        self._highs.addCols(
+            count, np.zeros(count), np.zeros(count),
+            np.full(count, np.inf), len(rows),
+            np.searchsorted(columns, np.arange(count)).astype(np.int32),
+            rows.astype(np.int32), entries[columns, rows],
+        )
+
+    def add_column(self, payoff_row: np.ndarray) -> None:
+        """Append one defender strategy, given as its row of ``A``."""
+        rows = np.flatnonzero(payoff_row)
+        self._highs.addCol(
+            0.0, 0.0, np.inf, len(rows) + 1,
+            np.append(rows, self._attackers).astype(np.int32),
+            np.append(-payoff_row[rows], 1.0),
+        )
+
+    def solve(self) -> Tuple[float, np.ndarray, np.ndarray]:
+        """``(value, p, q)``: the duel's value, the defender's optimal
+        weights ``p`` and the attacker's optimal mixture ``q``, read off
+        the negated duals of the attacker rows (stationarity of z makes
+        them sum to 1, complementary slackness puts mass only on min-hit
+        strategies)."""
+        highs = self._highs
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise GameError(
+                f"duel LP failed: {highs.modelStatusToString(status)}"
+            )
+        solution = highs.getSolution()
+        return (
+            -highs.getObjectiveValue(),
+            np.delete(solution.col_value, self._z),
+            -np.asarray(solution.row_dual)[:self._attackers],
+        )
+
+
 @tracing.traced("lp.minimax_over_strategies")
 def minimax_over_strategies(
     vertices, strategies, coverage_of, dual_attacker: bool = False
@@ -150,23 +242,16 @@ def minimax_over_strategies(
     return _minimax(vertices, strategies, coverage_of, None, dual_attacker)
 
 
-def _minimax(
-    vertices, strategies, coverage_of, weights, dual_attacker: bool
-) -> LPSolution:
-    """:func:`minimax_over_strategies` over the 0/1 coverage matrix, or
-    with vertex ``weights`` over the negated escape ``w(v)·(cov − 1)``."""
-    vertices = list(vertices)
-    strategies = list(strategies)
-    if not vertices or not strategies:
-        raise GameError("minimax needs non-empty strategy sets on both sides")
-    vertex_index = {v: i for i, v in enumerate(vertices)}
-    n, t_count = len(vertices), len(strategies)
+def _payoff_matrix(vertices, strategies, coverage_of, weights) -> np.ndarray:
+    """The 0/1 coverage matrix ``A[t, v]``, or with vertex ``weights`` the
+    negated escape ``w(v)·(A[t, v] − 1)``.
 
-    # Coverage matrix A[t][v] = 1 iff strategy t protects vertex v.
-    # Strategies may protect vertices outside the attacker's set (e.g. in
-    # the restricted duels of the double-oracle solver); those columns
-    # simply do not exist in this duel.
-    payoff = np.zeros((t_count, n))
+    Strategies may protect vertices outside the attacker's set (e.g. in
+    the restricted duels of the double-oracle solver); those columns
+    simply do not exist in this duel.
+    """
+    vertex_index = {v: i for i, v in enumerate(vertices)}
+    payoff = np.zeros((len(strategies), len(vertices)))
     for row, strategy in enumerate(strategies):
         for v in coverage_of(strategy):
             column = vertex_index.get(v)
@@ -175,22 +260,32 @@ def _minimax(
     if weights is not None:
         w = np.array([weights[v] for v in vertices])
         payoff = w[None, :] * (payoff - 1.0)
+    return payoff
+
+
+def _minimax(
+    vertices, strategies, coverage_of, weights, dual_attacker: bool
+) -> LPSolution:
+    """:func:`minimax_over_strategies` over :func:`_payoff_matrix`."""
+    vertices = list(vertices)
+    strategies = list(strategies)
+    if not vertices or not strategies:
+        raise GameError("minimax needs non-empty strategy sets on both sides")
+    payoff = _payoff_matrix(vertices, strategies, coverage_of, weights)
     return _solve_matrix_duel(payoff, vertices, strategies, dual_attacker)
 
 
-def _solve_matrix_duel(
-    payoff, vertices, strategies, dual_attacker: bool = False
+def _observed_solve(
+    solve: Callable[[], LPSolution], t_count: int, n: int
 ) -> LPSolution:
-    """Solve the LP(s) for a defender-payoff matrix and package the optima."""
-    t_count, n = payoff.shape
+    """Run one game-LP solve under the ``lp.solve`` counter, histograms,
+    span, debug log and event."""
     metrics.counter("lp.solve.count").inc()
     metrics.histogram("lp.matrix.strategies").observe(t_count)
     metrics.histogram("lp.matrix.vertices").observe(n)
     with tracing.span("lp.solve", strategies=t_count, vertices=n), \
             metrics.timer("lp.solve.seconds") as timing:
-        solution = _solve_matrix_duel_inner(
-            payoff, vertices, strategies, dual_attacker
-        )
+        solution = solve()
     _log.debug(
         "lp.solve", strategies=t_count, vertices=n,
         value=solution.value, seconds=timing.elapsed,
@@ -202,62 +297,51 @@ def _solve_matrix_duel(
     return solution
 
 
+def _solve_matrix_duel(
+    payoff, vertices, strategies, dual_attacker: bool = False
+) -> LPSolution:
+    """Solve the LP(s) for a defender-payoff matrix and package the optima."""
+    return _observed_solve(
+        lambda: _solve_matrix_duel_inner(
+            payoff, vertices, strategies, dual_attacker),
+        *payoff.shape,
+    )
+
+
+def _solve_duel(duel: _MatrixDuel, vertices, strategies) -> LPSolution:
+    """Solve ``duel``, built over ``strategies`` × ``vertices`` (the
+    double-oracle loop's, grown column by column), with the attacker
+    read off the duals."""
+    def solve() -> LPSolution:
+        value, weights, attacker = duel.solve()
+        return _lp_solution(value, weights, attacker, vertices, strategies)
+
+    return _observed_solve(solve, len(strategies), len(vertices))
+
+
+def _lp_solution(value, weights, attacker, vertices, strategies) -> LPSolution:
+    """Package a duel optimum, both mixtures pruned and normalized."""
+    return LPSolution(
+        float(value),
+        _prune_and_normalize(weights, strategies),
+        _prune_and_normalize(attacker, vertices),
+    )
+
+
 def _solve_matrix_duel_inner(
     payoff, vertices, strategies, dual_attacker: bool
 ) -> LPSolution:
-    t_count, n = payoff.shape
-
-    # Defender LP: maximize z s.t. (p^T A)_v >= z for all v, sum p = 1.
-    # Variables x = (p_0..p_{T-1}, z); minimize -z.
-    c = np.zeros(t_count + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-payoff.T, np.ones((n, 1))])  # z - (A^T p)_v <= 0
-    b_ub = np.zeros(n)
-    a_eq = np.zeros((1, t_count + 1))
-    a_eq[0, :t_count] = 1.0
-    b_eq = np.array([1.0])
-    bounds = [(0.0, None)] * t_count + [(None, None)]
-    defender_res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs",
-    )
-    if not defender_res.success:
-        raise GameError(f"defender LP failed: {defender_res.message}")
-
-    if dual_attacker:
-        # The multipliers of the vertex rows are the attacker's optimal
-        # mixture: stationarity of the z column forces them to sum to 1,
-        # and complementary slackness puts mass only on min-hit vertices.
-        duals = -np.asarray(defender_res.ineqlin.marginals)
-        attacker = _prune_and_normalize(duals, list(vertices))
-        defender = _prune_and_normalize(defender_res.x[:t_count], strategies)
-        return LPSolution(float(-defender_res.fun), defender, attacker)
-
-    # Attacker LP: minimize z' s.t. (A q)_t <= z' for all t, sum q = 1.
-    c2 = np.zeros(n + 1)
-    c2[-1] = 1.0
-    a_ub2 = np.hstack([payoff, -np.ones((t_count, 1))])
-    b_ub2 = np.zeros(t_count)
-    a_eq2 = np.zeros((1, n + 1))
-    a_eq2[0, :n] = 1.0
-    attacker_res = linprog(
-        c2, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq2, b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * n + [(None, None)], method="highs",
-    )
-    if not attacker_res.success:
-        raise GameError(f"attacker LP failed: {attacker_res.message}")
-
-    value_defender = -defender_res.fun
-    value_attacker = attacker_res.fun
-    if abs(value_defender - value_attacker) > 1e-7:
-        raise GameError(
-            "LP duality gap: defender value "
-            f"{value_defender!r} vs attacker value {value_attacker!r}"
-        )
-
-    defender = _prune_and_normalize(defender_res.x[:t_count], strategies)
-    attacker = _prune_and_normalize(attacker_res.x[:n], vertices)
-    return LPSolution(float(value_defender), defender, attacker)
+    value, weights, attacker = _MatrixDuel(payoff).solve()
+    if not dual_attacker:
+        # The attacker's own LP is the same duel on −Aᵀ: it maximizes
+        # −max_t (A q)_t, so its value is minus the attacker's.
+        attacker_value, attacker, _ = _MatrixDuel(-payoff.T).solve()
+        if abs(value + attacker_value) > 1e-7:
+            raise GameError(
+                "LP duality gap: defender value "
+                f"{value!r} vs attacker value {-attacker_value!r}"
+            )
+    return _lp_solution(value, weights, attacker, vertices, strategies)
 
 
 @tracing.traced("lp.solve_minimax")

@@ -1,5 +1,11 @@
 """Tests for the exact LP minimax baseline (repro.solvers.lp)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.core.characterization import verify_best_responses
@@ -16,7 +22,18 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.matching.covers import minimum_edge_cover_size
-from repro.solvers.lp import lp_defender_gain, lp_equilibrium, solve_minimax
+from repro.core.tuples import tuple_vertices
+from repro.solvers.double_oracle import _double_oracle_loop
+from repro.solvers.lp import (
+    _MatrixDuel,
+    _minimax,
+    _solve_matrix_duel,
+    lp_defender_gain,
+    lp_equilibrium,
+    solve_minimax,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestGameValues:
@@ -106,3 +123,80 @@ class TestLPEquilibrium:
     def test_repr(self):
         solution = solve_minimax(TupleGame(path_graph(4), 1, nu=1))
         assert "value=" in repr(solution)
+
+
+def _grown(payoff):
+    """A duel built over the first strategy, the rest added one
+    ``add_column`` call at a time."""
+    duel = _MatrixDuel(payoff[:1])
+    for row in payoff[1:]:
+        duel.add_column(row)
+    return duel
+
+
+# Each strategy protects one vertex, so every strategy is in the optimal
+# support and each entry decides the value: a dropped or mis-signed entry
+# (or a missing Σp = 1 coefficient) moves it.
+_DUEL_MATRICES = {
+    "one-vertex-each": np.eye(4),
+    "weighted-escape": np.array([3.0, 3.5, 4.0, 4.5]) * (np.eye(4) - 1.0),
+    "random": np.random.default_rng(7).random((9, 6)),
+}
+
+
+class TestIncrementalDuel:
+    @pytest.mark.parametrize("name", sorted(_DUEL_MATRICES))
+    def test_grown_duel_equals_fresh_duel(self, name):
+        payoff = _DUEL_MATRICES[name]
+        fresh_value, _, _ = _MatrixDuel(payoff).solve()
+        value, defender, attacker = _grown(payoff).solve()
+        assert value == pytest.approx(fresh_value, abs=1e-9)
+        # Both optima guarantee the value against the true matrix.
+        assert (defender @ payoff).min() >= value - 1e-9
+        assert (payoff @ attacker).max() <= value + 1e-9
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["plain", "weighted"])
+    def test_every_double_oracle_iteration_matches_a_fresh_duel(
+        self, weighted
+    ):
+        game = TupleGame(petersen_graph(), 2, nu=1)
+        weights = ({v: 1.0 + (v % 4) * 0.5 for v in game.graph.vertices()}
+                   if weighted else None)
+        seen = []
+
+        def audit(solution, attackers, defenders):
+            fresh = _minimax(attackers, defenders, tuple_vertices, weights,
+                             dual_attacker=True)
+            seen.append((solution.value, fresh.value))
+
+        _double_oracle_loop(game, weights, 1e-9, 300, "auto", False,
+                            audit=audit)
+        assert len(seen) >= 2
+        for incremental, fresh in seen:
+            assert incremental == pytest.approx(fresh, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(_DUEL_MATRICES))
+    def test_two_lp_route_equals_dual_read_attacker(self, name):
+        payoff = _DUEL_MATRICES[name]
+        t_count, n = payoff.shape
+        two_lp = _solve_matrix_duel(payoff, list(range(n)),
+                                    list(range(t_count)),
+                                    dual_attacker=False)
+        value, _, attacker = _grown(payoff).solve()
+        assert value == pytest.approx(two_lp.value, abs=1e-9)
+        assert attacker.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (payoff @ attacker).max() <= two_lp.value + 1e-9
+
+
+def test_missing_highs_binding_fails_at_import():
+    probe = ("import sys, scipy.optimize; "
+             "sys.modules['scipy.optimize._highspy._core'] = None; "
+             "import repro.solvers.lp")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            capture_output=True, text=True)
+    assert result.returncode != 0
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:")
+    assert "scipy.optimize._highspy._core._Highs" in last

@@ -221,11 +221,10 @@ class TestSpans:
         assert calls == {
             "double_oracle.solve": 1,
             "kernel.build": 1,
-            "lp.minimax_over_strategies": 5,
-            "lp.solve": 5,
-            "double_oracle.oracle.best_response": 5,
+            "lp.solve": 4,
+            "double_oracle.oracle.best_response": 4,
         }
-        assert obs_metrics.counter("lp.solve.count").value - lp_before == 5
+        assert obs_metrics.counter("lp.solve.count").value - lp_before == 4
 
     def test_render_trace(self):
         tracing.enable_tracing(True)

@@ -7,6 +7,7 @@ deterministic.
 """
 
 import json
+import pathlib
 import socket
 import threading
 import time
@@ -48,6 +49,11 @@ PATH_GAME = {
     "k": 2,
     "nu": 1,
 }
+
+#: A weighted game (vertex weights 1-2): no served endpoint models weights.
+WEIGHTED_GAME = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "cache"
+     / "weighted_game_a.json").read_text(encoding="utf-8"))
 
 #: C5 with k=1: k < rho=3 and no IS/VC partition, so the paper's
 #: machinery (extensions disabled) finds no equilibrium.
@@ -179,6 +185,16 @@ class TestValidationErrors:
         status, body = post(base, "/solve", {"game": bad})
         assert status == 400
         assert body["error"]["code"] == "invalid-game"
+
+    @pytest.mark.parametrize(
+        "endpoint", ["solve", "ranges", "double-oracle", "fictitious-play"])
+    def test_weighted_game_rejected(self, service, endpoint):
+        _svc, base = service
+        status, body = post(base, f"/{endpoint}", {"game": WEIGHTED_GAME})
+        assert status == 400
+        assert body["error"]["code"] == "invalid-game"
+        assert body["error"]["message"] == (
+            f"the /{endpoint} endpoint takes unweighted games only")
 
     def test_unknown_param(self, service):
         _svc, base = service
