@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test perfbench-check bench bench-smoke bench-smoke-baseline bench-watch cache-smoke fuzz-smoke obs-check report-smoke serve-smoke slo-smoke api-docs api-docs-check lint lint-changed lint-sarif lint-baseline mypy ci
+.PHONY: test perfbench-check bench bench-smoke bench-smoke-baseline bench-watch cache-smoke fuzz-smoke obs-check report-smoke serve-smoke slo-smoke api-docs api-docs-check lint mypy ci
 
 ## tier-1 test suite (the gate every PR must keep green)
 test:
@@ -87,25 +87,9 @@ api-docs-check:
 	$(PYTHON) tools/gen_api_docs.py --check
 
 ## two-phase static analysis over src/repro, tools/ and benchmarks/
-## (rules in docs/static_analysis.md); fails on any finding not in the
-## committed lint_baseline.json
+## with every rule (docs/static_analysis.md); fails on any finding
 lint:
-	$(PYTHON) tools/analyze.py --strict --baseline
-
-## fast pre-push loop: whole-project index, findings reported only for
-## files changed vs HEAD (LINT_REF overrides the ref)
-lint-changed:
-	$(PYTHON) tools/analyze.py --strict --baseline --changed $(or $(LINT_REF),HEAD)
-
-## machine-readable findings for code-scanning upload; always writes
-## lint.sarif (per-rule helpUris into docs/static_analysis.md) and
-## keeps the lint exit status
-lint-sarif:
-	$(PYTHON) tools/analyze.py --strict --baseline --format sarif --output lint.sarif
-
-## re-snapshot the current findings into lint_baseline.json
-lint-baseline:
-	$(PYTHON) tools/analyze.py --write-baseline
+	$(PYTHON) -m repro.lint
 
 ## static types: strict on core/matching, permissive elsewhere
 ## (configured in pyproject.toml; skips cleanly when mypy is absent)
@@ -120,4 +104,4 @@ mypy:
 ## report rendering, docs freshness, tier-1 tests, hot-path perf smoke,
 ## perf watchdog, result-cache lifecycle, solve-service lifecycle,
 ## differential fuzz, benchmark self-tests
-ci: lint lint-sarif mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke perfbench-check
+ci: lint mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke perfbench-check

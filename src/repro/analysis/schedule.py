@@ -23,7 +23,7 @@ the equilibrium guarantee needs when the attacker cannot observe phase.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError
@@ -57,7 +57,6 @@ def best_response_schedule(
     k: int,
     weight_profiles: Sequence[Mapping[Vertex, float]],
     method: str = "auto",
-    processes: Optional[int] = None,
 ) -> List[Tuple[EdgeTuple, float]]:
     """Best defender tuples for a sweep of attacker weight profiles.
 
@@ -65,10 +64,8 @@ def best_response_schedule(
     weight profile per period — shift, day, threat level) need the best
     response to every profile; answering them against one shared
     :class:`~repro.kernels.coverage.CoverageOracle` amortizes the graph
-    precompute across the whole sweep, and ``processes > 1`` fans the
-    batch out over a ``multiprocessing`` pool for the long benchmark-zoo
-    schedules.  Returns ``(tuple, coverage_value)`` pairs in profile
-    order; ``method`` follows the
+    precompute across the whole sweep.  Returns ``(tuple,
+    coverage_value)`` pairs in profile order; ``method`` follows the
     :func:`repro.solvers.best_response.best_tuple` contract.
 
     Raises :class:`~repro.core.game.GameError` when the sweep is empty
@@ -77,9 +74,7 @@ def best_response_schedule(
     if not weight_profiles:
         raise GameError("best_response_schedule needs at least one profile")
     oracle = shared_oracle(graph, k)
-    return oracle.query_many(
-        weight_profiles, method=method, processes=processes
-    )
+    return oracle.query_many(weight_profiles, method=method)
 
 
 def compile_roster(

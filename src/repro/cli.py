@@ -10,7 +10,7 @@ Usage examples (after ``pip install -e .``)::
     repro-defender stats network.edges -k 2 --trace
     repro-defender stats network.edges -k 2 --format prometheus -o met.prom
     repro-defender profile network.edges -k 2 --chrome-trace trace.json
-    repro-defender lint --strict --baseline
+    repro-defender lint
     repro-defender fuzz --count 50 --seed 7 --corpus tests/corpus --replay
     repro-defender watch --file BENCH_KERNELS.json --strict
     repro-defender tail --follow --type solver.iteration

@@ -30,8 +30,8 @@ Queries then take only the *changing* attacker weight vector:
   re-sorting);
 * :meth:`CoverageOracle.best` — the dispatching entry point mirroring
   :func:`repro.solvers.best_response.best_tuple`;
-* :meth:`CoverageOracle.query_many` — batched queries with an opt-in
-  ``multiprocessing`` fan-out for benchmark-zoo sweeps.
+* :meth:`CoverageOracle.query_many` — a batch of queries, answered in
+  input order.
 
 Both exact methods return the **lexicographically smallest** optimal tuple,
 so they agree exactly even on ties (the seed branch and bound did not — its
@@ -55,11 +55,9 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.core.tuples import EdgeTuple, tuple_vertices
 from repro.graphs.core import Edge, Graph, GraphError, Vertex, tuple_sort_key
-from repro.obs import get_logger, metrics, tracing
+from repro.obs import metrics, tracing
 
 __all__ = ["CoverageOracle", "shared_oracle", "clear_shared_oracles"]
-
-_log = get_logger("repro.kernels.coverage")
 
 _EPS = 1e-15
 """Value-comparison tolerance, identical to the seed best-response code."""
@@ -247,11 +245,16 @@ class CoverageOracle:
             slots, exact_value = self._lex_argmax(w, static, order, value)
             return self._slots_to_tuple(slots), exact_value
 
-    def _greedy_value(self, w: List[float]) -> float:
-        """Value of the greedy cover — a fast incumbent for phase 1."""
+    def _greedy_cover(self, w: List[float]) -> Tuple[List[int], float]:
+        """The greedy cover's slots (in pick order) and value.
+
+        The one greedy loop: :meth:`greedy` answers with it and phase 1
+        of branch and bound takes its value as the initial incumbent.
+        """
         eu, ev, m, k = self._eu, self._ev, self.m, self.k
         covered = bytearray(self.n)
         used = bytearray(m)
+        slots: List[int] = []
         value = 0.0
         for _ in range(k):
             best_slot = -1
@@ -272,8 +275,9 @@ class CoverageOracle:
             used[best_slot] = 1
             covered[eu[best_slot]] = 1
             covered[ev[best_slot]] = 1
+            slots.append(best_slot)
             value += best_gain
-        return value
+        return slots, value
 
     def _bnb_value(
         self, w: List[float], static: List[float], order: List[int]
@@ -285,7 +289,7 @@ class CoverageOracle:
         prefix = [0.0]
         for i in order:
             prefix.append(prefix[-1] + static[i])
-        best = self._greedy_value(w)
+        best = self._greedy_cover(w)[1]
         covered = bytearray(self.n)
 
         def descend(index: int, depth: int, value: float) -> None:
@@ -480,33 +484,7 @@ class CoverageOracle:
         """
         with metrics.timer("perf.kernel.query.seconds"):
             metrics.counter("perf.kernel.query.greedy.count").inc()
-            w = self._weight_array(weights)
-            eu, ev, m, k = self._eu, self._ev, self.m, self.k
-            covered = bytearray(self.n)
-            used = bytearray(m)
-            slots: List[int] = []
-            value = 0.0
-            for _ in range(k):
-                best_slot = -1
-                best_gain = float("-inf")
-                for i in range(m):
-                    if used[i]:
-                        continue
-                    u = eu[i]
-                    v = ev[i]
-                    gain = 0.0
-                    if not covered[u]:
-                        gain += w[u]
-                    if not covered[v]:
-                        gain += w[v]
-                    if gain > best_gain + _EPS:
-                        best_gain = gain
-                        best_slot = i
-                used[best_slot] = 1
-                covered[eu[best_slot]] = 1
-                covered[ev[best_slot]] = 1
-                slots.append(best_slot)
-                value += best_gain
+            slots, value = self._greedy_cover(self._weight_array(weights))
             slots.sort()
             return self._slots_to_tuple(slots), value
 
@@ -545,40 +523,15 @@ class CoverageOracle:
         self,
         weight_vectors: Iterable[Mapping[Vertex, float]],
         method: str = "auto",
-        processes: Optional[int] = None,
     ) -> List[Tuple[EdgeTuple, float]]:
-        """Answer a batch of weight vectors, optionally in parallel.
-
-        With ``processes`` unset (or ``<= 1``) the batch runs serially in
-        this process.  With ``processes > 1`` the work fans out over a
-        ``multiprocessing`` pool — each worker rebuilds the oracle once
-        from the pickled graph structure, so the fan-out pays off for the
-        long sweeps of the benchmark zoo and
-        :func:`repro.analysis.schedule.best_response_schedule`, not for
-        single queries.  Results are returned in input order either way,
-        and any pool failure (platforms without fork/spawn support)
-        degrades to the serial path with a logged warning.
-        """
+        """Answer a batch of weight vectors in this process, in input
+        order (the sweep face of
+        :func:`repro.analysis.schedule.best_response_schedule`)."""
         vectors = [dict(wv) for wv in weight_vectors]
         metrics.counter("perf.kernel.batch.count").inc()
         metrics.counter("perf.kernel.batch.queries.count").inc(len(vectors))
         with tracing.span("kernel.query_many", queries=len(vectors),
-                          method=method, processes=processes or 1):
-            if processes is not None and processes > 1 and len(vectors) > 1:
-                from repro.kernels import batch as _batch
-
-                try:
-                    results = _batch.query_many_parallel(
-                        self, vectors, method, processes
-                    )
-                    metrics.counter("perf.kernel.batch.parallel.count").inc()
-                    return results
-                except Exception as exc:  # pragma: no cover - platform dependent
-                    _log.warning(
-                        "kernel.batch.parallel_failed",
-                        error=repr(exc), fallback="serial",
-                    )
-                    metrics.counter("perf.kernel.batch.fallback.count").inc()
+                          method=method):
             return [self.best(wv, method=method) for wv in vectors]
 
     # ------------------------------------------------------------------

@@ -2,69 +2,56 @@
 
 A zero-dependency analyzer enforcing the invariants the type system
 cannot see (see ``docs/static_analysis.md``).  Phase 1 builds a project
-index — symbol tables, the import-resolved call graph, lock-context
-summaries (:mod:`repro.lint.callgraph`, :mod:`repro.lint.semantics`);
-phase 2 runs the syntactic rules
+index — parsed files, symbol tables, the import-resolved call graph,
+lock-context summaries (:mod:`repro.lint.callgraph`,
+:mod:`repro.lint.semantics`); phase 2 runs the per-node rules
 
 * **RNG001** — no unseeded or global-state randomness;
 * **FLT001** — no bare float ``==``/``!=`` (probabilities, payoffs);
+* **OBS001** — public solver/engine entry points carry a span/timer;
+* **ASR001** — no ``assert`` in the package;
+* **EXC001** — instrumentation cleanup an exception can skip;
+
+and the whole-project rules against the index
+
 * **THM001** — docstring theorem tags resolve against ``docs/theory.md``;
 * **LAY001** — imports follow the package layering DAG, no cycles;
-* **OBS001** — public solver/engine entry points carry a span/timer;
 * **API001** — every ``__all__`` export appears in ``docs/api.md``;
-
-and the semantic rules against the index
-
 * **LCK001** — lock-associated shared state accessed without its lock;
 * **LCK002** — self-deadlock: a held non-reentrant lock re-acquired;
 * **DET001** — entry points reaching unseeded RNG / wall-clock reads;
-* **EXC001** — instrumentation cleanup an exception can skip;
 * **SCH001** — schema-version literals drifting between files and docs.
 
 Suppress a finding with ``# repro: noqa[RULE]`` on the flagged
-statement; associate state with its guard via ``# repro: lock(<name>)``;
-accept existing debt via the committed ``lint_baseline.json``.  Exposed
-as ``repro-defender lint``, ``tools/analyze.py`` and ``make lint``
-(``--changed[=REF]`` limits the *reported* files to the git diff while
-still indexing the whole project); the run also feeds ``lint.*``
-counters into :mod:`repro.obs.metrics` so lint health shows up alongside
-solver telemetry.
+statement; associate state with its guard via ``# repro: lock(<name>)``.
+Any finding fails the run.  Exposed as ``python -m repro.lint``,
+``repro-defender lint`` and ``make lint``; both commands take only the
+paths to scan and ``--root``.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 from pathlib import Path
-from typing import Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     DEFAULT_LAYERS,
     FileContext,
     LintConfig,
     LintEngine,
     LintReport,
-    ProjectRule,
     Rule,
     SemanticRule,
     register,
     registered_rules,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.output import render_json, render_sarif, render_text
 
 __all__ = [
     "Finding",
     "Severity",
     "Rule",
-    "ProjectRule",
     "SemanticRule",
     "register",
     "registered_rules",
@@ -73,111 +60,45 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "DEFAULT_LAYERS",
-    "DEFAULT_BASELINE_NAME",
-    "run_lint",
     "render_text",
-    "render_json",
-    "render_sarif",
-    "render_baseline",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
-    "changed_files",
     "add_lint_arguments",
     "run_from_args",
 ]
 
 
-def run_lint(config: LintConfig,
-             baseline: Optional[Path] = None) -> LintReport:
-    """Run the analyzer and feed the result into the metrics registry."""
-    from repro.obs import metrics
-
-    engine = LintEngine(config)
-    with metrics.timer("lint.run.seconds"):
-        report = engine.run()
-    if baseline is not None:
-        report = apply_baseline(report, baseline)
-    metrics.counter("lint.runs.count").inc()
-    metrics.counter("lint.files.count").inc(report.files_scanned)
-    metrics.counter("lint.findings.count").inc(len(report.findings))
-    for finding in report.findings:
-        metrics.counter(f"lint.findings.{finding.rule}.count").inc()
-    metrics.gauge("lint.findings.open").set(len(report.findings))
-    metrics.gauge("lint.baseline.suppressed").set(report.baseline_applied)
-    return report
+def render_text(report: LintReport) -> str:
+    """Human-readable findings plus a one-line summary."""
+    lines: List[str] = [f.render() for f in report.findings]
+    for err in report.parse_errors:
+        lines.append(f"parse error: {err}")
+    counts: Dict[str, int] = {}
+    for f in report.findings:
+        counts[f.rule] = counts.get(f.rule, 0) + 1
+    elapsed = f" in {report.elapsed_s:.2f}s" if report.elapsed_s else ""
+    if report.findings:
+        by_rule = ", ".join(f"{rule}={n}" for rule, n in sorted(counts.items()))
+        lines.append("")
+        lines.append(
+            f"{len(report.findings)} finding(s) in {report.files_scanned} "
+            f"file(s) [{by_rule}]{elapsed}"
+        )
+    else:
+        lines.append(
+            f"clean: 0 findings in {report.files_scanned} file(s){elapsed}")
+    return "\n".join(lines)
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``lint`` options (CLI subcommand + analyze.py)."""
+    """Attach the ``lint`` options (CLI subcommand + ``python -m``)."""
     parser.add_argument(
         "paths", nargs="*",
-        help="files/directories to analyze (default: src/repro and tools)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        dest="fmt", help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help=f"subtract the committed {DEFAULT_BASELINE_NAME}",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="re-snapshot current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on any finding (default: errors only)",
-    )
-    parser.add_argument(
-        "--select", metavar="RULES",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--output", metavar="FILE", default=None,
-        help="write the rendered report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="only report findings in files changed vs the given git ref "
-             "(default HEAD); the project index still covers everything",
+        help="files/directories to analyze "
+             "(default: src/repro, tools and benchmarks)",
     )
     parser.add_argument(
         "--root", default=None,
         help="repository root (default: auto-detected from this package)",
     )
-
-
-def changed_files(root: Path, ref: str = "HEAD") -> Set[str]:
-    """Posix-relative paths changed vs ``ref`` (``git diff --name-only``).
-
-    Untracked files are included so a brand-new module still gets linted
-    under ``--changed``.  Raises ``RuntimeError`` when git is unusable
-    (not a repository, unknown ref) so the caller can fail loudly rather
-    than silently lint nothing.
-    """
-    paths: Set[str] = set()
-    for extra in ([], ["--cached"]):
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", *extra, ref, "--"],
-            cwd=root, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"git diff --name-only {ref} failed: "
-                f"{proc.stderr.strip() or 'unknown error'}"
-            )
-        paths.update(line.strip() for line in proc.stdout.splitlines()
-                     if line.strip())
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard"],
-        cwd=root, capture_output=True, text=True,
-    )
-    if untracked.returncode == 0:
-        paths.update(line.strip() for line in untracked.stdout.splitlines()
-                     if line.strip())
-    return paths
 
 
 def _detect_root(explicit: Optional[str]) -> Path:
@@ -190,45 +111,14 @@ def _detect_root(explicit: Optional[str]) -> Path:
     return Path.cwd()
 
 
-def run_from_args(args: argparse.Namespace,
-                  emit=print) -> int:
-    """Drive a lint run from parsed arguments; returns an exit code."""
-    root = _detect_root(getattr(args, "root", None))
-    select = None
-    if getattr(args, "select", None):
-        select = {r.strip().upper() for r in args.select.split(",") if r.strip()}
+def run_from_args(args: argparse.Namespace, emit=print) -> int:
+    """Run the analyzer from parsed arguments; returns the exit code
+    (0 clean, 1 any finding, 2 unparseable source)."""
+    root = _detect_root(args.root)
     config = LintConfig.for_repo(root, [Path(p) for p in args.paths])
-    config.select = select
-    ref = getattr(args, "changed", None)
-    if ref:
-        try:
-            config.changed_only = changed_files(root, ref)
-        except RuntimeError as exc:
-            emit(f"error: {exc}")
-            return 2
-    baseline_path = root / DEFAULT_BASELINE_NAME
-    if getattr(args, "write_baseline", False):
-        report = run_lint(config)
-        n = write_baseline(baseline_path, report.findings)
-        emit(f"wrote {baseline_path.name} with {n} entr(y/ies)")
-        return 0
-    report = run_lint(config, baseline_path if args.baseline else None)
-    if args.fmt == "json":
-        rendered = render_json(report)
-    elif args.fmt == "sarif":
-        engine = LintEngine(config)
-        rendered = render_sarif(report, engine.rules)
-    else:
-        rendered = render_text(report)
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(rendered + "\n", encoding="utf-8")
-        emit(f"wrote {output} ({len(report.findings)} finding(s))")
-    else:
-        emit(rendered)
-    if report.parse_errors:
-        return 2
-    return report.exit_code(strict=getattr(args, "strict", False))
+    report = LintEngine(config).run()
+    emit(render_text(report))
+    return report.exit_code()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

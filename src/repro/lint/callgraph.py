@@ -105,7 +105,7 @@ class ModuleSymbols:
     imports: Dict[str, str] = field(default_factory=dict)
     #: module-level ``NAME = ClassName(...)`` -> class name (local or dotted)
     instances: Dict[str, str] = field(default_factory=dict)
-    #: names exported via a literal ``__all__``
+    #: names exported via a literal ``__all__`` (FileContext.exports)
     exports: Tuple[str, ...] = ()
 
 
@@ -164,19 +164,6 @@ class CallGraph:
 # --------------------------------------------------------------------------
 # symbol collection
 # --------------------------------------------------------------------------
-
-
-def _literal_exports(tree: ast.Module) -> Tuple[str, ...]:
-    for stmt in tree.body:
-        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == "__all__"
-                and isinstance(stmt.value, (ast.List, ast.Tuple))):
-            return tuple(
-                e.value for e in stmt.value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            )
-    return ()
 
 
 class _SymbolVisitor(ast.NodeVisitor):
@@ -275,10 +262,10 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def build_symbols(module: str, relpath: str, tree: ast.Module) -> ModuleSymbols:
-    """Collect one module's symbol table."""
-    symbols = ModuleSymbols(module=module, relpath=relpath,
-                            exports=_literal_exports(tree))
+def build_symbols(module: str, relpath: str, tree: ast.Module,
+                  exports: Tuple[str, ...]) -> ModuleSymbols:
+    """Collect one module's symbol table (``exports``: its ``__all__``)."""
+    symbols = ModuleSymbols(module=module, relpath=relpath, exports=exports)
     _SymbolVisitor(symbols).visit(tree)
     return symbols
 
@@ -553,7 +540,8 @@ class ProjectIndex:
             ctx_by_path[ctx.relpath] = ctx
             module = ctx.module or f"<file:{ctx.relpath}>"
             by_module[module] = ctx
-            symbols[module] = build_symbols(module, ctx.relpath, ctx.tree)
+            symbols[module] = build_symbols(module, ctx.relpath, ctx.tree,
+                                            ctx.exports)
             trees[module] = ctx.tree
 
         locks = {

@@ -1,20 +1,17 @@
 """Two-phase analysis engine for the :mod:`repro.lint` analyzer.
 
-**Phase 1** parses every file once and builds the project index — symbol
-tables, the import-resolved call graph and per-module lock summaries
-(:mod:`repro.lint.callgraph` / :mod:`repro.lint.semantics`).  **Phase 2**
-walks each file's AST exactly once, dispatching every node to the rules
-that registered interest in its type, then runs the cross-file rules
-against the collected facts and the index.  Three rule kinds exist:
+**Phase 1** parses every file once and builds the project index — the
+parsed file contexts, symbol tables, the import-resolved call graph and
+per-module lock summaries (:mod:`repro.lint.callgraph` /
+:mod:`repro.lint.semantics`).  **Phase 2** walks each file's AST exactly
+once, dispatching every node to the rules that registered interest in
+its type, then runs the whole-project rules against the index.  Two rule
+kinds exist:
 
 * :class:`Rule` — per-node visitors (``node_types`` + ``visit``);
-* :class:`ProjectRule` — collect per-file facts during the walk
-  (``collect``) and emit findings once the whole tree has been seen
-  (``finalize``) — this is how import layering or documentation
-  cross-checks see the entire project;
 * :class:`SemanticRule` — judge the phase-1 :class:`ProjectIndex`
-  directly (``analyze``) — lock discipline, determinism reachability,
-  schema consistency.
+  directly (``analyze``) — import layering, documentation cross-checks,
+  lock discipline, determinism reachability, schema consistency.
 
 Suppression: append ``# repro: noqa[RULE1,RULE2]`` (or a bare
 ``# repro: noqa``) to the flagged statement.  A suppression anywhere on
@@ -31,9 +28,9 @@ import time
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
-from repro.lint.findings import Finding, Severity, assign_occurrences
+from repro.lint.findings import Finding, Severity
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?")
 
@@ -47,7 +44,7 @@ class LintConfig:
     """Everything the engine and the rules need to know about the project.
 
     The defaults describe this repository; tests override individual
-    fields to point the project rules at fixture documents.
+    fields to point the rules at fixture documents.
     """
 
     root: Path
@@ -76,12 +73,8 @@ class LintConfig:
     #: documents scanned for schema-version literals alongside the code
     #: (files, or directories meaning every ``*.md`` inside; see SCH001).
     schema_docs: Tuple[Path, ...] = ()
-    #: report findings only for these relpaths (None = everything); the
-    #: index is still built project-wide.  See ``lint --changed``.
-    changed_only: Optional[Set[str]] = None
     #: restrict the run to these rule ids (None = all registered rules).
     select: Optional[Set[str]] = None
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
 
     @classmethod
     def for_repo(cls, root: Path, paths: Sequence[Path] = ()) -> "LintConfig":
@@ -202,12 +195,16 @@ class FileContext:
 
     @property
     def exports(self) -> Tuple[str, ...]:
-        """Names in a literal top-level ``__all__`` (empty if absent)."""
+        """Names in the last literal top-level ``__all__`` (empty if absent).
+
+        The one ``__all__`` reader every rule and the project index use;
+        the last assignment wins, as it does at runtime.
+        """
         return self._parse_exports()[0]
 
     @property
     def exports_line(self) -> int:
-        """Line of the ``__all__`` assignment (1 if absent)."""
+        """Line of that ``__all__`` assignment (1 if absent)."""
         return self._parse_exports()[1]
 
     def _parse_exports(self) -> Tuple[Tuple[str, ...], int]:
@@ -308,9 +305,8 @@ class FileContext:
         else:
             line = getattr(node_or_line, "lineno", 1)
             column = getattr(node_or_line, "col_offset", 0) if col is None else col
-        source = self.lines[line - 1] if 1 <= line <= len(self.lines) else ""
         return Finding(rule.id, rule.severity, self.relpath, line,
-                       column, message, source)
+                       column, message)
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +320,7 @@ class Rule:
     name: str = ""
     description: str = ""
     severity: Severity = Severity.ERROR
-    #: AST node classes this rule wants to see (empty for project rules).
+    #: AST node classes this rule wants to see (empty for semantic rules).
     node_types: Tuple[Type[ast.AST], ...] = ()
 
     def start_file(self, ctx: FileContext) -> None:
@@ -339,38 +335,23 @@ class Rule:
         return iter(())
 
 
-class ProjectRule(Rule):
-    """A rule that needs the whole project before it can judge."""
-
-    def collect(self, ctx: FileContext) -> None:
-        """Record facts about one file (called after its walk)."""
-
-    def finalize(self, config: LintConfig) -> Iterator[Finding]:
-        """Yield findings after every file has been collected."""
-        return iter(())
-
-
 class SemanticRule(Rule):
     """A rule that judges the phase-1 project index directly.
 
     ``analyze`` receives the :class:`repro.lint.callgraph.ProjectIndex`
-    built from every scanned file — symbol tables, call graph, lock
-    summaries — and yields findings.  Semantic rules see no per-node
-    dispatch; ``node_types`` stays empty.
+    built from every scanned file — parsed contexts, symbol tables, call
+    graph, lock summaries — and yields findings.  Semantic rules see no
+    per-node dispatch; ``node_types`` stays empty.
     """
-
-    #: rules documentation anchor, filled per rule for SARIF ``helpUri``.
-    help_anchor: str = ""
 
     def analyze(self, index, config: LintConfig) -> Iterator[Finding]:
         """Yield findings from the project index."""
         return iter(())
 
     def finding(self, relpath: str, line: int, message: str,
-                source: str = "", col: int = 0) -> Finding:
+                col: int = 0) -> Finding:
         """Build a finding without a FileContext (index-derived)."""
-        return Finding(self.id, self.severity, relpath, line, col,
-                       message, source)
+        return Finding(self.id, self.severity, relpath, line, col, message)
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -404,39 +385,27 @@ class LintReport:
 
     findings: List[Finding]
     files_scanned: int
-    baseline_applied: int = 0
-    baseline_stale: int = 0
     parse_errors: List[str] = field(default_factory=list)
     #: wall-clock seconds for the full run (parse + index + rules).
     elapsed_s: float = 0.0
 
-    @property
-    def error_count(self) -> int:
-        return sum(1 for f in self.findings if f.severity >= Severity.ERROR)
-
-    def exit_code(self, strict: bool = False) -> int:
-        """0 when clean; 1 on errors (or on anything under ``--strict``)."""
-        if strict:
-            return 1 if self.findings else 0
-        return 1 if self.error_count else 0
+    def exit_code(self) -> int:
+        """0 when clean, 1 on any finding, 2 on unparseable source."""
+        if self.parse_errors:
+            return 2
+        return 1 if self.findings else 0
 
 
 class LintEngine:
-    """Instantiates the rules and runs the single-pass walk."""
+    """Instantiates the rules and runs both phases."""
 
-    def __init__(self, config: LintConfig,
-                 rule_classes: Optional[Iterable[Type[Rule]]] = None) -> None:
+    def __init__(self, config: LintConfig) -> None:
         self.config = config
-        classes = list(rule_classes) if rule_classes is not None \
-            else list(registered_rules().values())
+        classes = list(registered_rules().values())
         if config.select is not None:
             wanted = {r.upper() for r in config.select}
             classes = [c for c in classes if c.id in wanted]
         self.rules: List[Rule] = [cls() for cls in classes]
-        for rule in self.rules:
-            override = config.severity_overrides.get(rule.id)
-            if override is not None:
-                rule.severity = override
         self._dispatch: Dict[Type[ast.AST], List[Rule]] = {}
         for rule in self.rules:
             for node_type in rule.node_types:
@@ -504,14 +473,7 @@ class LintEngine:
 
     # -- phase 2: the rule pass -------------------------------------------
 
-    def lint_file(self, path: Path) -> Tuple[List[Finding], Optional[str]]:
-        """Lint one file (per-node rules only; no project index)."""
-        ctx, error = self.parse_file(path)
-        if ctx is None:
-            return [], error
-        return self._lint_context(ctx), None
-
-    def _lint_context(self, ctx: FileContext) -> List[Finding]:
+    def _walk(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         for rule in self.rules:
             rule.start_file(ctx)
@@ -520,56 +482,25 @@ class LintEngine:
                 findings.extend(rule.visit(node, ctx))
         for rule in self.rules:
             findings.extend(rule.end_file(ctx))
-            if isinstance(rule, ProjectRule):
-                rule.collect(ctx)
-        return [f for f in findings if not ctx.suppressed(f.line, f.rule)]
+        return findings
 
     def run(self) -> LintReport:
         started = time.perf_counter()
         contexts, errors = self.parse_all()
-        semantic = [r for r in self.rules if isinstance(r, SemanticRule)]
-        index = self.build_index(contexts) if semantic else None
-
+        index = self.build_index(contexts)
         findings: List[Finding] = []
         for ctx in contexts:
-            findings.extend(self._lint_context(ctx))
-        late: List[Finding] = []
+            findings.extend(self._walk(ctx))
         for rule in self.rules:
-            if isinstance(rule, ProjectRule):
-                late.extend(rule.finalize(self.config))
-        for rule in semantic:
-            late.extend(rule.analyze(index, self.config))
-        # Project/semantic findings still honour per-line suppressions.
-        by_path = {ctx.relpath: ctx for ctx in contexts}
-        findings.extend(self._apply_suppressions(late, by_path))
-        if self.config.changed_only is not None:
-            changed = self.config.changed_only
-            findings = [f for f in findings if f.path in changed]
-        return LintReport(assign_occurrences(findings), len(contexts),
-                          parse_errors=errors,
+            if isinstance(rule, SemanticRule):
+                findings.extend(rule.analyze(index, self.config))
+        # Findings in scanned files honour their per-line suppressions;
+        # findings in documents (SCH001) have none to honour.
+        kept = [
+            f for f in findings
+            if f.path not in index.contexts
+            or not index.contexts[f.path].suppressed(f.line, f.rule)
+        ]
+        kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        return LintReport(kept, len(contexts), parse_errors=errors,
                           elapsed_s=time.perf_counter() - started)
-
-    def _apply_suppressions(
-        self, findings: List[Finding],
-        contexts: Optional[Mapping[str, FileContext]] = None,
-    ) -> List[Finding]:
-        by_path: Dict[str, List[Finding]] = {}
-        for f in findings:
-            by_path.setdefault(f.path, []).append(f)
-        kept: List[Finding] = []
-        for rel, group in by_path.items():
-            ctx = (contexts or {}).get(rel)
-            if ctx is None:
-                path = self.config.root / rel
-                if not path.is_file() or path.suffix != ".py":
-                    kept.extend(group)
-                    continue
-                source = path.read_text(encoding="utf-8")
-                try:
-                    tree = ast.parse(source)
-                except SyntaxError:
-                    kept.extend(group)
-                    continue
-                ctx = FileContext(path, rel, "", source, tree)
-            kept.extend(f for f in group if not ctx.suppressed(f.line, f.rule))
-        return kept

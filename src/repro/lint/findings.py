@@ -1,43 +1,20 @@
 """Finding and severity types for the :mod:`repro.lint` analyzer.
 
-A :class:`Finding` is one violation at one source location.  Findings
-carry a stable *fingerprint* — a content hash of the rule id, the file
-path and the text of the offending line — so a committed baseline
-(``lint_baseline.json``) keeps matching findings even when unrelated
-edits shift line numbers.
+A :class:`Finding` is one violation at one source location.  Every
+finding fails the run; the severity only says how sure the rule is.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from dataclasses import dataclass
 
 
 class Severity(enum.IntEnum):
-    """Rule severity, ordered so ``max()`` picks the worst."""
+    """Rule severity, shown in the report next to each finding."""
 
-    NOTE = 10
     WARNING = 20
     ERROR = 30
-
-    @property
-    def sarif_level(self) -> str:
-        """The SARIF 2.1.0 ``level`` string for this severity."""
-        return {
-            Severity.NOTE: "note",
-            Severity.WARNING: "warning",
-            Severity.ERROR: "error",
-        }[self]
-
-    @classmethod
-    def parse(cls, name: str) -> "Severity":
-        """Parse ``"error"``/``"warning"``/``"note"`` (case-insensitive)."""
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown severity {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -50,57 +27,8 @@ class Finding:
     line: int
     col: int
     message: str
-    source: str = ""
-    occurrence: int = field(default=0, compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Hashes the rule, the path and the *text* of the flagged line (plus
-        an occurrence index to keep duplicates on identical lines apart),
-        deliberately excluding the line number so pure line drift does not
-        invalidate a baseline entry.
-        """
-        payload = "\x1f".join(
-            (self.rule, self.path, self.source.strip(), str(self.occurrence))
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
     def render(self) -> str:
         """One ``path:line:col: SEV RULE message`` text line."""
         sev = self.severity.name.lower()
         return f"{self.path}:{self.line}:{self.col}: {sev} {self.rule} {self.message}"
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (used by ``--format json``)."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity.name.lower(),
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fingerprint": self.fingerprint,
-        }
-
-
-def assign_occurrences(findings: Iterable[Finding]) -> List[Finding]:
-    """Number findings that share a fingerprint payload.
-
-    Two findings of the same rule on identically-spelled lines of one file
-    would otherwise collide; the occurrence index (assigned in line order)
-    keeps their fingerprints distinct and stable.
-    """
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
-    seen: Dict[str, int] = {}
-    out: List[Finding] = []
-    for f in ordered:
-        key = "\x1f".join((f.rule, f.path, f.source.strip()))
-        n = seen.get(key, 0)
-        seen[key] = n + 1
-        if n != f.occurrence:
-            f = Finding(f.rule, f.severity, f.path, f.line, f.col,
-                        f.message, f.source, n)
-        out.append(f)
-    return out

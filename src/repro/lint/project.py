@@ -1,7 +1,7 @@
 """Cross-file rules: THM001 (theorem tags), LAY001 (layering), API001 (docs).
 
-Each rule collects per-file facts during the engine's single pass and
-emits findings in ``finalize`` once the whole tree has been seen.
+Each is a :class:`~repro.lint.engine.SemanticRule` that reads the parsed
+file contexts the project index carries (``index.contexts``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.lint.engine import FileContext, LintConfig, ProjectRule, register
+from repro.lint.engine import FileContext, LintConfig, SemanticRule, register
 from repro.lint.findings import Finding, Severity
 
 # --------------------------------------------------------------------------
@@ -49,23 +49,14 @@ def _expand(prefix: str, start: str, stop: Optional[str]) -> List[str]:
 
 
 def parse_theory_index(text: str) -> Set[str]:
-    """Canonical tags (``T3.1``, ``CL4.2``, ...) cited by ``theory.md``."""
+    """Canonical tags (``T3.1``, ``CL4.2``, ...) cited anywhere in ``text``
+    (``theory.md`` or one docstring)."""
     tags: Set[str] = set()
     for kind, start, stop in _LONG_REF.findall(text):
         tags.update(_expand(_KIND_PREFIX[kind], start, stop))
     for prefix, number in _SHORT_REF.findall(text):
         tags.add(prefix + number)
     return tags
-
-
-def _docstring_refs(text: str) -> Set[str]:
-    """Canonical tags referenced anywhere in one docstring."""
-    refs: Set[str] = set()
-    for kind, start, stop in _LONG_REF.findall(text):
-        refs.update(_expand(_KIND_PREFIX[kind], start, stop))
-    for prefix, number in _SHORT_REF.findall(text):
-        refs.add(prefix + number)
-    return refs
 
 
 def _iter_docstrings(tree: ast.Module) -> Iterator[Tuple[int, str, str]]:
@@ -83,7 +74,7 @@ def _iter_docstrings(tree: ast.Module) -> Iterator[Tuple[int, str, str]]:
 
 
 @register
-class TheoremTags(ProjectRule):
+class TheoremTags(SemanticRule):
     """THM001: every theorem citation resolves; theory modules cite one.
 
     The theory guide (``docs/theory.md``) is the single source of truth
@@ -102,42 +93,28 @@ class TheoremTags(ProjectRule):
                    "docs/theory.md; theory modules must cite a result")
     severity = Severity.ERROR
 
-    def __init__(self) -> None:
-        #: relpath -> list of (lineno, owner, tag) references
-        self._refs: Dict[str, List[Tuple[int, str, str]]] = {}
-        #: relpath -> (module, has_module_docstring_with_tag, module_lineno)
-        self._modules: Dict[str, Tuple[str, bool]] = {}
-
-    def collect(self, ctx: FileContext) -> None:
-        refs: List[Tuple[int, str, str]] = []
-        module_cites = False
-        for lineno, owner, text in _iter_docstrings(ctx.tree):
-            tags = _docstring_refs(text)
-            for tag in sorted(tags):
-                refs.append((lineno, owner, tag))
-            if owner == "module" and tags:
-                module_cites = True
-        if refs:
-            self._refs[ctx.relpath] = refs
-        self._modules[ctx.relpath] = (ctx.module, module_cites)
-
-    def finalize(self, config: LintConfig) -> Iterator[Finding]:
-        index: Optional[Set[str]] = None
+    def analyze(self, index, config: LintConfig) -> Iterator[Finding]:
+        tags: Optional[Set[str]] = None
         if config.theory_doc and Path(config.theory_doc).is_file():
-            index = parse_theory_index(
+            tags = parse_theory_index(
                 Path(config.theory_doc).read_text(encoding="utf-8"))
-        if index is not None:
-            for relpath, refs in sorted(self._refs.items()):
-                for lineno, owner, tag in refs:
-                    if tag not in index:
-                        yield Finding(
-                            self.id, self.severity, relpath, lineno, 0,
-                            f"docstring of `{owner}` cites {tag}, which "
-                            f"does not resolve against "
-                            f"{_relname(config, config.theory_doc)}",
-                        )
-        for relpath, (module, cites) in sorted(self._modules.items()):
-            if cites or not module or module.endswith("__init__"):
+        for relpath, ctx in sorted(index.contexts.items()):
+            module_cites = False
+            for lineno, owner, text in _iter_docstrings(ctx.tree):
+                refs = parse_theory_index(text)
+                if owner == "module" and refs:
+                    module_cites = True
+                if tags is None:
+                    continue
+                for tag in sorted(refs - tags):
+                    yield Finding(
+                        self.id, self.severity, relpath, lineno, 0,
+                        f"docstring of `{owner}` cites {tag}, which "
+                        f"does not resolve against "
+                        f"{_relname(config, config.theory_doc)}",
+                    )
+            module = ctx.module
+            if module_cites or not module or module.endswith("__init__"):
                 continue
             pkg = module.rsplit(".", 1)[0] if "." in module else module
             if pkg in config.theory_packages and "." in module:
@@ -163,7 +140,7 @@ def _relname(config: LintConfig, path: Optional[Path]) -> str:
 
 
 @register
-class ImportLayering(ProjectRule):
+class ImportLayering(SemanticRule):
     """LAY001: module-level imports respect the package layering DAG.
 
     The enforced order (bottom to top) is ``obs`` (0, importable from
@@ -183,14 +160,9 @@ class ImportLayering(ProjectRule):
                    "and contain no cycles")
     severity = Severity.ERROR
 
-    def __init__(self) -> None:
-        #: importer module -> [(lineno, imported dotted module)]
-        self._imports: Dict[str, List[Tuple[int, str]]] = {}
-        self._paths: Dict[str, str] = {}
-
-    def collect(self, ctx: FileContext) -> None:
-        if not ctx.module:
-            return
+    @staticmethod
+    def _imports(ctx: FileContext) -> List[Tuple[int, str]]:
+        """``(lineno, imported dotted module)`` for module-level imports."""
         edges: List[Tuple[int, str]] = []
         for stmt in ast.walk(ctx.tree):
             # Only *top-level* imports define the layering graph; imports
@@ -206,8 +178,7 @@ class ImportLayering(ProjectRule):
             elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0 \
                     and stmt.module:
                 edges.append((stmt.lineno, stmt.module))
-        self._imports[ctx.module] = edges
-        self._paths[ctx.module] = ctx.relpath
+        return edges
 
     @staticmethod
     def _layer_of(module: str, layers: Mapping[str, int]) -> Optional[int]:
@@ -219,7 +190,13 @@ class ImportLayering(ProjectRule):
                 return layers[key]
         return None
 
-    def finalize(self, config: LintConfig) -> Iterator[Finding]:
+    def analyze(self, index, config: LintConfig) -> Iterator[Finding]:
+        imports: Dict[str, List[Tuple[int, str]]] = {}
+        paths: Dict[str, str] = {}
+        for ctx in index.contexts.values():
+            if ctx.module:
+                imports[ctx.module] = self._imports(ctx)
+                paths[ctx.module] = ctx.relpath
         layers = config.layers
         root_pkg = None
         if layers:
@@ -227,11 +204,11 @@ class ImportLayering(ProjectRule):
             root_pkg = min(layers, key=len)
 
         # -- layer violations ---------------------------------------------
-        for module in sorted(self._imports):
+        for module in sorted(imports):
             my_layer = self._layer_of(module, layers)
             if my_layer is None:
                 continue
-            for lineno, target in self._imports[module]:
+            for lineno, target in imports[module]:
                 if root_pkg and not (target == root_pkg
                                      or target.startswith(root_pkg + ".")):
                     continue  # stdlib / third-party
@@ -244,7 +221,7 @@ class ImportLayering(ProjectRule):
                 if tgt_layer is None or tgt_layer <= my_layer:
                     continue
                 yield Finding(
-                    self.id, self.severity, self._paths[module], lineno, 0,
+                    self.id, self.severity, paths[module], lineno, 0,
                     f"`{module}` (layer {my_layer}) imports `{target}` "
                     f"(layer {tgt_layer}); imports must point down the "
                     "layering DAG — invert the dependency or make it a "
@@ -253,8 +230,8 @@ class ImportLayering(ProjectRule):
 
         # -- cycles ----------------------------------------------------------
         graph: Dict[str, Set[str]] = {}
-        known = set(self._imports)
-        for module, edges in self._imports.items():
+        known = set(imports)
+        for module, edges in imports.items():
             targets = set()
             for _, target in edges:
                 resolved = self._resolve(target, known)
@@ -265,7 +242,7 @@ class ImportLayering(ProjectRule):
             anchor = cycle[0]
             pretty = " -> ".join(cycle + (anchor,))
             yield Finding(
-                self.id, self.severity, self._paths[anchor], 1, 0,
+                self.id, self.severity, paths[anchor], 1, 0,
                 f"module-level import cycle: {pretty}",
             )
 
@@ -375,7 +352,7 @@ def parse_api_doc(text: str) -> Dict[str, Set[str]]:
 
 
 @register
-class UndocumentedExport(ProjectRule):
+class UndocumentedExport(SemanticRule):
     """API001: everything in ``__all__`` is listed in ``docs/api.md``.
 
     The API index is generated (``tools/gen_api_docs.py``), so a missing
@@ -389,22 +366,17 @@ class UndocumentedExport(ProjectRule):
     description = "every __all__ export must appear in docs/api.md"
     severity = Severity.ERROR
 
-    def __init__(self) -> None:
-        self._exports: Dict[str, Tuple[str, int, Tuple[str, ...]]] = {}
-
-    def collect(self, ctx: FileContext) -> None:
-        if not ctx.module or not ctx.exports:
-            return
-        self._exports[ctx.module] = (ctx.relpath, ctx.exports_line, ctx.exports)
-
-    def finalize(self, config: LintConfig) -> Iterator[Finding]:
+    def analyze(self, index, config: LintConfig) -> Iterator[Finding]:
         if not config.api_doc or not Path(config.api_doc).is_file():
             return
         documented = parse_api_doc(
             Path(config.api_doc).read_text(encoding="utf-8"))
         doc_name = _relname(config, config.api_doc)
-        for module in sorted(self._exports):
-            relpath, lineno, exports = self._exports[module]
+        for ctx in index.contexts.values():
+            module, exports = ctx.module, ctx.exports
+            if not module or not exports:
+                continue
+            relpath, lineno = ctx.relpath, ctx.exports_line
             known = documented.get(module)
             if known is None:
                 yield Finding(

@@ -53,13 +53,6 @@ def _module_matches(module: str, prefixes: Tuple[str, ...]) -> bool:
     )
 
 
-def _source_line(index, relpath: str, line: int) -> str:
-    ctx = index.contexts.get(relpath)
-    if ctx is not None and 1 <= line <= len(ctx.lines):
-        return ctx.lines[line - 1]
-    return ""
-
-
 def _held_at(index, site) -> FrozenSet[LockId]:
     """Locks held at a call site: lexical plus the caller's must-hold."""
     return site.held | index.must_hold.get(site.caller, frozenset())
@@ -105,9 +98,7 @@ class LockDiscipline(SemanticRule):
         for module in sorted(index.locks):
             summary: ModuleLockSummary = index.locks[module]
             for lineno, message in summary.problems:
-                yield self.finding(
-                    summary.relpath, lineno, message,
-                    _source_line(index, summary.relpath, lineno))
+                yield self.finding(summary.relpath, lineno, message)
             guards = {var.var: var for var in summary.guarded_vars()}
             if not guards:
                 continue
@@ -127,7 +118,6 @@ class LockDiscipline(SemanticRule):
                     f"{action} `{var.display}` without holding "
                     f"`{lock_disp}` ({how}); wrap the access in "
                     f"`with {lock_disp}:` or noqa a deliberate benign race",
-                    _source_line(index, summary.relpath, acc.lineno),
                     col=acc.col)
 
 
@@ -180,8 +170,7 @@ class LockSelfDeadlock(SemanticRule):
                         summary.relpath, site.lineno,
                         f"`with {disp}:` while `{disp}` is already held "
                         "— threading.Lock is not reentrant, this "
-                        "deadlocks the calling thread",
-                        _source_line(index, summary.relpath, site.lineno))
+                        "deadlocks the calling thread")
 
         # Transitive: a call made under the lock reaches an acquirer.
         seen: Set[Tuple[str, int, LockId]] = set()
@@ -212,8 +201,7 @@ class LockSelfDeadlock(SemanticRule):
                     f"{'.' if lock[1] else ''}{lock[2]}` reaches "
                     f"`{path[-1].partition(':')[2]}` which re-acquires it "
                     f"({_fmt_path(path)}); threading.Lock is not "
-                    "reentrant, this deadlocks",
-                    _source_line(index, relpath, site.lineno))
+                    "reentrant, this deadlocks")
 
 
 # --------------------------------------------------------------------------
@@ -263,8 +251,7 @@ class DeterminismReachability(SemanticRule):
                 info.relpath, info.lineno,
                 f"public entry point `{info.name}` reaches {src.reason} "
                 f"at {src_rel}:{src.lineno} via {_fmt_path(path)}; thread "
-                "a seeded RNG through the call chain",
-                _source_line(index, info.relpath, info.lineno))
+                "a seeded RNG through the call chain")
 
 
 # --------------------------------------------------------------------------

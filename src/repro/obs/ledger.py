@@ -199,11 +199,6 @@ def canonical_sha256(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-#: Backward-compatible alias — tools/check_obs.py and older callers used
-#: the underscored name before the canonicalizer became public API.
-_canonical_sha256 = canonical_sha256
-
-
 def fingerprint_game(game) -> Dict[str, Any]:
     """Content fingerprint of a plain or weighted tuple game.
 
@@ -401,7 +396,7 @@ class _RunContext:
                     "type": exc_type.__name__,
                     "message": str(exc),
                 }
-            record["run_id"] = _canonical_sha256(record)[:16]
+            record["run_id"] = canonical_sha256(record)[:16]
             _append(record)
         except Exception as inner:  # recording must never break the solve
             _metrics.counter("ledger.errors.count").inc()

@@ -168,16 +168,6 @@ class TestQueryMany:
         batched = oracle.query_many(vectors)
         assert batched == [oracle.best(wv) for wv in vectors]
 
-    def test_parallel_matches_serial(self):
-        graph = complete_bipartite_graph(3, 4)
-        oracle = CoverageOracle(graph, 2)
-        vectors = self._vectors(graph)
-        serial = oracle.query_many(vectors, processes=1)
-        # Falls back to the serial path on platforms without working
-        # multiprocessing — either way the answers must be identical.
-        parallel = oracle.query_many(vectors, processes=2)
-        assert parallel == serial
-
     def test_empty_batch(self):
         oracle = CoverageOracle(path_graph(4), 1)
         assert oracle.query_many([]) == []

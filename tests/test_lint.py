@@ -1,34 +1,28 @@
 """Tests for the repro.lint static analyzer.
 
 Each rule gets fixture snippets that trigger it and a ``# repro: noqa``
-suppression that silences it; the engine, baseline workflow, renderers
-(including SARIF 2.1.0) and the CLI surfaces are exercised on synthetic
-repositories under ``tmp_path``.  A meta-test asserts the live repository
-itself passes ``repro lint --strict --baseline``.
+suppression that silences it; the engine, the text report and the two
+command-line faces are exercised on synthetic repositories under
+``tmp_path``.  A meta-test asserts the live repository itself passes
+``python -m repro.lint``.
 """
 
-import json
 import textwrap
 
 import pytest
 
 from repro.lint import (
-    DEFAULT_BASELINE_NAME,
     Finding,
     LintConfig,
     LintEngine,
     Severity,
-    apply_baseline,
     registered_rules,
-    render_json,
-    render_sarif,
     render_text,
-    write_baseline,
 )
 from repro.lint import main as lint_main
 from repro.lint.project import parse_api_doc, parse_theory_index
 
-#: The seven syntactic rules plus the five semantic (project-index) rules.
+#: The five per-node rules plus the seven whole-project (index) rules.
 ALL_RULES = {
     "RNG001", "FLT001", "THM001", "LAY001", "OBS001", "API001", "ASR001",
     "LCK001", "LCK002", "DET001", "EXC001", "SCH001",
@@ -77,7 +71,6 @@ class TestEngine:
         assert report.findings == []
         assert report.files_scanned == 1
         assert report.exit_code() == 0
-        assert report.exit_code(strict=True) == 0
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         report = run_fixture(
@@ -98,15 +91,6 @@ class TestEngine:
         }
         report = run_fixture(tmp_path, dict(files), select={"FLT001"})
         assert rules_of(report) == ["FLT001"]
-
-    def test_severity_override(self, tmp_path):
-        report = run_fixture(
-            tmp_path,
-            {"src/pkg/f.py": "def f(p):\n    return p == 0.5\n"},
-            severity_overrides={"FLT001": Severity.ERROR},
-        )
-        assert report.findings[0].severity is Severity.ERROR
-        assert report.exit_code() == 1
 
     def test_bare_noqa_suppresses_any_rule(self, tmp_path):
         report = run_fixture(
@@ -205,35 +189,11 @@ class TestEngine:
 
 
 class TestFindings:
-    def test_fingerprint_ignores_line_number(self):
-        a = Finding("FLT001", Severity.WARNING, "src/x.py", 10, 4, "m", "p == 0.5")
-        b = Finding("FLT001", Severity.WARNING, "src/x.py", 99, 4, "m", "p == 0.5")
-        assert a.fingerprint == b.fingerprint
-
-    def test_fingerprint_distinguishes_occurrences(self, tmp_path):
-        # Two identical offending lines in one file must not collide.
-        report = run_fixture(
-            tmp_path,
-            {
-                "src/pkg/f.py": (
-                    "def f(p, out):\n"
-                    "    out.append(p == 0.5)\n"
-                    "    out.append(p == 0.5)\n"
-                    "    return out\n"
-                )
-            },
-        )
-        prints = [f.fingerprint for f in report.findings]
-        assert len(prints) == 2
-        assert len(set(prints)) == 2
-
     def test_render_and_severity_roundtrip(self):
         f = Finding("RNG001", Severity.ERROR, "src/x.py", 3, 0, "boom")
         assert f.render() == "src/x.py:3:0: error RNG001 boom"
-        assert Severity.parse("warning") is Severity.WARNING
-        assert Severity.ERROR.sarif_level == "error"
-        with pytest.raises(ValueError):
-            Severity.parse("fatal")
+        w = Finding("FLT001", Severity.WARNING, "src/x.py", 4, 2, "eq")
+        assert w.render() == "src/x.py:4:2: warning FLT001 eq"
 
 
 # ---------------------------------------------------------------------------
@@ -712,55 +672,6 @@ class TestAPI001:
 
 
 # ---------------------------------------------------------------------------
-# baseline workflow
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    FILES = {"src/pkg/r.py": "import random\nx = random.random()\n"}
-
-    def test_baseline_swallows_known_findings(self, tmp_path):
-        report = run_fixture(tmp_path, dict(self.FILES), select={"RNG001"})
-        assert report.findings
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        write_baseline(baseline, report.findings)
-
-        fresh = run_fixture(tmp_path, {}, select={"RNG001"})
-        fresh = apply_baseline(fresh, baseline)
-        assert fresh.findings == []
-        assert fresh.baseline_applied == 1
-        assert fresh.baseline_stale == 0
-        assert fresh.exit_code(strict=True) == 0
-
-    def test_new_finding_escapes_baseline(self, tmp_path):
-        report = run_fixture(tmp_path, dict(self.FILES), select={"RNG001"})
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        write_baseline(baseline, report.findings)
-
-        make_repo(tmp_path, {
-            "src/pkg/r2.py": "import random\ny = random.shuffle([1])\n"
-        })
-        fresh = run_fixture(tmp_path, {}, select={"RNG001"})
-        fresh = apply_baseline(fresh, baseline)
-        assert len(fresh.findings) == 1
-        assert "r2.py" in fresh.findings[0].path
-
-    def test_fixed_finding_counts_as_stale(self, tmp_path):
-        report = run_fixture(tmp_path, dict(self.FILES), select={"RNG001"})
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        write_baseline(baseline, report.findings)
-
-        (tmp_path / "src/pkg/r.py").write_text(
-            "import random\nx = random.Random(3).random()\n",
-            encoding="utf-8",
-        )
-        fresh = run_fixture(tmp_path, {}, select={"RNG001"})
-        fresh = apply_baseline(fresh, baseline)
-        assert fresh.findings == []
-        assert fresh.baseline_stale == 1
-
-
-# ---------------------------------------------------------------------------
 # renderers
 # ---------------------------------------------------------------------------
 
@@ -774,11 +685,10 @@ class TestRenderers:
         root = make_repo(tmp_path, files)
         config = LintConfig(root=root, paths=(root / "src",),
                             select={"RNG001", "FLT001"})
-        engine = LintEngine(config)
-        return engine.run(), engine
+        return LintEngine(config).run()
 
     def test_text_summary(self, tmp_path):
-        report, _ = self.report(tmp_path)
+        report = self.report(tmp_path)
         text = render_text(report)
         assert "2 finding(s) in 2 file(s)" in text
         assert "FLT001=1" in text and "RNG001=1" in text
@@ -788,44 +698,6 @@ class TestRenderers:
         config = LintConfig(root=root, paths=(root / "src",))
         text = render_text(LintEngine(config).run())
         assert text.startswith("clean: 0 findings in 1 file(s)")
-
-    def test_json_roundtrip(self, tmp_path):
-        report, _ = self.report(tmp_path)
-        doc = json.loads(render_json(report))
-        assert doc["tool"] == "repro-lint"
-        assert doc["files_scanned"] == 2
-        assert {f["rule"] for f in doc["findings"]} == {"RNG001", "FLT001"}
-        assert all(len(f["fingerprint"]) == 20 for f in doc["findings"])
-
-    def test_sarif_is_valid_2_1_0(self, tmp_path):
-        report, engine = self.report(tmp_path)
-        doc = json.loads(render_sarif(report, engine.rules))
-
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
-        assert len(doc["runs"]) == 1
-        run = doc["runs"][0]
-
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = [r["id"] for r in driver["rules"]]
-        assert set(rule_ids) == {"RNG001", "FLT001"}
-        for rule in driver["rules"]:
-            assert rule["shortDescription"]["text"]
-            assert rule["defaultConfiguration"]["level"] in (
-                "note", "warning", "error")
-
-        assert len(run["results"]) == 2
-        for result in run["results"]:
-            assert result["level"] in ("note", "warning", "error")
-            assert rule_ids[result["ruleIndex"]] == result["ruleId"]
-            loc = result["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uriBaseId"] == "SRCROOT"
-            assert loc["region"]["startLine"] >= 1
-            assert loc["region"]["startColumn"] >= 1
-            assert result["partialFingerprints"]["reproLint/v1"]
-        assert "SRCROOT" in run["originalUriBaseIds"]
-
 
 # ---------------------------------------------------------------------------
 # command-line surfaces
@@ -859,13 +731,12 @@ class TestCommandLine:
         ("OBS001", "src/repro/solvers/obs_bad.py"),
         ("API001", "src/repro/analysis/api_bad.py"),
     ])
-    def test_each_rule_fails_its_fixture(self, tmp_path, rule, bad_file):
+    def test_each_rule_fails_its_fixture(self, tmp_path, capsys, rule,
+                                         bad_file):
         root = violating_repo(tmp_path)
-        code = lint_main([
-            "--root", str(root), "--strict", "--select", rule,
-            str(root / bad_file),
-        ])
+        code = lint_main(["--root", str(root), str(root / bad_file)])
         assert code == 1
+        assert f" {rule} " in capsys.readouterr().out
 
     def test_clean_fixture_exits_zero(self, tmp_path):
         root = make_repo(tmp_path, {
@@ -874,9 +745,44 @@ class TestCommandLine:
             "docs/api.md": API_DOC.replace("pkg.mod", "repro.analysis.ok"),
             "docs/theory.md": THEORY_DOC,
         })
-        code = lint_main(["--root", str(root), "--strict",
-                          str(root / "src" / "repro")])
+        code = lint_main(["--root", str(root), str(root / "src" / "repro")])
         assert code == 0
+
+    def test_warning_alone_fails_the_run(self, tmp_path, capsys):
+        root = violating_repo(tmp_path)
+        code = lint_main(["--root", str(root),
+                          str(root / "src/repro/analysis/flt_bad.py")])
+        out = capsys.readouterr().out
+        assert " warning FLT001 " in out and " error " not in out
+        assert code == 1
+
+    def test_cli_subcommand_runs_the_same_lint(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        root = violating_repo(tmp_path)
+        code = cli_main(["lint", "--root", str(root),
+                         str(root / "src/repro/analysis/rng_bad.py")])
+        assert code == 1
+        assert " RNG001 " in capsys.readouterr().out
+
+    def test_lint_run_records_wall_time(self, tmp_path):
+        root = make_repo(tmp_path, {"src/pkg/ok.py": "X = 1\n"})
+        report = LintEngine(LintConfig(root=root, paths=(root / "src",))).run()
+        assert report.elapsed_s > 0
+        assert render_text(report).endswith(f"in {report.elapsed_s:.2f}s")
+
+    @pytest.mark.parametrize("flag", [
+        "--strict", "--baseline", "--write-baseline", "--changed",
+        "--select=RNG001", "--format=json", "--output=lint.sarif",
+    ])
+    def test_removed_options_are_usage_errors(self, flag, capsys):
+        from repro.cli import main as cli_main
+
+        for entry in (lint_main, lambda argv: cli_main(["lint", *argv])):
+            with pytest.raises(SystemExit) as exc:
+                entry([flag])
+            assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_parse_error_exits_two(self, tmp_path):
         root = make_repo(tmp_path, {
@@ -886,156 +792,17 @@ class TestCommandLine:
                           str(root / "src" / "repro" / "analysis")])
         assert code == 2
 
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        root = violating_repo(tmp_path)
-        target = str(root / "src" / "repro" / "analysis" / "rng_bad.py")
-
-        assert lint_main(["--root", str(root), "--strict", target]) == 1
-        assert lint_main(["--root", str(root), "--write-baseline",
-                          target]) == 0
-        assert (root / DEFAULT_BASELINE_NAME).is_file()
-        assert lint_main(["--root", str(root), "--strict", "--baseline",
-                          target]) == 0
-        capsys.readouterr()
-
-    def test_json_format_on_stdout(self, tmp_path, capsys):
-        root = violating_repo(tmp_path)
-        target = str(root / "src" / "repro" / "analysis" / "rng_bad.py")
-        lint_main(["--root", str(root), "--format", "json", target])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["findings"][0]["rule"] == "RNG001"
-
-    def test_cli_subcommand_sarif_on_live_repo(self, capsys):
-        from repro.cli import main as cli_main
-
-        code = cli_main(["lint", "--format", "sarif", "--baseline"])
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert doc["version"] == "2.1.0"
-        assert len(doc["runs"][0]["tool"]["driver"]["rules"]) == len(ALL_RULES)
-        assert code == 0
-
-    def test_lint_run_feeds_metrics(self, tmp_path):
-        from repro.lint import run_lint
-        from repro.obs import metrics
-
-        root = make_repo(tmp_path, {"src/pkg/ok.py": "X = 1\n"})
-        before = metrics.counter("lint.runs.count").value
-        run_lint(LintConfig(root=root, paths=(root / "src",)))
-        assert metrics.counter("lint.runs.count").value == before + 1
-
-    def test_lint_run_records_wall_time(self, tmp_path):
-        from repro.lint import run_lint
-        from repro.obs import metrics
-
-        root = make_repo(tmp_path, {"src/pkg/ok.py": "X = 1\n"})
-        before = metrics.histogram("lint.run.seconds").count
-        report = run_lint(LintConfig(root=root, paths=(root / "src",)))
-        assert metrics.histogram("lint.run.seconds").count == before + 1
-        assert report.elapsed_s > 0
-
-    def test_output_file_option(self, tmp_path, capsys):
-        root = violating_repo(tmp_path)
-        target = str(root / "src" / "repro" / "analysis" / "rng_bad.py")
-        out_file = tmp_path / "lint.sarif"
-        code = lint_main(["--root", str(root), "--format", "sarif",
-                          "--output", str(out_file), target])
-        assert code == 1
-        doc = json.loads(out_file.read_text(encoding="utf-8"))
-        assert doc["version"] == "2.1.0"
-        assert "wrote" in capsys.readouterr().out
-
-    def test_sarif_rules_carry_help_uris(self, tmp_path, capsys):
-        root = violating_repo(tmp_path)
-        target = str(root / "src" / "repro" / "analysis" / "rng_bad.py")
-        lint_main(["--root", str(root), "--format", "sarif", target])
-        doc = json.loads(capsys.readouterr().out)
-        for rule in doc["runs"][0]["tool"]["driver"]["rules"]:
-            assert rule["helpUri"] == \
-                f"docs/static_analysis.md#{rule['id'].lower()}"
-
-
-# ---------------------------------------------------------------------------
-# --changed mode
-# ---------------------------------------------------------------------------
-
-
-class TestChangedMode:
-    @staticmethod
-    def _git(root, *argv):
-        import subprocess
-
-        env = {
-            "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(root), "PATH": "/usr/bin:/bin:/usr/local/bin",
-        }
-        proc = subprocess.run(["git", *argv], cwd=root,
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    def repo(self, tmp_path):
-        """A committed two-violation repo, then one file edited."""
-        root = make_repo(tmp_path, {
-            "src/pkg/a.py": "def f(p):\n    return p == 0.5\n",
-            "src/pkg/b.py": "def g(q):\n    return q == 0.25\n",
-        })
-        self._git(root, "init", "-q")
-        self._git(root, "add", "-A")
-        self._git(root, "commit", "-qm", "seed")
-        (root / "src/pkg/a.py").write_text(
-            "def f(p):\n    return p == 0.75\n", encoding="utf-8")
-        return root
-
-    def test_changed_files_lists_the_edit(self, tmp_path):
-        from repro.lint import changed_files
-
-        root = self.repo(tmp_path)
-        assert changed_files(root) == {"src/pkg/a.py"}
-
-    def test_changed_files_includes_untracked(self, tmp_path):
-        from repro.lint import changed_files
-
-        root = self.repo(tmp_path)
-        make_repo(root, {"src/pkg/new.py": "X = 1\n"})
-        assert "src/pkg/new.py" in changed_files(root)
-
-    def test_changed_only_filters_findings(self, tmp_path):
-        from repro.lint import changed_files
-
-        root = self.repo(tmp_path)
-        config = LintConfig(root=root, paths=(root / "src",),
-                            select={"FLT001"})
-        full = LintEngine(config).run()
-        assert {f.path for f in full.findings} == \
-            {"src/pkg/a.py", "src/pkg/b.py"}
-
-        config.changed_only = changed_files(root)
-        narrowed = LintEngine(config).run()
-        assert {f.path for f in narrowed.findings} == {"src/pkg/a.py"}
-        # The index still covers the whole project.
-        assert narrowed.files_scanned == full.files_scanned
-
-    def test_bad_ref_exits_two(self, tmp_path, capsys):
-        root = self.repo(tmp_path)
-        code = lint_main(["--root", str(root), "--changed", "no-such-ref",
-                          str(root / "src")])
-        assert code == 2
-        assert "git diff" in capsys.readouterr().out
-
-
 # ---------------------------------------------------------------------------
 # the live repository is clean
 # ---------------------------------------------------------------------------
 
 
 class TestLiveRepo:
-    def test_repo_passes_strict_baseline(self, capsys):
-        """The acceptance gate: `repro lint --strict --baseline` exits 0."""
-        code = lint_main(["--strict", "--baseline"])
-        capsys.readouterr()
-        assert code == 0
+    def test_repo_is_clean(self, capsys):
+        """The acceptance gate: `python -m repro.lint` exits 0."""
+        code = lint_main([])
+        out = capsys.readouterr().out
+        assert code == 0, out
 
     def test_default_layers_cover_every_package(self):
         from repro.lint import DEFAULT_LAYERS

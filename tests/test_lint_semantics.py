@@ -9,9 +9,10 @@ asserts the live repository is clean under the semantic rules alone.
 """
 
 import textwrap
+from pathlib import Path
 
-from repro.lint import LintConfig, LintEngine
-from repro.lint import main as lint_main
+import repro.lint as lint_pkg
+from repro.lint import LintConfig, LintEngine, render_text
 
 SEMANTIC_RULES = {"LCK001", "LCK002", "DET001", "EXC001", "SCH001"}
 
@@ -174,6 +175,37 @@ class TestProjectIndex:
         var = summary.variables[("pkg.h", "", "_ITEMS")]
         assert var.lock == ("pkg.h", "", "_LOCK")
         assert var.inferred
+
+    def test_last_all_assignment_wins_for_every_rule(self, tmp_path):
+        # One __all__ reader: OBS001 (per-node) and DET001 (call graph)
+        # judge the same export set, the runtime one -- the last
+        # assignment.  Both functions are uninstrumented and reach the
+        # global PRNG, so each rule flags exactly the exported one.
+        report = run_fixture(tmp_path, {
+            "src/pkg/solvers/s.py": """\
+                import random
+
+                __all__ = ["first"]
+                __all__ = ["second"]
+
+                def first(graph):
+                    a = graph
+                    b = a
+                    return _jitter(b)
+
+                def second(graph):
+                    a = graph
+                    b = a
+                    return _jitter(b)
+
+                def _jitter(graph):
+                    return random.random()
+                """,
+        }, select={"OBS001", "DET001"}, obs_required=("pkg.solvers.",),
+            det_entry_prefixes=("pkg.solvers.",))
+        assert sorted((f.rule, f.line) for f in report.findings) == [
+            ("DET001", 11), ("OBS001", 11)]
+        assert all("`second`" in f.message for f in report.findings)
 
     def test_unassociated_candidate_has_no_lock(self, tmp_path):
         index = self.index(tmp_path, {
@@ -833,18 +865,13 @@ class TestSCH001:
 
 
 class TestLiveRepoSemantics:
-    def test_semantic_rules_find_nothing(self, capsys):
-        code = lint_main([
-            "--strict", "--select", ",".join(sorted(SEMANTIC_RULES)),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0, out
+    def test_semantic_rules_find_nothing(self):
+        config = LintConfig.for_repo(Path(lint_pkg.__file__).parents[3])
+        config.select = SEMANTIC_RULES
+        report = LintEngine(config).run()
+        assert report.findings == [], render_text(report)
 
     def test_full_run_is_fast(self):
-        from pathlib import Path
-
-        import repro.lint as lint_pkg
-
         root = Path(lint_pkg.__file__).resolve().parents[3]
         report = LintEngine(LintConfig.for_repo(root)).run()
         assert report.elapsed_s < 10.0

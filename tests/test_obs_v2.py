@@ -74,7 +74,7 @@ class TestLedgerRecording:
         _solve()
         record = ledger.read_runs(directory=ledger_dir)[-1]
         body = {k: v for k, v in record.items() if k != "run_id"}
-        assert ledger._canonical_sha256(body)[:16] == record["run_id"]
+        assert ledger.canonical_sha256(body)[:16] == record["run_id"]
 
     def test_error_run_recorded_with_exception(self, ledger_dir):
         from repro.equilibria.solve import NoEquilibriumFoundError, solve_game
@@ -576,5 +576,3 @@ class TestCanonicalJson:
         expected = hashlib.sha256(
             ledger.canonical_json(payload).encode("utf-8")).hexdigest()
         assert ledger.canonical_sha256(payload) == expected
-        # The private alias older tools import still points at it.
-        assert ledger._canonical_sha256(payload) == expected

@@ -387,7 +387,7 @@ class TestReportRendering:
         assert records
         for record in records:
             body = {k: v for k, v in record.items() if k != "run_id"}
-            assert ledger._canonical_sha256(body)[:16] == record["run_id"]
+            assert ledger.canonical_sha256(body)[:16] == record["run_id"]
 
 
 # --------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def check() -> list:
 
 def check_ledger(ledger_dir: Path) -> list:
     """Validate the live ledger records against ledger-record/v4."""
-    from repro.obs.ledger import RECORD_SCHEMA, _canonical_sha256, read_runs
+    from repro.obs.ledger import RECORD_SCHEMA, canonical_sha256, read_runs
 
     failures = []
     records = read_runs(directory=ledger_dir)
@@ -192,7 +192,7 @@ def check_ledger(ledger_dir: Path) -> list:
                             f"{record.get('status')!r}")
         # The run id is content-addressed: recompute it from the record.
         body = {k: v for k, v in record.items() if k != "run_id"}
-        if _canonical_sha256(body)[:16] != record.get("run_id"):
+        if canonical_sha256(body)[:16] != record.get("run_id"):
             failures.append(
                 f"ledger record {rid}: run_id does not match the sha256 "
                 "of the record body"
