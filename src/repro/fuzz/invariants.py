@@ -9,8 +9,8 @@ to the same set; every check carries the paper result it enforces:
 check                         theorem     cross-checked paths
 ============================  ==========  =======================================
 ``pure-threshold``            T3.1, C3.3  Gallai/blossom cover vs pure-NE search
-``value-agreement``           —           LP minimax, double oracle (exact and
-                                          greedy), fictitious-play sandwich
+``value-agreement``           —           LP minimax, double oracle,
+                                          fictitious-play sandwich
 ``solve-cascade``             T3.4, T4.5  structural cascade vs LP value; the
                                           k-matching gain law ``k·ν/ρ(G)``
 ``serialize-roundtrip``       —           JSON dump → load → re-verify → re-dump
@@ -145,7 +145,7 @@ def check_pure_threshold(game: TupleGame, tol: float) -> List[Violation]:
 
 
 def check_value_agreement(game: TupleGame, tol: float) -> List[Violation]:
-    """All four solver routes must agree on the per-attacker value."""
+    """All three solver routes must agree on the per-attacker value."""
     out: List[Violation] = []
     value = solve_minimax(game).value
 
@@ -160,14 +160,6 @@ def check_value_agreement(game: TupleGame, tol: float) -> List[Violation]:
         out.append(Violation(
             "value-agreement",
             f"double_oracle(auto)={do_exact.value!r} vs LP={value!r}",
-        ))
-
-    do_greedy = double_oracle(game, method="greedy")
-    if do_greedy.exact and not _close(do_greedy.value, value, tol):
-        out.append(Violation(
-            "value-agreement",
-            f"double_oracle(greedy)={do_greedy.value!r} certified exact "
-            f"but LP={value!r}",
         ))
 
     fp = fictitious_play(game, rounds=_FP_ROUNDS)
@@ -388,8 +380,7 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
                     ))
 
         _double_oracle_loop(game, weights, tolerance=1e-9,
-                            max_iterations=300, method="auto",
-                            lazy_attacker=False, audit=audit)
+                            max_iterations=300, method="auto", audit=audit)
     return out
 
 

@@ -151,7 +151,10 @@ def _choice_param(choices: Tuple[str, ...], default: str) -> Tuple[Any, Callable
     return default, check
 
 
-_COVERAGE_METHODS = ("auto", "exhaustive", "bnb", "greedy")
+#: Double oracle takes only the exact solvers that can certify a run;
+#: fictitious play may also answer its rounds greedily.
+_EXACT_METHODS = ("auto", "exhaustive", "bnb")
+_COVERAGE_METHODS = _EXACT_METHODS + ("greedy",)
 
 #: Per-endpoint parameter schema: name -> (default, validator).  The
 #: validated dict is passed to the library's cached call as its keyword
@@ -165,8 +168,7 @@ _PARAM_SPECS: Dict[str, Dict[str, Tuple[Any, Callable]]] = {
     "double-oracle": {
         "tolerance": _positive_float_param(1e-9),
         "max_iterations": _int_param(200, minimum=1, maximum=100_000),
-        "method": _choice_param(_COVERAGE_METHODS, "auto"),
-        "lazy_attacker": _bool_param(False),
+        "method": _choice_param(_EXACT_METHODS, "auto"),
     },
     "fictitious-play": {
         "rounds": _int_param(200, minimum=1, maximum=1_000_000),

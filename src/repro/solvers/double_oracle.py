@@ -16,19 +16,24 @@ strategy generation:
    equilibrium of the *full* game, and the final oracle payoffs bracket
    the value (the gap certifies optimality).
 
+The defender side follows the column-generation recipe: the kernel's
+greedy cover *proposes* each new tuple, and the exact oracle is asked
+only when greedy has nothing new and improving to offer.  The loop stops
+only when the exact oracle adds nothing, so the final gap is still a
+certificate, while the exponential-worst-case exact search typically
+runs once per solve.
+
 The defender pool typically stays tiny — a few dozen tuples even when
 ``E^k`` has millions — because equilibrium supports are small (cf. the
 ``δ`` tuples of Lemma 4.8).  The attacker has only ``n`` pure strategies,
-so by default the attacker pool is materialized *eagerly* (all vertices up
-front) and the attacker mixture is read off the defender LP's duals: one
-LP per iteration instead of two, and no iterations spent growing the
-attacker pool one vertex at a time.  ``lazy_attacker=True`` restores the
-textbook both-sides-lazy variant.
+so the attacker pool is materialized *eagerly* (all vertices up front)
+and the attacker mixture is read off the defender LP's duals: one LP per
+iteration instead of two, and no iterations spent growing the attacker
+pool one vertex at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Set
@@ -45,10 +50,8 @@ from repro.solvers.lp import (
     _lp_solution_from_payload,
     _lp_solution_payload,
     _MatrixDuel,
-    _minimax,
     _payoff_matrix,
     _solve_duel,
-    minimax_over_strategies,
 )
 
 __all__ = [
@@ -70,23 +73,23 @@ class DoubleOracleResult:
     solution:
         Equilibrium value and mixtures (over the final pools).
     iterations:
-        Outer iterations until neither oracle improved.
+        Outer iterations until the exact oracle found nothing to add.
     defender_pool_size / attacker_pool_size:
         Final pool sizes — the point of the method is that the defender's
         stays far below ``C(m, k)``.
     certified_gap:
         ``defender_oracle_payoff − attacker_oracle_payoff`` at
-        termination, with the defender payoff recomputed by an *exact*
-        oracle when the run used the greedy one — so the gap is always a
-        valid optimality certificate.
+        termination, with the defender payoff from the *exact* oracle —
+        a valid optimality certificate.
     exact:
         Whether the certificate holds: ``certified_gap`` within the
         convergence slack (``2·tolerance``, one tolerance per oracle).
-        Always true for exact oracle methods; a greedy run that stalled
-        below the true optimum reports ``False`` (and logs a warning).
     gap_history:
-        The certified gap after each outer iteration, oldest first —
-        the convergence trajectory that the scaling experiments plot.
+        One gap per outer iteration, oldest first — the convergence
+        trajectory that the scaling experiments plot.  Only the last
+        entry is certified: an iteration whose column greedy proposed
+        records greedy's payoff minus the attacker's, a lower bound on
+        that iteration's true gap.
     """
 
     __slots__ = (
@@ -130,7 +133,10 @@ class DoubleOracleResult:
         )
 
 
-_RESULT_FORMAT = "repro.solvers.double-oracle-result.v1"
+_RESULT_FORMAT = "repro.solvers.double-oracle-result.v2"
+
+#: The exact coverage solvers that may certify a run (greedy only proposes).
+_CERTIFYING_METHODS = ("auto", "exhaustive", "bnb")
 
 
 def double_oracle_result_to_json(result: DoubleOracleResult) -> str:
@@ -199,22 +205,13 @@ def double_oracle(
     tolerance: float = 1e-9,
     max_iterations: int = 200,
     method: str = "auto",
-    lazy_attacker: bool = False,
 ) -> DoubleOracleResult:
     """Solve the duel of ``Π_k(G)`` by lazy strategy generation.
 
-    ``method`` selects the defender-oracle coverage solver ("auto" uses
-    the exact kernel searches; "greedy" trades the exactness certificate
-    for speed on very large instances).  Greedy runs are re-certified at
-    convergence with one exact oracle call: if the certified gap exceeds
-    the convergence slack the result is returned with ``exact=False``, a
-    warning is logged and ``double_oracle.inexact_convergence.count`` is
-    bumped — greedy can stall on a suboptimal tuple that the restricted
-    LP already contains, silently leaving value on the table.
-
-    ``lazy_attacker=True`` grows the attacker pool one best-response
-    vertex at a time (the textbook variant, two LPs per iteration)
-    instead of materializing all ``n`` vertices up front.
+    Greedy coverage proposes the defender's new tuples; ``method`` picks
+    the *certifying* exact coverage solver asked when greedy has nothing
+    to add (``"auto"``, ``"exhaustive"`` or ``"bnb"``; any other value,
+    ``"greedy"`` included, raises :class:`ValueError`).
 
     Raises :class:`~repro.core.game.GameError` if the oracles still
     improve after ``max_iterations`` (not observed in practice; a guard
@@ -222,7 +219,7 @@ def double_oracle(
     """
     return DOUBLE_ORACLE_CALL(
         game, tolerance=tolerance, max_iterations=max_iterations,
-        method=method, lazy_attacker=lazy_attacker,
+        method=method,
     )
 
 
@@ -242,8 +239,7 @@ DOUBLE_ORACLE_CALL = result_cache.CachedCall(
         bool(payload["exact"]),
     ),
     _RESULT_FORMAT,
-    attributes=lambda params: {"method": params["method"],
-                               "lazy_attacker": params["lazy_attacker"]},
+    attributes=lambda params: {"method": params["method"]},
     scope=lambda game, _params: [tracing.span(
         "double_oracle.solve", n=game.graph.n, m=game.graph.m, k=game.k)],
 )
@@ -255,7 +251,6 @@ def _double_oracle_loop(
     tolerance: float,
     max_iterations: int,
     method: str,
-    lazy_attacker: bool,
     audit: Optional[
         Callable[[LPSolution, List[Vertex], List[EdgeTuple]], None]
     ] = None,
@@ -264,44 +259,39 @@ def _double_oracle_loop(
     vertex ``weights`` the negated escape ``w(v)·(cov[t, v] − 1)`` (values
     and gaps in those units).
 
-    With the eager attacker pool the rows never change, so the loop keeps
-    one :class:`~repro.solvers.lp._MatrixDuel` and adds one column per
-    new defender tuple; the lazy pool rebuilds the two-LP duel each
-    iteration.  ``audit(solution, attacker_pool, defender_pool)``, when
-    given, sees every restricted optimum (the fuzz invariants re-solve
-    it from scratch).
+    The attacker pool holds every vertex, so the rows never change: the
+    loop keeps one :class:`~repro.solvers.lp._MatrixDuel` and adds one
+    column per new defender tuple.  ``audit(solution, attacker_pool,
+    defender_pool)``, when given, sees every restricted optimum (the fuzz
+    invariants re-solve it from scratch).
     """
+    if method not in _CERTIFYING_METHODS:
+        raise ValueError(
+            f"double oracle method must be one of {_CERTIFYING_METHODS}; "
+            f"got {method!r}"
+        )
     oracle = shared_oracle(game.graph, game.k)
     vertices = oracle.vertices
     defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
     defender_seen: Set[EdgeTuple] = set(defender_pool)
-    attacker_pool: List[Vertex] = (
-        [vertices[0]] if lazy_attacker else list(vertices)
-    )
-    attacker_seen: Set[Vertex] = set(attacker_pool)
-    restricted = None if lazy_attacker else _MatrixDuel(_payoff_matrix(
+    restricted = _MatrixDuel(_payoff_matrix(
         vertices, defender_pool, tuple_vertices, weights))
-    # The plain rebuilt duel goes through the public entry point (and its
-    # span); both take the two-LP path.
-    rebuilt = (minimax_over_strategies if weights is None else
-               functools.partial(_minimax, weights=weights,
-                                 dual_attacker=False))
 
     solution = None
     gap = float("inf")
     gap_history: List[float] = []
     oracle_timer = metrics.histogram("double_oracle.oracle.seconds")
     for iteration in range(1, max_iterations + 1):
-        if restricted is None:
-            solution = rebuilt(attacker_pool, defender_pool, tuple_vertices)
-        else:
-            solution = _solve_duel(restricted, vertices, defender_pool)
+        solution = _solve_duel(restricted, vertices, defender_pool)
         if audit is not None:
-            audit(solution, attacker_pool, defender_pool)
+            audit(solution, vertices, defender_pool)
 
         # Defender oracle: best tuple against the attacker's mixture over
         # the *full* vertex set (off-pool vertices have mass 0); weighted,
         # a tuple scores its covered mass q·w minus the whole mass.
+        # Greedy proposes; the exact oracle is asked only when greedy's
+        # tuple is already pooled or does not improve, so the loop can
+        # stop only on an exact answer.
         masses: Dict[Vertex, float] = dict(solution.attacker)
         total_mass = 0.0
         if weights is not None:
@@ -309,11 +299,15 @@ def _double_oracle_loop(
             total_mass = sum(masses.values())
         with tracing.span("double_oracle.oracle.best_response"):
             oracle_start = perf_counter()
-            best_def, covered = oracle.best(masses, method=method)
+            best_def, covered = oracle.greedy(masses)
+            if (best_def in defender_seen
+                    or covered - total_mass <= solution.value + tolerance):
+                best_def, covered = oracle.best(masses, method=method)
             oracle_timer.observe(perf_counter() - oracle_start)
         def_payoff = covered - total_mass
 
-        # Attacker oracle: the first least-payoff vertex in canonical order.
+        # Attacker oracle: the least payoff over all vertices.  Every
+        # vertex is already pooled, so it only bounds the gap.
         hit: Dict[Vertex, float] = {v: 0.0 for v in vertices}
         for t, p in solution.defender.items():
             for v in tuple_vertices(t):
@@ -321,8 +315,7 @@ def _double_oracle_loop(
         column = hit if weights is None else {
             v: weights[v] * (hit[v] - 1.0) for v in vertices
         }
-        best_att = min(vertices, key=column.__getitem__)
-        att_payoff = column[best_att]
+        att_payoff = min(column.values())
 
         gap = def_payoff - att_payoff
         gap_history.append(gap)
@@ -330,66 +323,43 @@ def _double_oracle_loop(
             "solver.iteration", solver="double_oracle",
             iteration=iteration, value=solution.value, gap=gap,
             defender_pool=len(defender_pool),
-            attacker_pool=len(attacker_pool),
+            attacker_pool=len(vertices),
         )
         _log.debug(
             "double_oracle.iteration", i=iteration, value=solution.value,
             gap=gap, defender_pool=len(defender_pool),
-            attacker_pool=len(attacker_pool),
+            attacker_pool=len(vertices),
         )
-        improved = False
         if def_payoff > solution.value + tolerance and best_def not in defender_seen:
             defender_pool.append(best_def)
             defender_seen.add(best_def)
-            if restricted is not None:
-                restricted.add_column(_payoff_matrix(
-                    vertices, [best_def], tuple_vertices, weights)[0])
-            improved = True
-        if att_payoff < solution.value - tolerance and best_att not in attacker_seen:
-            attacker_pool.append(best_att)
-            attacker_seen.add(best_att)
-            improved = True
-        if not improved:
-            if method == "greedy":
-                # A greedy defender oracle's payoff is NOT an upper
-                # bound on the value, so the loop's gap is not a
-                # certificate — re-certify with one exact query.
-                _, exact_covered = oracle.best(masses, method="auto")
-                gap = exact_covered - total_mass - att_payoff
-                gap_history[-1] = gap
-            # At convergence each oracle is within one `tolerance` of
-            # the restricted value, so a certified gap beyond twice
-            # that means the oracle stalled short of the optimum.
-            exact = gap <= 2.0 * tolerance
-            metrics.counter("double_oracle.runs.count").inc()
-            metrics.counter("double_oracle.iterations.count").inc(iteration)
-            metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
-            metrics.gauge("double_oracle.pool.attacker").set(len(attacker_pool))
-            metrics.gauge("double_oracle.gap").set(gap)
-            if not exact:
-                metrics.counter(
-                    "double_oracle.inexact_convergence.count"
-                ).inc()
-                _log.warning(
-                    "double_oracle.inexact_convergence",
-                    method=method, value=solution.value, gap=gap,
-                    tolerance=tolerance,
-                )
-            _log.info(
-                "double_oracle.converged", iterations=iteration,
-                value=solution.value, gap=gap, exact=exact,
-            )
-            obs_events.publish(
-                "solver.iteration", solver="double_oracle",
-                iteration=iteration, value=solution.value, gap=gap,
-                defender_pool=len(defender_pool),
-                attacker_pool=len(attacker_pool),
-                converged=True, certified=exact,
-            )
-            return DoubleOracleResult(
-                solution, iteration, len(defender_pool),
-                len(attacker_pool), gap, gap_history, exact,
-            )
+            restricted.add_column(_payoff_matrix(
+                vertices, [best_def], tuple_vertices, weights)[0])
+            continue
+        # At convergence each oracle is within one `tolerance` of the
+        # restricted value, so a certified gap beyond twice that means
+        # the loop stopped short of the optimum.
+        exact = gap <= 2.0 * tolerance
+        metrics.counter("double_oracle.runs.count").inc()
+        metrics.counter("double_oracle.iterations.count").inc(iteration)
+        metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
+        metrics.gauge("double_oracle.pool.attacker").set(len(vertices))
+        metrics.gauge("double_oracle.gap").set(gap)
+        _log.info(
+            "double_oracle.converged", iterations=iteration,
+            value=solution.value, gap=gap, exact=exact,
+        )
+        obs_events.publish(
+            "solver.iteration", solver="double_oracle",
+            iteration=iteration, value=solution.value, gap=gap,
+            defender_pool=len(defender_pool),
+            attacker_pool=len(vertices),
+            converged=True, certified=exact,
+        )
+        return DoubleOracleResult(
+            solution, iteration, len(defender_pool),
+            len(vertices), gap, gap_history, exact,
+        )
 
     raise GameError(
         f"double oracle did not converge within {max_iterations} iterations "

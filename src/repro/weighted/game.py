@@ -214,7 +214,7 @@ def _escape_solution(solution: LPSolution) -> LPSolution:
 
 
 _LP_RESULT_FORMAT = "repro.weighted.lp-result.v1"
-_DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v1"
+_DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v2"
 
 
 def weighted_lp_result_to_json(
@@ -312,8 +312,7 @@ def _weighted_do_cold(
     game: WeightedTupleGame, tolerance: float, max_iterations: int
 ) -> Tuple[MixedConfiguration, float]:
     result = _double_oracle_loop(
-        game.base, game.weights, tolerance, max_iterations,
-        method="auto", lazy_attacker=False,
+        game.base, game.weights, tolerance, max_iterations, method="auto",
     )
     if not result.exact:
         raise GameError(

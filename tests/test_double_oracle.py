@@ -75,65 +75,29 @@ class TestMechanics:
         game = TupleGame(path_graph(4), 1, nu=1)
         assert "value=" in repr(double_oracle(game))
 
-    def test_greedy_oracle_reports_gap(self):
-        """With a greedy defender oracle the certificate may be loose but
-        the value still lands within the reported gap of the truth."""
-        graph = grid_graph(2, 4)
-        game = TupleGame(graph, 2, nu=1)
-        truth = solve_minimax(game).value
-        result = double_oracle(game, method="greedy")
-        assert result.value <= truth + result.certified_gap + 1e-7
-        assert result.value >= truth - result.certified_gap - 1e-7
-
-    def test_lazy_attacker_matches_eager(self):
-        game = TupleGame(grid_graph(2, 4), 2, nu=1)
-        eager = double_oracle(game)
-        lazy = double_oracle(game, lazy_attacker=True)
-        assert lazy.value == pytest.approx(eager.value, abs=1e-9)
-        assert lazy.exact and eager.exact
-
-    def test_lazy_attacker_ties_break_in_canonical_order(self, monkeypatch):
-        """Vertices 9 and 10 tie for the least hit probability after the
-        first iteration; the attacker oracle must pick 9, the first in
-        canonical vertex order, not 10 (which sorts first by ``repr``)."""
-        import importlib
-
-        from repro.graphs.core import Graph
-
-        module = importlib.import_module("repro.solvers.double_oracle")
-        pools = []
-        duel = module.minimax_over_strategies
-
-        def recording_duel(vertices, strategies, coverage_of, **kwargs):
-            pools.append(list(vertices))
-            return duel(vertices, strategies, coverage_of, **kwargs)
-
-        monkeypatch.setattr(module, "minimax_over_strategies", recording_duel)
-        game = TupleGame(Graph([(0, 1), (1, 9), (1, 10)]), 1, nu=1)
-        result = double_oracle(game, lazy_attacker=True)
-        assert pools[:3] == [[0], [0, 9], [0, 9, 10]]
-        assert result.value == pytest.approx(1.0 / 3.0, abs=1e-9)
+    def test_greedy_method_is_rejected(self):
+        """Greedy proposes columns but cannot certify a run."""
+        game = TupleGame(path_graph(4), 1, nu=1)
+        with pytest.raises(ValueError, match="greedy"):
+            double_oracle(game, method="greedy")
 
 
 class TestInexactConvergence:
-    """Regression: a greedy defender oracle can stall on a suboptimal
-    tuple the restricted LP already contains, so the run used to claim
-    convergence with a tiny reported gap while the value was silently
-    wrong.  The result must now be re-certified with an exact oracle call
-    and flagged ``exact=False`` when the true gap exceeds the slack."""
+    """Regression: a greedy defender oracle stalls on this graph, on a
+    suboptimal tuple the restricted LP already contains.  Greedy only
+    proposes columns, so the loop must go on to the exact oracle and
+    stop on a certified optimum, never on a greedy answer."""
 
-    def test_greedy_stall_is_flagged_inexact(self):
+    def test_greedy_stall_graph_certifies(self):
         from repro.graphs.generators import gnp_random_graph
 
         graph = gnp_random_graph(9, 0.4, seed=2)
         game = TupleGame(graph, 4, nu=1)
         truth = solve_minimax(game).value
-        result = double_oracle(game, method="greedy", tolerance=1e-9)
-        assert not result.exact
-        assert result.certified_gap > 2e-9
-        # The re-certified gap is a true bracket around the optimum.
-        assert result.value < truth - 1e-6
-        assert result.value + result.certified_gap >= truth - 1e-9
+        result = double_oracle(game, tolerance=1e-9)
+        assert result.exact
+        assert result.certified_gap <= 2e-9
+        assert result.value == pytest.approx(truth, abs=1e-9)
 
     def test_exact_methods_certify(self):
         game = TupleGame(grid_graph(2, 4), 2, nu=1)
@@ -141,6 +105,36 @@ class TestInexactConvergence:
             result = double_oracle(game, method=method)
             assert result.exact
             assert result.certified_gap <= 2e-9
+
+
+class TestExactWork:
+    """Greedy proposes every column it can, so on perfbench's family the
+    exact coverage kernel is asked once per cold solve: to certify."""
+
+    @staticmethod
+    def _exact_queries():
+        from repro.obs import metrics
+
+        counters = metrics.get_registry().snapshot()["counters"]
+        return (counters.get("perf.kernel.query.bnb.count", 0)
+                + counters.get("perf.kernel.query.exhaustive.count", 0))
+
+    def test_one_exact_query_per_solve(self):
+        graph = random_bipartite_graph(25, 40, 0.10, seed=11)
+        before = self._exact_queries()
+        result = double_oracle(TupleGame(graph, 5, nu=1))
+        assert self._exact_queries() == before + 1
+        assert result.exact
+
+    def test_one_exact_query_per_weighted_solve(self):
+        from repro.weighted import WeightedTupleGame, weighted_double_oracle
+
+        graph = random_bipartite_graph(25, 40, 0.10, seed=11)
+        weights = {v: (1, 2, 3, 5)[i % 4]
+                   for i, v in enumerate(graph.sorted_vertices())}
+        before = self._exact_queries()
+        weighted_double_oracle(WeightedTupleGame(graph, 5, weights, nu=1))
+        assert self._exact_queries() == before + 1
 
 
 class TestConvergenceGuard:

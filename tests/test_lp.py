@@ -170,8 +170,7 @@ class TestIncrementalDuel:
                              dual_attacker=True)
             seen.append((solution.value, fresh.value))
 
-        _double_oracle_loop(game, weights, 1e-9, 300, "auto", False,
-                            audit=audit)
+        _double_oracle_loop(game, weights, 1e-9, 300, "auto", audit=audit)
         assert len(seen) >= 2
         for incremental, fresh in seen:
             assert incremental == pytest.approx(fresh, abs=1e-9)

@@ -205,6 +205,18 @@ class TestValidationErrors:
         assert body["error"]["code"] == "invalid-params"
         assert "bogus" in body["error"]["message"]
 
+    @pytest.mark.parametrize("params", [
+        {"lazy_attacker": True},
+        {"method": "greedy"},
+    ], ids=["lazy-attacker", "greedy-method"])
+    def test_removed_double_oracle_params_rejected(self, service, params):
+        _svc, base = service
+        status, body = post(base, "/double-oracle", {
+            "game": PATH_GAME, "params": params,
+        })
+        assert status == 400
+        assert body["error"]["code"] == "invalid-params"
+
     def test_param_type_error(self, service):
         _svc, base = service
         status, body = post(base, "/fictitious-play", {
@@ -383,8 +395,7 @@ LIBRARY_CALLS = [
      {"seed": 3, "allow_extensions": False}),
     ("double-oracle",
      lambda game, **p: double_oracle_result_to_json(double_oracle(game, **p)),
-     {"tolerance": 1e-7, "max_iterations": 50, "method": "bnb",
-      "lazy_attacker": True}),
+     {"tolerance": 1e-7, "max_iterations": 50, "method": "bnb"}),
     ("fictitious-play",
      lambda game, **p: fictitious_play_result_to_json(
          fictitious_play(game, **p)),
