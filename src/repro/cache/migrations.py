@@ -73,6 +73,18 @@ MIGRATIONS: Sequence[Tuple[int, Sequence[str]]] = (
             "ON cache_entries (solver)",
         ),
     ),
+    (
+        3,
+        (
+            # ``size_bytes`` sits after ``payload`` in the row, so summing
+            # it from the table walks every payload's overflow pages.
+            # This index covers the size query, the LRU eviction order
+            # and ``gc``'s age cut without reading a payload.
+            "DROP INDEX IF EXISTS idx_cache_entries_last_access",
+            "CREATE INDEX IF NOT EXISTS idx_cache_entries_lru "
+            "ON cache_entries (last_access, size_bytes)",
+        ),
+    ),
 )
 
 #: The schema version this library writes.

@@ -9,12 +9,19 @@ across processes, and indexed eviction scans — all stdlib, no services.
 
 Policy
 ------
-* **LRU over ``last_access``**: every hit bumps the entry's
-  ``last_access`` (and ``hits`` tally); when the store exceeds
-  ``max_entries`` or ``max_bytes`` after an insert, the least recently
-  used entries are evicted until it fits.
+* **LRU over ``last_access``**: a hit writes nothing; it records the
+  entry's new ``last_access`` and ``hits`` tally in memory, and the next
+  :meth:`~ResultCache.store`, :meth:`~ResultCache.gc`,
+  :meth:`~ResultCache.stats`, :meth:`~ResultCache.entries` or
+  :meth:`~ResultCache.close` flushes them inside its own transaction.
+  When the store exceeds ``max_entries`` or ``max_bytes`` after an
+  insert, the least recently used entries (ties by key) are evicted
+  until it fits, in the same transaction as the insert.
 * **Age**: :meth:`ResultCache.gc` (and the ``repro-defender cache gc``
   CLI) drops entries whose ``last_access`` is older than a cutoff.
+* **Size**: the entry count and byte total are read from the covering
+  ``(last_access, size_bytes)`` index, never from the payload rows, once
+  per write.
 * **Schema versioning**: the file carries ``PRAGMA user_version``;
   :mod:`repro.cache.migrations` upgrades old stores in place and refuses
   to touch stores newer than this library.
@@ -38,7 +45,7 @@ import sqlite3
 import threading
 from pathlib import Path
 from time import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import get_logger, metrics, tracing
 
@@ -51,6 +58,10 @@ _log = get_logger("repro.cache.store")
 
 DEFAULT_MAX_ENTRIES = 4096
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: Entry count and byte total; answered from the covering LRU index.
+SIZE_SQL = ("SELECT COUNT(*), COALESCE(SUM(size_bytes), 0) "
+            "FROM cache_entries")
 
 
 class ResultCache:
@@ -74,6 +85,8 @@ class ResultCache:
         self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
+        # Hits not yet written: key -> (last_access, hits since flush).
+        self._touches: Dict[str, Tuple[float, int]] = {}  # repro: lock(_lock)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One connection shared across threads, serialized by our lock
         # (sqlite3's own check is per-thread-affinity, stricter than
@@ -96,7 +109,8 @@ class ResultCache:
               params: Dict[str, Any]) -> Optional[str]:
         """The cached payload for ``(fingerprint, solver, params)``, or None.
 
-        A hit bumps the entry's LRU clock and hit tally.
+        A hit writes nothing: its LRU clock and hit tally wait in memory
+        for the next flush.
         """
         key = cache_key(fingerprint, solver, params_json(params))
         with tracing.span("cache.lookup", solver=solver), \
@@ -107,12 +121,8 @@ class ResultCache:
                     (key,),
                 ).fetchone()
                 if row is not None:
-                    with self._conn:
-                        self._conn.execute(
-                            "UPDATE cache_entries SET last_access = ?, "
-                            "hits = hits + 1 WHERE key = ?",
-                            (time(), key),
-                        )
+                    hits = self._touches.get(key, (0.0, 0))[1]
+                    self._touches[key] = (time(), hits + 1)
             if row is None:
                 metrics.counter("cache.misses.count").inc()
                 return None
@@ -123,7 +133,8 @@ class ResultCache:
               params: Dict[str, Any], payload: str) -> str:
         """Insert (or refresh) one payload; returns its key.
 
-        Enforces the LRU size policy after the insert.
+        The pending hits, the insert and the LRU eviction it calls for
+        commit as one transaction.
         """
         key = cache_key(fingerprint, solver, params_json(params))
         now = time()
@@ -131,6 +142,7 @@ class ResultCache:
         with metrics.timer("cache.store.seconds"):
             with self._lock:
                 with self._conn:
+                    self._flush_touches_locked()
                     self._conn.execute(
                         "INSERT INTO cache_entries (key, fingerprint, "
                         "solver, params, payload, size_bytes, created_at, "
@@ -140,32 +152,42 @@ class ResultCache:
                         (key, fingerprint, solver, params_json(params),
                          payload, size, now, now, payload, size, now),
                     )
-                evicted = self._evict_lru_locked()
+                    evicted, count, total = self._evict_lru_locked()
             metrics.counter("cache.stores.count").inc()
-            if evicted:
-                metrics.counter("cache.evictions.count").inc(evicted)
-            self._publish_size_gauges()
+            _publish_size(evicted, count, total)
         return key
 
-    def _evict_lru_locked(self) -> int:
-        """Drop least-recently-used entries until the policy holds."""
-        evicted = 0
-        while True:
-            count, total = self._conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0) "
-                "FROM cache_entries"
-            ).fetchone()
-            if count <= self.max_entries and total <= self.max_bytes:
-                return evicted
-            with self._conn:
-                cur = self._conn.execute(
-                    "DELETE FROM cache_entries WHERE key IN ("
-                    "SELECT key FROM cache_entries "
-                    "ORDER BY last_access ASC LIMIT 1)"
-                )
-            if cur.rowcount <= 0:
-                return evicted
-            evicted += cur.rowcount
+    def _flush_touches_locked(self) -> None:
+        """Write the pending hits inside the caller's transaction."""
+        if self._touches:
+            self._conn.executemany(
+                "UPDATE cache_entries SET last_access = ?, "
+                "hits = hits + ? WHERE key = ?",
+                [(at, hits, key)
+                 for key, (at, hits) in self._touches.items()],
+            )
+            self._touches.clear()
+
+    def _evict_lru_locked(self) -> Tuple[int, int, int]:
+        """Drop least-recently-used entries, ties by key, until the size
+        policy holds; returns ``(evicted, entries, bytes)`` after it."""
+        count, total = self._conn.execute(SIZE_SQL).fetchone()
+        victims: List[Tuple[str]] = []
+        if count > self.max_entries or total > self.max_bytes:
+            cursor = self._conn.execute(
+                "SELECT key, size_bytes FROM cache_entries "
+                "ORDER BY last_access, key"
+            )
+            for key, size in cursor:
+                if count <= self.max_entries and total <= self.max_bytes:
+                    break
+                victims.append((key,))
+                count -= 1
+                total -= size
+            cursor.close()
+            self._conn.executemany(
+                "DELETE FROM cache_entries WHERE key = ?", victims)
+        return len(victims), count, total
 
     # ------------------------------------------------------------------
     # maintenance / inspection
@@ -177,25 +199,26 @@ class ResultCache:
 
         ``max_age_s=None`` only re-enforces the size policy;
         ``max_age_s=0`` empties the store (optionally one solver's
-        slice).  Returns the number of entries evicted.
+        slice).  Returns the number of entries evicted.  The pending
+        hits and every eviction commit as one transaction.
         """
         with metrics.timer("cache.gc.seconds"):
-            evicted = 0
+            aged = 0
             with self._lock:
-                if max_age_s is not None:
-                    cutoff = time() - float(max_age_s)
-                    sql = ("DELETE FROM cache_entries "
-                           "WHERE last_access <= ?")
-                    args: List[Any] = [cutoff]
-                    if solver is not None:
-                        sql += " AND solver = ?"
-                        args.append(solver)
-                    with self._conn:
-                        evicted += self._conn.execute(sql, args).rowcount
-                evicted += self._evict_lru_locked()
-            if evicted:
-                metrics.counter("cache.evictions.count").inc(evicted)
-            self._publish_size_gauges()
+                with self._conn:
+                    self._flush_touches_locked()
+                    if max_age_s is not None:
+                        cutoff = time() - float(max_age_s)
+                        sql = ("DELETE FROM cache_entries "
+                               "WHERE last_access <= ?")
+                        args: List[Any] = [cutoff]
+                        if solver is not None:
+                            sql += " AND solver = ?"
+                            args.append(solver)
+                        aged = self._conn.execute(sql, args).rowcount
+                    evicted, count, total = self._evict_lru_locked()
+            evicted += aged
+            _publish_size(evicted, count, total)
             _log.info("cache.gc", evicted=evicted,
                       max_age_s=max_age_s, solver=solver or "*")
         return evicted
@@ -203,10 +226,9 @@ class ResultCache:
     def stats(self) -> Dict[str, Any]:
         """Store totals and a per-solver breakdown (for the CLI)."""
         with self._lock:
-            count, total = self._conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0) "
-                "FROM cache_entries"
-            ).fetchone()
+            with self._conn:
+                self._flush_touches_locked()
+            count, total = self._conn.execute(SIZE_SQL).fetchone()
             per_solver = {
                 solver: {"entries": entries, "bytes": nbytes, "hits": hits}
                 for solver, entries, nbytes, hits in self._conn.execute(
@@ -246,6 +268,8 @@ class ResultCache:
         sql += " ORDER BY last_access DESC LIMIT ?"
         args.append(int(limit))
         with self._lock:
+            with self._conn:
+                self._flush_touches_locked()
             rows = self._conn.execute(sql, args).fetchall()
         return [
             {
@@ -262,19 +286,24 @@ class ResultCache:
             created, accessed, hits in rows
         ]
 
-    def _publish_size_gauges(self) -> None:
-        with self._lock:
-            count, total = self._conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0) "
-                "FROM cache_entries"
-            ).fetchone()
-        metrics.gauge("cache.entries").set(float(count))
-        metrics.gauge("cache.bytes").set(float(total))
-
     def close(self) -> None:
-        """Close the underlying connection (the store stays on disk)."""
+        """Flush the pending hits and close the connection (the store
+        stays on disk)."""
         with self._lock:
-            self._conn.close()
+            try:
+                if self._touches:
+                    with self._conn:
+                        self._flush_touches_locked()
+            finally:
+                self._conn.close()
 
     def __repr__(self) -> str:
         return f"ResultCache(path={str(self.path)!r})"
+
+
+def _publish_size(evicted: int, count: int, total: int) -> None:
+    """Count a write's evictions and set the size gauges it measured."""
+    if evicted:
+        metrics.counter("cache.evictions.count").inc(evicted)
+    metrics.gauge("cache.entries").set(float(count))
+    metrics.gauge("cache.bytes").set(float(total))

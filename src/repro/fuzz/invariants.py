@@ -25,6 +25,9 @@ check                         theorem     cross-checked paths
                                           plain and weighted: the grown
                                           model vs a fresh one-shot duel vs
                                           the two-LP (``−Aᵀ``) route
+``cache-replay``              —           every cached entry point, plain and
+                                          weighted: cold result vs its
+                                          replay from a throwaway store
 ``graph-io-roundtrip``        —           graph JSON + edge-list codecs
 ``kernel-reference``          —           coverage kernel vs brute-force argmax
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
@@ -41,8 +44,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
 from typing import Callable, Dict, List, Optional, Sequence
 
+import repro.cache as result_cache
 from repro.core.characterization import is_mixed_nash
 from repro.core.game import TupleGame
 from repro.core.pure import pure_nash_exists
@@ -51,6 +56,7 @@ from repro.core.serialize import (
     configuration_to_json,
     game_from_json,
     game_to_json,
+    solve_result_to_json,
 )
 from repro.core.tuples import all_tuples, tuple_vertices
 from repro.equilibria.solve import NoEquilibriumFoundError, solve_game
@@ -63,15 +69,25 @@ from repro.graphs.io import (
 )
 from repro.kernels.coverage import shared_oracle
 from repro.matching.covers import minimum_edge_cover_size
+from repro.obs import metrics
 from repro.simulation.fast import simulate_fast
-from repro.solvers.double_oracle import _double_oracle_loop, double_oracle
-from repro.solvers.fictitious_play import fictitious_play
+from repro.solvers.double_oracle import (
+    _double_oracle_loop,
+    double_oracle,
+    double_oracle_result_to_json,
+)
+from repro.solvers.fictitious_play import (
+    fictitious_play,
+    fictitious_play_result_to_json,
+)
 from repro.solvers.lp import LPSolution, _minimax, solve_minimax
 from repro.solvers.ranges import attacker_vertex_ranges
 from repro.weighted.game import (
     WeightedTupleGame,
+    weighted_do_result_to_json,
     weighted_double_oracle,
     weighted_lp_equilibrium,
+    weighted_lp_result_to_json,
     weighted_minimax,
 )
 
@@ -384,6 +400,58 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
     return out
 
 
+def check_cache_replay(game: TupleGame, tol: float) -> List[Violation]:
+    """Every cached entry point, plain and on the weighted lift, solves
+    cold into a throwaway store and then replays: the replayed result
+    re-serializes to the cold result's bytes, and each replay counts
+    exactly one ``cache.hits.count``."""
+    weighted = _weighted_lift(game)
+    routes = (
+        ("solve_game", lambda: solve_game(game), solve_result_to_json),
+        ("double_oracle", lambda: double_oracle(game),
+         double_oracle_result_to_json),
+        ("fictitious_play", lambda: fictitious_play(game, rounds=_FP_ROUNDS),
+         fictitious_play_result_to_json),
+        ("weighted_lp_equilibrium", lambda: weighted_lp_equilibrium(weighted),
+         lambda result: weighted_lp_result_to_json(*result)),
+        ("weighted_double_oracle", lambda: weighted_double_oracle(weighted),
+         lambda result: weighted_do_result_to_json(*result)),
+    )
+    hits = metrics.counter("cache.hits.count")
+    was_enabled = result_cache.cache_enabled()
+    directory = result_cache.cache_directory()
+    out: List[Violation] = []
+    with tempfile.TemporaryDirectory() as scratch:
+        result_cache.enable_cache(scratch)
+        try:
+            for route, solve, encode in routes:
+                try:
+                    cold = encode(solve())
+                except NoEquilibriumFoundError:
+                    continue
+                before = hits.value
+                replayed = encode(solve())
+                if hits.value != before + 1:
+                    out.append(Violation(
+                        "cache-replay",
+                        f"{route}: one replay counted "
+                        f"{hits.value - before:g} cache hits, not 1",
+                    ))
+                if replayed != cold:
+                    out.append(Violation(
+                        "cache-replay",
+                        f"{route}: the replayed result re-serializes to "
+                        "other bytes than the cold one",
+                    ))
+        finally:
+            # Re-enabling the caller's directory closes the throwaway
+            # store before its directory goes.
+            result_cache.enable_cache(directory)
+            if not was_enabled:
+                result_cache.disable_cache()
+    return out
+
+
 def check_graph_io_roundtrip(game: TupleGame, tol: float) -> List[Violation]:
     """The graph codecs must be lossless on every generated label shape.
 
@@ -508,6 +576,7 @@ INVARIANTS: Dict[str, Check] = {
     "weighted-value-agreement": check_weighted_value_agreement,
     "unit-weight-agreement": check_unit_weight_agreement,
     "incremental-lp": check_incremental_lp,
+    "cache-replay": check_cache_replay,
     "graph-io-roundtrip": check_graph_io_roundtrip,
     "kernel-reference": check_kernel_reference,
     "simulation-agreement": check_simulation_agreement,

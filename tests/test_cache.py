@@ -17,7 +17,7 @@ from repro.cache.migrations import (
     CacheSchemaError,
     apply_migrations,
 )
-from repro.cache.store import ResultCache
+from repro.cache.store import SIZE_SQL, ResultCache
 from repro.core.game import TupleGame
 from repro.core.serialize import configuration_to_json, solve_result_to_json
 from repro.equilibria.solve import solve_game
@@ -126,6 +126,50 @@ class TestMigrations:
         finally:
             store.close()
 
+    def test_v2_store_migrates_to_v3_in_place(self, tmp_path):
+        path = tmp_path / "c.sqlite3"
+        conn = sqlite3.connect(str(path))
+        with conn:
+            for _, statements in MIGRATIONS[:2]:
+                for statement in statements:
+                    conn.execute(statement)
+            conn.execute("PRAGMA user_version = 2")
+            conn.executemany(
+                "INSERT INTO cache_entries (key, fingerprint, solver, "
+                "params, payload, size_bytes, created_at, last_access, "
+                "hits) VALUES (?, 'f', 's', '{}', ?, 3, 0, ?, ?)",
+                [("k1", "p-1", 1.0, 4), ("k2", "p-2", 2.0, 0)],
+            )
+        conn.close()
+        store = ResultCache(path)
+        try:
+            assert store.stats()["schema_version"] == 3
+            assert [(e["key"], e["hits"], e["last_access"])
+                    for e in store.entries()] \
+                == [("k2", 0, 2.0), ("k1", 4, 1.0)]
+            assert store._conn.execute(
+                "SELECT payload FROM cache_entries WHERE key = 'k1'"
+            ).fetchone() == ("p-1",)
+            indexes = {name for (name,) in store._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND tbl_name = 'cache_entries' AND sql IS NOT NULL")}
+            assert indexes == {"idx_cache_entries_lru",
+                               "idx_cache_entries_solver"}
+        finally:
+            store.close()
+
+    def test_size_query_reads_the_covering_index(self, tmp_path):
+        # Summing size_bytes from the table would walk every payload's
+        # overflow pages; the LRU index must answer it alone.
+        store = ResultCache(tmp_path / "c.sqlite3")
+        try:
+            store.store("f", "s", {}, "x" * 9500)
+            plan = " ".join(row[-1] for row in store._conn.execute(
+                "EXPLAIN QUERY PLAN " + SIZE_SQL))
+            assert "COVERING INDEX idx_cache_entries_lru" in plan
+        finally:
+            store.close()
+
     def test_newer_store_is_refused(self, tmp_path):
         path = tmp_path / "c.sqlite3"
         conn = sqlite3.connect(str(path))
@@ -177,6 +221,85 @@ class TestStore:
             assert store.probe("a", "s", {}) == "pa"
             assert store.probe("c", "s", {}) == "pc"
             assert _counter("cache.evictions.count") == 1
+        finally:
+            store.close()
+
+    def test_hit_writes_nothing(self, tmp_path):
+        path = tmp_path / "c.sqlite3"
+        store = ResultCache(path)
+        other = sqlite3.connect(str(path))
+        try:
+            store.store("f", "s", {}, "payload")
+            before = other.execute("PRAGMA data_version").fetchone()
+            assert store.probe("f", "s", {}) == "payload"
+            assert other.execute("PRAGMA data_version").fetchone() == before
+        finally:
+            other.close()
+            store.close()
+
+    def test_gc_by_age_sees_pending_hits(self, tmp_path):
+        store = ResultCache(tmp_path / "c.sqlite3")
+        try:
+            store.store("a", "s", {}, "pa")
+            store.store("b", "s", {}, "pb")
+            time.sleep(0.2)
+            assert store.probe("a", "s", {}) == "pa"
+            assert store.gc(max_age_s=0.1) == 1
+            assert [e["key"] for e in store.entries()] \
+                == [cache_key("a", "s", params_json({}))]
+        finally:
+            store.close()
+
+    def test_hit_tallies_reach_stats_entries_and_the_file(self, tmp_path):
+        path = tmp_path / "c.sqlite3"
+        store = ResultCache(path)
+        store.store("f", "s", {}, "payload")
+        for _ in range(3):
+            assert store.probe("f", "s", {}) == "payload"
+        assert store.stats()["solvers"]["s"]["hits"] == 3
+        assert store.probe("f", "s", {}) == "payload"
+        assert store.entries()[0]["hits"] == 4
+        assert store.probe("f", "s", {}) == "payload"
+        store.close()
+        reopened = ResultCache(path)
+        try:
+            assert reopened.entries()[0]["hits"] == 5
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("write", ["gc", "store"])
+    def test_eviction_commits_once(self, tmp_path, write):
+        store = ResultCache(tmp_path / "c.sqlite3")
+        try:
+            for i in range(50):
+                store.store(f"f{i:02d}", "s", {}, "p")
+            store.probe("f00", "s", {})  # f00 becomes the most recent
+            store.max_entries = 10
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            if write == "gc":
+                assert store.gc() == 40
+            else:
+                store.store("new", "s", {}, "p")
+            store._conn.set_trace_callback(None)
+            assert statements.count("COMMIT") == 1
+            kept = {e["key"] for e in store.entries()}
+            assert cache_key("f00", "s", params_json({})) in kept
+            assert len(kept) == 10
+            assert _counter("cache.evictions.count") == 40 + (write == "store")
+        finally:
+            store.close()
+
+    def test_lru_ties_break_by_key(self, tmp_path):
+        store = ResultCache(tmp_path / "c.sqlite3")
+        try:
+            keys = [store.store(f"f{i}", "s", {}, "p") for i in range(20)]
+            with store._conn:
+                store._conn.execute("UPDATE cache_entries SET last_access = 1")
+            store.max_entries = 5
+            assert store.gc() == 15
+            assert sorted(e["key"] for e in store.entries()) \
+                == sorted(keys)[-5:]
         finally:
             store.close()
 

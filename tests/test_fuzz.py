@@ -146,6 +146,43 @@ class TestInvariants:
         flagged = {v.check for v in check_game(game, checks=checks)}
         assert flagged == set(checks)
 
+    def test_cache_replay_catches_drift_and_miscounted_hits(
+            self, monkeypatch):
+        import repro.cache as result_cache
+        from repro.cache.store import ResultCache
+
+        game = TupleGame(Graph([(0, 1), (1, 2), (2, 3), (3, 4)]), 2, nu=1)
+        directory = result_cache.cache_directory()
+        assert check_game(game, checks=["cache-replay"]) == []
+        assert not result_cache.cache_enabled()
+        assert result_cache.cache_directory() == directory
+
+        real_probe = ResultCache.probe
+
+        def drifting(self, fingerprint, solver, params):
+            text = real_probe(self, fingerprint, solver, params)
+            if text is None or solver != "solvers.double_oracle":
+                return text
+            payload = json.loads(text)
+            payload["iterations"] += 1
+            return json.dumps(payload)
+
+        monkeypatch.setattr(ResultCache, "probe", drifting)
+        assert [v.message for v in
+                check_game(game, checks=["cache-replay"])] == [
+            "double_oracle: the replayed result re-serializes to other "
+            "bytes than the cold one"]
+
+        def twice(self, *args):
+            real_probe(self, *args)
+            return real_probe(self, *args)
+
+        monkeypatch.setattr(ResultCache, "probe", twice)
+        assert [v.message.split(":")[0] for v in
+                check_game(game, checks=["cache-replay"])] == [
+            "solve_game", "double_oracle", "fictitious_play",
+            "weighted_lp_equilibrium", "weighted_double_oracle"]
+
     def test_violation_payload(self):
         v = Violation("pure-threshold", "msg", theorem="Theorem 3.1")
         assert v.to_payload() == {
