@@ -140,19 +140,18 @@ class ResultCache:
         now = time()
         size = len(payload.encode("utf-8"))
         with metrics.timer("cache.store.seconds"):
-            with self._lock:
-                with self._conn:
-                    self._flush_touches_locked()
-                    self._conn.execute(
-                        "INSERT INTO cache_entries (key, fingerprint, "
-                        "solver, params, payload, size_bytes, created_at, "
-                        "last_access, hits) VALUES (?,?,?,?,?,?,?,?,0) "
-                        "ON CONFLICT(key) DO UPDATE SET payload = ?, "
-                        "size_bytes = ?, last_access = ?",
-                        (key, fingerprint, solver, params_json(params),
-                         payload, size, now, now, payload, size, now),
-                    )
-                    evicted, count, total = self._evict_lru_locked()
+            with self._lock, self._conn:
+                self._flush_touches_locked()
+                self._conn.execute(
+                    "INSERT INTO cache_entries (key, fingerprint, "
+                    "solver, params, payload, size_bytes, created_at, "
+                    "last_access, hits) VALUES (?,?,?,?,?,?,?,?,0) "
+                    "ON CONFLICT(key) DO UPDATE SET payload = ?, "
+                    "size_bytes = ?, last_access = ?",
+                    (key, fingerprint, solver, params_json(params),
+                     payload, size, now, now, payload, size, now),
+                )
+                evicted, count, total = self._evict_lru_locked()
             metrics.counter("cache.stores.count").inc()
             _publish_size(evicted, count, total)
         return key
@@ -204,19 +203,18 @@ class ResultCache:
         """
         with metrics.timer("cache.gc.seconds"):
             aged = 0
-            with self._lock:
-                with self._conn:
-                    self._flush_touches_locked()
-                    if max_age_s is not None:
-                        cutoff = time() - float(max_age_s)
-                        sql = ("DELETE FROM cache_entries "
-                               "WHERE last_access <= ?")
-                        args: List[Any] = [cutoff]
-                        if solver is not None:
-                            sql += " AND solver = ?"
-                            args.append(solver)
-                        aged = self._conn.execute(sql, args).rowcount
-                    evicted, count, total = self._evict_lru_locked()
+            with self._lock, self._conn:
+                self._flush_touches_locked()
+                if max_age_s is not None:
+                    cutoff = time() - float(max_age_s)
+                    sql = ("DELETE FROM cache_entries "
+                           "WHERE last_access <= ?")
+                    args: List[Any] = [cutoff]
+                    if solver is not None:
+                        sql += " AND solver = ?"
+                        args.append(solver)
+                    aged = self._conn.execute(sql, args).rowcount
+                evicted, count, total = self._evict_lru_locked()
             evicted += aged
             _publish_size(evicted, count, total)
             _log.info("cache.gc", evicted=evicted,
@@ -225,9 +223,8 @@ class ResultCache:
 
     def stats(self) -> Dict[str, Any]:
         """Store totals and a per-solver breakdown (for the CLI)."""
-        with self._lock:
-            with self._conn:
-                self._flush_touches_locked()
+        with self._lock, self._conn:
+            self._flush_touches_locked()
             count, total = self._conn.execute(SIZE_SQL).fetchone()
             per_solver = {
                 solver: {"entries": entries, "bytes": nbytes, "hits": hits}
@@ -267,9 +264,8 @@ class ResultCache:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY last_access DESC LIMIT ?"
         args.append(int(limit))
-        with self._lock:
-            with self._conn:
-                self._flush_touches_locked()
+        with self._lock, self._conn:
+            self._flush_touches_locked()
             rows = self._conn.execute(sql, args).fetchall()
         return [
             {

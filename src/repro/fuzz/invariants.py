@@ -29,7 +29,9 @@ check                         theorem     cross-checked paths
                                           weighted: cold result vs its
                                           replay from a throwaway store
 ``graph-io-roundtrip``        —           graph JSON + edge-list codecs
-``kernel-reference``          —           coverage kernel vs brute-force argmax
+``kernel-reference``          —           bnb and exhaustive DFS vs the
+                                          brute-force lexicographically
+                                          first argmax
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
 ``ranges-consistency``        —           polytope probes vs LP value (gated)
 ============================  ==========  =======================================
@@ -45,7 +47,7 @@ import hashlib
 import json
 import random
 import tempfile
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.cache as result_cache
 from repro.core.characterization import is_mixed_nash
@@ -58,7 +60,7 @@ from repro.core.serialize import (
     game_to_json,
     solve_result_to_json,
 )
-from repro.core.tuples import all_tuples, tuple_vertices
+from repro.core.tuples import EdgeTuple, all_tuples, tuple_vertices
 from repro.equilibria.solve import NoEquilibriumFoundError, solve_game
 from repro.graphs.core import Graph, tuple_sort_key
 from repro.graphs.io import (
@@ -476,29 +478,56 @@ def check_graph_io_roundtrip(game: TupleGame, tol: float) -> List[Violation]:
     return out
 
 
-def _reference_best(game: TupleGame, weights: Dict) -> float:
-    """Brute-force coverage argmax — the kernel's independent referee."""
-    best = float("-inf")
-    for t in sorted(all_tuples(game.graph, game.k), key=tuple_sort_key):
-        best = max(best, sum(weights[v] for v in tuple_vertices(t)))
-    return best
+def _reference_best(game: TupleGame, weights: Dict,
+                    tol: float) -> Tuple[EdgeTuple, float]:
+    """Brute-force coverage argmax — the kernel's independent referee:
+    the best value, and the lexicographically first tuple within ``tol``
+    of it (so summation-order ulps between tuples covering the same
+    vertices do not decide the tie)."""
+    scored = [
+        (t, sum(weights[v] for v in tuple_vertices(t)))
+        for t in sorted(all_tuples(game.graph, game.k), key=tuple_sort_key)
+    ]
+    best = max(value for _, value in scored)
+    first = next(t for t, value in scored if value >= best - tol)
+    return first, best
 
 
 def check_kernel_reference(game: TupleGame, tol: float) -> List[Violation]:
-    """The exact coverage kernel must match a brute-force best response."""
+    """Both exact coverage searches must return the brute-force
+    lexicographically first argmax, with values equal bit for bit.
+
+    Branch and bound is called by name: fuzz games are small enough that
+    ``best(..., "auto")`` always picks the exhaustive DFS.  Three trials
+    draw uniform masses; a fourth draws small integers, whose exact sums
+    make many tuples tie and so test the tie-break.
+    """
     rng = random.Random(game.graph.n * 7919 + game.graph.m * 31 + game.k)
     vertices = game.graph.sorted_vertices()
     oracle = shared_oracle(game.graph, game.k)
+    trials = [{v: rng.uniform(0.0, 1.0) for v in vertices} for _ in range(3)]
+    trials.append({v: float(rng.randrange(3)) for v in vertices})
     out: List[Violation] = []
-    for trial in range(3):
-        weights = {v: rng.uniform(0.0, 1.0) for v in vertices}
-        _, kernel_value = oracle.best(weights, method="auto")
-        reference = _reference_best(game, weights)
-        if not _close(kernel_value, reference, tol):
+    for trial, weights in enumerate(trials):
+        ref_tuple, reference = _reference_best(game, weights, tol)
+        bnb = oracle.branch_and_bound(weights)
+        exhaustive = oracle.exhaustive(weights)
+        for name, (got, value) in (("branch_and_bound", bnb),
+                                   ("exhaustive", exhaustive)):
+            if got != ref_tuple or not _close(value, reference, tol):
+                out.append(Violation(
+                    "kernel-reference",
+                    f"{name} returned {got!r} worth {value!r}; brute "
+                    f"force's first argmax is {ref_tuple!r} worth "
+                    f"{reference!r} (trial {trial})",
+                ))
+        # Same tuple, same summation order: the values must be the same
+        # float, not merely close.
+        if bnb[1] != exhaustive[1]:
             out.append(Violation(
                 "kernel-reference",
-                f"kernel best-response {kernel_value!r} != brute force "
-                f"{reference!r} (trial {trial})",
+                f"branch_and_bound value {bnb[1]!r} != exhaustive "
+                f"{exhaustive[1]!r} (trial {trial})",
             ))
         _, greedy_value = oracle.greedy(weights)
         if greedy_value > reference + tol:

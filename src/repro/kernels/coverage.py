@@ -13,8 +13,8 @@ k)`` hundreds of times per solve.
 * the deterministic (lexicographic) edge order and the edge count ``m``;
 * vertex → slot and edge → endpoint-slot index arrays, so queries run on
   dense integer arrays instead of hash lookups;
-* the incidence index (vertex slot → incident edge slots);
-* reusable prefix-sum machinery for the branch-and-bound admissible bound.
+* the incidence index (vertex slot → incident edge slots), which lets
+  greedy update only the gains a pick changes.
 
 Queries then take only the *changing* attacker weight vector:
 
@@ -23,11 +23,12 @@ Queries then take only the *changing* attacker weight vector:
   construction);
 * :meth:`CoverageOracle.branch_and_bound` — exact, two-phase: a
   static-weight-ordered bound-and-prune pass establishes the optimal
-  *value*, then a lexicographic search with suffix top-``r`` bounds finds
-  the canonical (lexicographically smallest) optimal tuple;
-* :meth:`CoverageOracle.greedy` — the ``(1 − 1/e)`` approximation,
-  iterating the presorted edge list with a visited mask (no per-round
-  re-sorting);
+  *value*, then a lexicographic search bounded by the top static weights
+  still ahead finds the canonical (lexicographically smallest) optimal
+  tuple;
+* :meth:`CoverageOracle.greedy` — the ``(1 − 1/e)`` approximation: edge
+  gains are computed once and, after each pick, recomputed only for the
+  edges incident to the newly covered vertices;
 * :meth:`CoverageOracle.best` — the dispatching entry point mirroring
   :func:`repro.solvers.best_response.best_tuple`;
 * :meth:`CoverageOracle.query_many` — a batch of queries, answered in
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from heapq import heappush, heapreplace
+from itertools import accumulate, islice
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -230,8 +231,8 @@ class CoverageOracle:
         descending static-weight order (``w(u) + w(v)`` bounds any edge's
         marginal gain) with a prefix-sum admissible bound, seeded with the
         greedy value as the initial incumbent.  Phase 2 re-searches in
-        lexicographic order — pruned by suffix top-``r`` static-weight
-        bounds against the now-known optimum — and stops at the first
+        lexicographic order — pruned by the top static weights still
+        ahead against the now-known optimum — and stops at the first
         tuple reaching it, which by construction is the lexicographically
         smallest optimal tuple.  The two exact methods therefore agree
         *exactly*, ties included (the seed bnb did not).
@@ -239,7 +240,7 @@ class CoverageOracle:
         with metrics.timer("perf.kernel.query.seconds"):
             metrics.counter("perf.kernel.query.bnb.count").inc()
             w = self._weight_array(weights)
-            static = [w[self._eu[i]] + w[self._ev[i]] for i in range(self.m)]
+            static = [w[u] + w[v] for u, v in zip(self._eu, self._ev)]
             order = sorted(range(self.m), key=static.__getitem__, reverse=True)
             value = self._bnb_value(w, static, order)
             slots, exact_value = self._lex_argmax(w, static, order, value)
@@ -250,33 +251,46 @@ class CoverageOracle:
 
         The one greedy loop: :meth:`greedy` answers with it and phase 1
         of branch and bound takes its value as the initial incumbent.
+        Each round scans for the first slot whose gain beats the best so
+        far by more than ``_EPS``; the gains are computed once and, after
+        a pick, recomputed only for the edges incident to the newly
+        covered vertices — every other edge's gain is unchanged.  A
+        picked edge's gain becomes ``-inf``, so no scan takes it again.
         """
-        eu, ev, m, k = self._eu, self._ev, self.m, self.k
+        eu, ev, k = self._eu, self._ev, self.k
+        incidence = self._incidence
         covered = bytearray(self.n)
-        used = bytearray(m)
+        gains = [0.0 + w[u] + w[v] for u, v in zip(eu, ev)]
+        taken = float("-inf")
         slots: List[int] = []
         value = 0.0
         for _ in range(k):
             best_slot = -1
-            best_gain = float("-inf")
-            for i in range(m):
-                if used[i]:
-                    continue
-                u = eu[i]
-                v = ev[i]
-                gain = 0.0
-                if not covered[u]:
-                    gain += w[u]
-                if not covered[v]:
-                    gain += w[v]
-                if gain > best_gain + _EPS:
+            best_gain = taken
+            threshold = best_gain + _EPS
+            for i, gain in enumerate(gains):
+                if gain > threshold:
                     best_gain = gain
                     best_slot = i
-            used[best_slot] = 1
-            covered[eu[best_slot]] = 1
-            covered[ev[best_slot]] = 1
+                    threshold = gain + _EPS
+            gains[best_slot] = taken
             slots.append(best_slot)
             value += best_gain
+            fresh = [x for x in (eu[best_slot], ev[best_slot]) if not covered[x]]
+            for x in fresh:
+                covered[x] = 1
+            for x in fresh:
+                for j in incidence[x]:
+                    if gains[j] == taken:
+                        continue
+                    u = eu[j]
+                    v = ev[j]
+                    gain = 0.0
+                    if not covered[u]:
+                        gain += w[u]
+                    if not covered[v]:
+                        gain += w[v]
+                    gains[j] = gain
         return slots, value
 
     def _bnb_value(
@@ -286,59 +300,38 @@ class CoverageOracle:
         m, k = self.m, self.k
         oe_u = [self._eu[i] for i in order]
         oe_v = [self._ev[i] for i in order]
-        prefix = [0.0]
-        for i in order:
-            prefix.append(prefix[-1] + static[i])
+        prefix = list(accumulate(map(static.__getitem__, order), initial=0.0))
         best = self._greedy_cover(w)[1]
         covered = bytearray(self.n)
 
         def descend(index: int, depth: int, value: float) -> None:
+            # Takes slot ``index`` and recurses, then moves on to the
+            # next slot: the loop is the "leave it out" branch.
             nonlocal best
             if depth == k:
                 if value > best + _EPS:
                     best = value
                 return
             remaining = k - depth
-            if m - index < remaining:
-                return
-            if value + prefix[index + remaining] - prefix[index] <= best + _EPS:
-                return
-            u = oe_u[index]
-            v = oe_v[index]
-            gain = 0.0
-            if not covered[u]:
-                gain += w[u]
-            if not covered[v]:
-                gain += w[v]
-            covered[u] += 1
-            covered[v] += 1
-            descend(index + 1, depth + 1, value + gain)
-            covered[u] -= 1
-            covered[v] -= 1
-            descend(index + 1, depth, value)
+            while m - index >= remaining:
+                if value + prefix[index + remaining] - prefix[index] <= best + _EPS:
+                    return
+                u = oe_u[index]
+                v = oe_v[index]
+                gain = 0.0
+                if not covered[u]:
+                    gain += w[u]
+                if not covered[v]:
+                    gain += w[v]
+                covered[u] += 1
+                covered[v] += 1
+                descend(index + 1, depth + 1, value + gain)
+                covered[u] -= 1
+                covered[v] -= 1
+                index += 1
 
         descend(0, 0, 0.0)
         return best
-
-    def _suffix_top_sums(self, static: List[float]) -> List[List[float]]:
-        """``sums[i][r]``: total of the ``r`` largest static weights in
-        slots ``i..m-1`` (``r <= k``) — the admissible bound for the
-        lexicographic phase-2 search."""
-        m, k = self.m, self.k
-        sums: List[List[float]] = [[] for _ in range(m + 1)]
-        sums[m] = [0.0]
-        heap: List[float] = []
-        for i in range(m - 1, -1, -1):
-            s = static[i]
-            if len(heap) < k:
-                heappush(heap, s)
-            elif s > heap[0]:
-                heapreplace(heap, s)
-            acc = [0.0]
-            for x in sorted(heap, reverse=True):
-                acc.append(acc[-1] + x)
-            sums[i] = acc
-        return sums
 
     def _lex_argmax(
         self,
@@ -375,9 +368,16 @@ class CoverageOracle:
         accumulate in increasing slot order, i.e. the exact summation
         order of the exhaustive DFS, so the two exact methods return
         bit-identical values.
+
+        Candidate slots only grow, so ``ahead`` — the slots after the
+        current candidate, in static order — drops one slot per
+        candidate.  A candidate's completion is bounded by the sum of
+        the first ``r − 1`` static weights in it, and the probe searches
+        it.
         """
         eu, ev, m, k = self._eu, self._ev, self.m, self.k
-        sums = self._suffix_top_sums(static)
+        ahead = list(order)
+        ahead_static = [static[i] for i in order]
         covered = bytearray(self.n)
         chosen: List[int] = []
         value = 0.0
@@ -387,6 +387,9 @@ class CoverageOracle:
             r = k - depth
             placed = False
             for i in range(start, m - r + 1):
+                at = ahead.index(i)
+                del ahead[at]
+                del ahead_static[at]
                 u = eu[i]
                 v = ev[i]
                 gain = 0.0
@@ -394,14 +397,15 @@ class CoverageOracle:
                     gain += w[u]
                 if not covered[v]:
                     gain += w[v]
-                acc = sums[i + 1]
-                bound = acc[r - 1] if r - 1 < len(acc) else acc[-1]
+                bound = 0.0
+                for x in islice(ahead_static, r - 1):
+                    bound += x
                 if value + gain + bound < threshold:
                     continue
                 covered[u] += 1
                 covered[v] += 1
                 if self._probe(
-                    w, static, order, i + 1, r - 1,
+                    w, ahead, ahead_static, r - 1,
                     threshold - value - gain, covered,
                 ):
                     chosen.append(i)
@@ -418,16 +422,16 @@ class CoverageOracle:
     def _probe(
         self,
         w: List[float],
-        static: List[float],
-        order: List[int],
-        min_slot: int,
+        slots: List[int],
+        slot_static: List[float],
         need: int,
         deficit: float,
         covered: bytearray,
     ) -> bool:
-        """Can ``need`` unused slots ``>= min_slot`` add mass ``>= deficit``?
+        """Can ``need`` of ``slots`` add mass ``>= deficit``?
 
-        Explores candidates in descending static-weight order with a
+        ``slots`` are in descending static-weight order (``slot_static``
+        holds their weights).  Explores them in that order with a
         prefix-sum admissible bound and exits on the first success — a
         pure decision search, so refuting an infeasible lex candidate is
         as fast as the phase-1 value search.
@@ -436,38 +440,39 @@ class CoverageOracle:
             return True  # weights are non-negative: any completion works
         if need == 0:
             return False
-        eu, ev = self._eu, self._ev
-        slots = [i for i in order if i >= min_slot]
-        if len(slots) < need:
-            return False
-        prefix = [0.0]
-        for i in slots:
-            prefix.append(prefix[-1] + static[i])
         total = len(slots)
+        if total < need:
+            return False
+        eu, ev = self._eu, self._ev
+        prefix = list(accumulate(slot_static, initial=0.0))
 
         def search(pos: int, need: int, deficit: float) -> bool:
+            # Takes ``slots[pos]`` and recurses, then moves on to the
+            # next slot: the loop is the "leave it out" branch.
             if deficit <= 0.0:
                 return total - pos >= need
-            if need == 0 or total - pos < need:
+            if need == 0:
                 return False
-            if prefix[pos + need] - prefix[pos] < deficit:
-                return False
-            i = slots[pos]
-            u = eu[i]
-            v = ev[i]
-            gain = 0.0
-            if not covered[u]:
-                gain += w[u]
-            if not covered[v]:
-                gain += w[v]
-            covered[u] += 1
-            covered[v] += 1
-            hit = search(pos + 1, need - 1, deficit - gain)
-            covered[u] -= 1
-            covered[v] -= 1
-            if hit:
-                return True
-            return search(pos + 1, need, deficit)
+            while total - pos >= need:
+                if prefix[pos + need] - prefix[pos] < deficit:
+                    return False
+                i = slots[pos]
+                u = eu[i]
+                v = ev[i]
+                gain = 0.0
+                if not covered[u]:
+                    gain += w[u]
+                if not covered[v]:
+                    gain += w[v]
+                covered[u] += 1
+                covered[v] += 1
+                hit = search(pos + 1, need - 1, deficit - gain)
+                covered[u] -= 1
+                covered[v] -= 1
+                if hit:
+                    return True
+                pos += 1
+            return False
 
         return search(0, need, deficit)
 
@@ -477,9 +482,9 @@ class CoverageOracle:
     def greedy(self, weights: Mapping[Vertex, float]) -> Tuple[EdgeTuple, float]:
         """Greedy ``(1 − 1/e)``-approximate coverage.
 
-        Scans the precomputed lexicographic edge order with a used-edge
-        mask — the documented deterministic tie-break (first edge among
-        the maximal marginal gains) is preserved, without the seed's
+        Scans the lexicographic edge order over gains kept between picks
+        — the documented deterministic tie-break (first edge among the
+        maximal marginal gains) is preserved, without the seed's
         per-round ``sorted(remaining)`` re-sort and set churn.
         """
         with metrics.timer("perf.kernel.query.seconds"):

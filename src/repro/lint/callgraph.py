@@ -417,18 +417,18 @@ class _CallCollector(ast.NodeVisitor):
         self._stack.pop()
 
     def visit_With(self, node) -> None:
-        acquired: List[Tuple[str, str, str]] = []
+        # A later item's calls run under the locks of the earlier items.
+        depth = len(self._held)
         for item in node.items:
             lock = self.lock_of_expr(item.context_expr, self._cls)
-            if lock is not None:
-                acquired.append(lock)
             self.visit(item.context_expr)
+            if lock is not None:
+                self._held.append(lock)
             if item.optional_vars is not None:
                 self.visit(item.optional_vars)
-        self._held.extend(acquired)
         for stmt in node.body:
             self.visit(stmt)
-        del self._held[len(self._held) - len(acquired):]
+        del self._held[depth:]
 
     visit_AsyncWith = visit_With
 

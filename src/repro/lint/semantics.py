@@ -615,21 +615,24 @@ class _SemanticsVisitor(ast.NodeVisitor):
         self._stack.pop()
 
     def visit_With(self, node) -> None:
-        acquired: List[LockId] = []
+        # Items enter left to right, so each later item is evaluated
+        # under the locks the earlier ones took: ``with self._lock,
+        # self._conn:`` reads ``_conn`` holding ``_lock``.
+        depth = len(self._held)
         for item in node.items:
             lock = self.summary.lock_of_expr(item.context_expr, self._cls)
             if lock is not None:
                 self.summary.acquires.append(AcquireSite(
                     lock, item.context_expr.lineno, self._site_key,
                     frozenset(self._held)))
-                acquired.append(lock)
             self.visit(item.context_expr)
+            if lock is not None:
+                self._held.append(lock)
             if item.optional_vars is not None:
                 self.visit(item.optional_vars)
-        self._held.extend(acquired)
         for stmt in node.body:
             self.visit(stmt)
-        del self._held[len(self._held) - len(acquired):]
+        del self._held[depth:]
 
     visit_AsyncWith = visit_With
 

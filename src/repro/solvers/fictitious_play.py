@@ -252,6 +252,14 @@ def _run_fictitious_play(
     oracle = shared_oracle(graph, game.k)
     vertices = oracle.vertices
 
+    # Ties among the attacker's best responses break by ``repr(v)`` on
+    # purpose: canonical order steers other trajectories, made the
+    # fp-rounds benchmark 1.6–1.8× slower (same answers) and would change
+    # every stored fictitious-play result.  ``min`` keeps the first of
+    # equal keys, so scanning the vertices in ``repr`` order (a stable
+    # sort, built once per run) is that tie-break.
+    by_repr = sorted(vertices, key=repr)
+
     attacker_counts: Dict[Vertex, int] = {}
     defender_counts: Dict[EdgeTuple, int] = {}
     # Cumulative hit tallies: hit_mass[v] = number of past defender
@@ -273,11 +281,9 @@ def _run_fictitious_play(
         for v in tuple_vertices(response):
             hit_mass[v] += 1.0
         # Attacker best-responds to the defender's empirical mixture:
-        # the vertex with the lowest empirical hit probability.  Ties
-        # break by ``repr(v)`` on purpose: canonical order steers other
-        # trajectories, made the fp-rounds benchmark 1.6–1.8× slower (same
-        # answers) and would change every stored fictitious-play result.
-        current_attack = min(vertices, key=lambda v: (hit_mass[v], repr(v)))
+        # the vertex with the lowest empirical hit probability, ties
+        # broken by ``repr(v)`` (see ``by_repr``).
+        current_attack = min(by_repr, key=hit_mass.__getitem__)
         # Value sandwich: the defender's best response against the
         # empirical attacker guarantees >= value; the attacker's best
         # response against the empirical defender concedes <= value.

@@ -183,6 +183,38 @@ class TestInvariants:
             "solve_game", "double_oracle", "fictitious_play",
             "weighted_lp_equilibrium", "weighted_double_oracle"]
 
+    def test_kernel_reference_catches_bnb_tie_break_and_value_drift(
+            self, monkeypatch):
+        from repro.core.tuples import all_tuples, tuple_vertices
+        from repro.kernels import CoverageOracle
+
+        game = TupleGame(Graph([(i, (i + 1) % 6) for i in range(6)]), 2, nu=1)
+        assert check_game(game, checks=["kernel-reference"]) == []
+
+        def last_argmax(self, weights):
+            scored = [(t, sum(weights[v] for v in tuple_vertices(t)))
+                      for t in all_tuples(self.graph, self.k)]
+            best = max(value for _, value in scored)
+            return [(t, value) for t, value in scored if value == best][-1]
+
+        # On uniform masses the argmax is unique; only the small-integer
+        # trial ties, so only it sees a tie broken the wrong way.
+        monkeypatch.setattr(CoverageOracle, "branch_and_bound", last_argmax)
+        messages = [v.message for v in
+                    check_game(game, checks=["kernel-reference"])]
+        assert messages and all(m.startswith("branch_and_bound returned")
+                                and m.endswith("(trial 3)") for m in messages)
+
+        def drifted(self, weights):
+            t, value = self.exhaustive(weights)
+            return t, value + 1e-13
+
+        monkeypatch.setattr(CoverageOracle, "branch_and_bound", drifted)
+        messages = [v.message for v in
+                    check_game(game, checks=["kernel-reference"])]
+        assert len(messages) == 4
+        assert all(m.startswith("branch_and_bound value") for m in messages)
+
     def test_violation_payload(self):
         v = Violation("pure-threshold", "msg", theorem="Theorem 3.1")
         assert v.to_payload() == {

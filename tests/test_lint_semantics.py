@@ -400,6 +400,30 @@ class TestLCK001:
         assert rules_of(report) == ["LCK001"]
         assert report.findings[0].line == 12
 
+    def test_later_with_item_holds_the_earlier_items_lock(self, tmp_path):
+        # `with self._lock, self._conn:` enters `_lock` before it reads
+        # `_conn`; the reversed order reads `_conn` unguarded.
+        report = self.run(tmp_path, """\
+            import threading
+
+            class Store:
+                def __init__(self, conn):
+                    self._lock = threading.Lock()
+                    self._conn = conn  # repro: lock(_lock)
+
+                def put(self, row):
+                    with self._lock, self._conn:
+                        self._conn.execute(row)
+
+                def peek(self):
+                    with self._conn, self._lock:
+                        return self._conn.total
+            """)
+        assert rules_of(report) == ["LCK001"]
+        [finding] = report.findings
+        assert finding.line == 13
+        assert "read of `" in finding.message and "_conn`" in finding.message
+
     def test_local_shadow_is_not_an_access(self, tmp_path):
         report = self.run(tmp_path, """\
             import threading
@@ -438,6 +462,19 @@ class TestLCK002:
         [finding] = report.findings
         assert finding.line == 7
         assert "not reentrant" in finding.message
+
+    def test_reacquire_in_one_with_statement_flagged(self, tmp_path):
+        report = self.run(tmp_path, """\
+            import threading
+
+            _LOCK = threading.Lock()
+
+            def bad():
+                with _LOCK, _LOCK:
+                    pass
+            """)
+        assert rules_of(report) == ["LCK002"]
+        assert report.findings[0].line == 6
 
     def test_rlock_nesting_is_clean(self, tmp_path):
         report = self.run(tmp_path, """\
