@@ -82,7 +82,13 @@ from repro.solvers.fictitious_play import (
     fictitious_play,
     fictitious_play_result_to_json,
 )
-from repro.solvers.lp import LPSolution, _minimax, solve_minimax
+from repro.solvers.lp import (
+    LPSolution,
+    _MatrixDuel,
+    _minimax,
+    _payoff_matrix,
+    solve_minimax,
+)
 from repro.solvers.ranges import attacker_vertex_ranges
 from repro.weighted.game import (
     WeightedTupleGame,
@@ -381,10 +387,10 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
                            ("weighted", _weighted_lift(game).weights)):
         def audit(solution: LPSolution, attackers, defenders,
                   label=label, weights=weights) -> None:
-            fresh = _minimax(attackers, defenders, tuple_vertices, weights,
-                             dual_attacker=True).value
+            fresh, _, _ = _MatrixDuel(_payoff_matrix(
+                attackers, defenders, tuple_vertices, weights)).solve()
             two_lp = _minimax(attackers, defenders, tuple_vertices,
-                              weights, dual_attacker=False).value
+                              weights).value
             for route, value, reference in (
                 ("incremental", solution.value, fresh),
                 ("two-LP", two_lp, fresh),

@@ -23,7 +23,8 @@ Solved by HiGHS through scipy's bundled binding
 ``scipy.optimize._highspy._core._Highs`` (scipy >= 1.17.1): one
 :class:`_MatrixDuel` model per duel, which the double-oracle loop grows by
 one column per iteration so each restricted solve warm-starts from the
-previous optimal basis.
+previous optimal basis, and which :mod:`repro.solvers.ranges` pins at the
+game value to probe the optimal-strategy polytope.
 """
 
 from __future__ import annotations
@@ -220,11 +221,33 @@ class _MatrixDuel:
             -np.asarray(solution.row_dual)[:self._attackers],
         )
 
+    def minimize_pinned(self, guarantee: float, costs: np.ndarray) -> float:
+        """Fix ``z`` at ``guarantee``, give the ``p`` columns the costs
+        ``costs`` and return ``min costs·p`` over the defender mixtures
+        that guarantee at least ``guarantee``.
+
+        The model stays pinned, so a run of probes against one
+        ``guarantee`` warm-starts each from the last optimal basis;
+        :meth:`solve` no longer solves the duel afterwards.  Raises
+        :class:`~repro.core.game.GameError` when that polytope is empty
+        (``guarantee`` above the duel's value) or the solve fails.
+        """
+        highs = self._highs
+        highs.changeColBounds(self._z, guarantee, guarantee)
+        count = len(costs) + 1
+        highs.changeColsCost(count, np.arange(count, dtype=np.int32),
+                             np.insert(costs, self._z, 0.0))
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise GameError(
+                f"pinned duel LP failed: {highs.modelStatusToString(status)}"
+            )
+        return highs.getObjectiveValue()
+
 
 @tracing.traced("lp.minimax_over_strategies")
-def minimax_over_strategies(
-    vertices, strategies, coverage_of, dual_attacker: bool = False
-) -> LPSolution:
+def minimax_over_strategies(vertices, strategies, coverage_of) -> LPSolution:
     """Generic zero-sum minimax: defender mixes over ``strategies``, the
     attacker over ``vertices``; ``coverage_of(strategy)`` yields the
     vertices that strategy protects.
@@ -232,14 +255,8 @@ def minimax_over_strategies(
     This is the engine under :func:`solve_minimax` and under the
     generalized defender models of :mod:`repro.models` (path and star
     defenders), which differ only in the strategy family.
-
-    With ``dual_attacker=True`` the attacker's optimal mixture is read off
-    the dual multipliers of the defender LP instead of solving a second
-    LP — half the solver calls, exact by LP duality (HiGHS returns the
-    optimal basis duals).  The default keeps the two-LP path, whose
-    explicit duality-gap check the validation suites rely on.
     """
-    return _minimax(vertices, strategies, coverage_of, None, dual_attacker)
+    return _minimax(vertices, strategies, coverage_of, None)
 
 
 def _payoff_matrix(vertices, strategies, coverage_of, weights) -> np.ndarray:
@@ -263,16 +280,14 @@ def _payoff_matrix(vertices, strategies, coverage_of, weights) -> np.ndarray:
     return payoff
 
 
-def _minimax(
-    vertices, strategies, coverage_of, weights, dual_attacker: bool
-) -> LPSolution:
+def _minimax(vertices, strategies, coverage_of, weights) -> LPSolution:
     """:func:`minimax_over_strategies` over :func:`_payoff_matrix`."""
     vertices = list(vertices)
     strategies = list(strategies)
     if not vertices or not strategies:
         raise GameError("minimax needs non-empty strategy sets on both sides")
     payoff = _payoff_matrix(vertices, strategies, coverage_of, weights)
-    return _solve_matrix_duel(payoff, vertices, strategies, dual_attacker)
+    return _solve_matrix_duel(payoff, vertices, strategies)
 
 
 def _observed_solve(
@@ -297,15 +312,26 @@ def _observed_solve(
     return solution
 
 
-def _solve_matrix_duel(
-    payoff, vertices, strategies, dual_attacker: bool = False
-) -> LPSolution:
-    """Solve the LP(s) for a defender-payoff matrix and package the optima."""
-    return _observed_solve(
-        lambda: _solve_matrix_duel_inner(
-            payoff, vertices, strategies, dual_attacker),
-        *payoff.shape,
-    )
+def _solve_matrix_duel(payoff, vertices, strategies) -> LPSolution:
+    """Solve a defender-payoff matrix's duel from both sides and package
+    the optima.
+
+    The attacker's own LP is the same duel on ``−Aᵀ``: it maximizes
+    ``−max_t (A q)_t``, so its value is minus the attacker's, and the two
+    values must agree (the explicit duality-gap check the validation
+    suites rely on).
+    """
+    def solve() -> LPSolution:
+        value, weights, _ = _MatrixDuel(payoff).solve()
+        attacker_value, attacker, _ = _MatrixDuel(-payoff.T).solve()
+        if abs(value + attacker_value) > 1e-7:
+            raise GameError(
+                "LP duality gap: defender value "
+                f"{value!r} vs attacker value {-attacker_value!r}"
+            )
+        return _lp_solution(value, weights, attacker, vertices, strategies)
+
+    return _observed_solve(solve, *payoff.shape)
 
 
 def _solve_duel(duel: _MatrixDuel, vertices, strategies) -> LPSolution:
@@ -326,22 +352,6 @@ def _lp_solution(value, weights, attacker, vertices, strategies) -> LPSolution:
         _prune_and_normalize(weights, strategies),
         _prune_and_normalize(attacker, vertices),
     )
-
-
-def _solve_matrix_duel_inner(
-    payoff, vertices, strategies, dual_attacker: bool
-) -> LPSolution:
-    value, weights, attacker = _MatrixDuel(payoff).solve()
-    if not dual_attacker:
-        # The attacker's own LP is the same duel on −Aᵀ: it maximizes
-        # −max_t (A q)_t, so its value is minus the attacker's.
-        attacker_value, attacker, _ = _MatrixDuel(-payoff.T).solve()
-        if abs(value + attacker_value) > 1e-7:
-            raise GameError(
-                "LP duality gap: defender value "
-                f"{value!r} vs attacker value {-attacker_value!r}"
-            )
-    return _lp_solution(value, weights, attacker, vertices, strategies)
 
 
 @tracing.traced("lp.solve_minimax")

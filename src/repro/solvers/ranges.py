@@ -14,22 +14,26 @@ value.  For deployment questions one wants the whole polytope:
 Both reduce to secondary LPs over the optimality polytope: fix the game
 value ``v*`` (computed once), then minimize / maximize the coordinate of
 interest subject to the optimality constraints.  Exact, no enumeration of
-equilibria needed.
+equilibria needed.  Each side is one :class:`~repro.solvers.lp._MatrixDuel`
+— the duel model every other game LP uses — with its guarantee ``z``
+pinned at the relaxed optimum; its ``2 × coordinates`` probes (and the
+widened retry) only change column costs, so each warm-starts from the
+last.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.game import GameError, TupleGame
 from repro.core.tuples import all_tuples, tuple_vertices
-from repro.graphs.core import Edge, Vertex, edge_sort_key, vertex_sort_key
+from repro.graphs.core import edge_sort_key, vertex_sort_key
 from repro.obs import events as obs_events
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics, tracing
+from repro.solvers.lp import _MatrixDuel, _payoff_matrix
 
 __all__ = ["StrategyRanges", "attacker_vertex_ranges", "defender_edge_ranges"]
 
@@ -40,7 +44,7 @@ factor (1e-9 → 1e-5) before giving up.
 
 ``solve_minimax`` returns ``v*`` with solver error around 1e-8 on some
 instances; relaxing the optimality constraints by a smaller tolerance can
-make the probed polytope *empty*, so ``_probe`` would fail on games that
+make the probed polytope *empty*, so a probe would fail on games that
 are perfectly well-posed.  The relaxation is relative (scaled by
 ``max(1, |v*|)``) and the widened retry keeps the probe well inside any
 meaningful probability resolution (ranges are reported at 1e-7)."""
@@ -100,33 +104,48 @@ class StrategyRanges:
         )
 
 
-class _ProbeInfeasible(GameError):
-    """A probe LP failed — usually an over-tight optimality relaxation."""
-
-
-def _probe(c, a_ub, b_ub, a_eq, b_eq, bounds) -> float:
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        raise _ProbeInfeasible(f"range-probe LP failed: {res.message}")
-    return float(res.fun)
-
-
-def _coverage_matrix(game: TupleGame, tuple_limit: int):
+def _coverage(game: TupleGame, tuple_limit: int):
+    """The sorted vertices, every k-tuple and the 0/1 coverage matrix."""
     if game.tuple_strategy_count() > tuple_limit:
         raise GameError(
             f"C(m={game.m}, k={game.k}) exceeds the probing limit {tuple_limit}"
         )
     vertices = game.graph.sorted_vertices()
-    index = {v: i for i, v in enumerate(vertices)}
     tuples = list(all_tuples(game.graph, game.k))
-    coverage = np.zeros((len(tuples), len(vertices)))
-    for row, t in enumerate(tuples):
-        for v in tuple_vertices(t):
-            coverage[row, index[v]] = 1.0
-    return vertices, tuples, coverage
+    return vertices, tuples, _payoff_matrix(vertices, tuples, tuple_vertices,
+                                            None)
+
+
+def _probe_ranges(
+    side: str, duel: _MatrixDuel, duel_value: float, value: float,
+    keys: List, costs: np.ndarray, sort_key,
+) -> StrategyRanges:
+    """[min, max] of ``costs[i]·p`` for each ``keys[i]`` over the mixtures
+    of ``duel`` that guarantee its value ``duel_value`` up to the
+    relaxation — retried once, widened, if that polytope is empty."""
+    last_error = None
+    for widen in (1.0, _TOL_WIDEN):
+        z = duel_value - widen * _relaxation(value)
+        obs_events.publish(
+            "solver.iteration", solver=f"ranges.{side}",
+            probes=2 * len(keys), widen=widen, value=value,
+        )
+        try:
+            ranges = {}
+            for key, row in zip(keys, costs):
+                low = duel.minimize_pinned(z, row)
+                high = -duel.minimize_pinned(z, -row)
+                ranges[key] = (max(0.0, low), min(1.0, high))
+            return StrategyRanges(value, ranges, sort_key=sort_key)
+        except GameError as exc:
+            # v* carries solver error; an over-tight relaxation can empty
+            # the optimality polytope.  Retry once, widened.
+            last_error = exc
+            metrics.counter("ranges.probe.retry.count").inc()
+    raise GameError(
+        f"{side} range probes infeasible even with a widened tolerance "
+        f"({_TOL_WIDEN:g}x): {last_error}"
+    )
 
 
 def attacker_vertex_ranges(
@@ -147,38 +166,13 @@ def attacker_vertex_ranges(
 
 
 def _attacker_vertex_ranges(game, tuple_limit, solve_minimax) -> StrategyRanges:
-    vertices, tuples, coverage = _coverage_matrix(game, tuple_limit)
+    vertices, _, coverage = _coverage(game, tuple_limit)
     value = solve_minimax(game, tuple_limit=tuple_limit).value
-    n = len(vertices)
-    a_ub = coverage
-    a_eq = np.ones((1, n))
-    b_eq = np.array([1.0])
-    bounds = [(0.0, 1.0)] * n
-
-    last_error: Optional[GameError] = None
-    for widen in (1.0, _TOL_WIDEN):
-        b_ub = np.full(len(tuples), value + widen * _relaxation(value))
-        obs_events.publish(
-            "solver.iteration", solver="ranges.attacker",
-            probes=2 * n, widen=widen, value=value,
-        )
-        try:
-            ranges: Dict[Vertex, Tuple[float, float]] = {}
-            for i, v in enumerate(vertices):
-                c = np.zeros(n)
-                c[i] = 1.0
-                low = _probe(c, a_ub, b_ub, a_eq, b_eq, bounds)
-                high = -_probe(-c, a_ub, b_ub, a_eq, b_eq, bounds)
-                ranges[v] = (max(0.0, low), min(1.0, high))
-            return StrategyRanges(value, ranges, sort_key=vertex_sort_key)
-        except _ProbeInfeasible as exc:
-            # v* carries solver error; an over-tight relaxation can empty
-            # the optimality polytope.  Retry once, widened.
-            last_error = exc
-            metrics.counter("ranges.probe.retry.count").inc()
-    raise GameError(
-        f"attacker range probes infeasible even with a widened tolerance "
-        f"({_TOL_WIDEN:g}x): {last_error}"
+    # The attacker's duel on −Aᵀ has value −v*; pinning z = −(v* + ε)
+    # leaves exactly the q with (A q)_t ≤ v* + ε.
+    return _probe_ranges(
+        "attacker", _MatrixDuel(-coverage.T), -value, value,
+        vertices, np.eye(len(vertices)), vertex_sort_key,
     )
 
 
@@ -201,40 +195,12 @@ def defender_edge_ranges(
 
 
 def _defender_edge_ranges(game, tuple_limit, solve_minimax) -> StrategyRanges:
-    vertices, tuples, coverage = _coverage_matrix(game, tuple_limit)
+    _, tuples, coverage = _coverage(game, tuple_limit)
     value = solve_minimax(game, tuple_limit=tuple_limit).value
-    t_count = len(tuples)
-    a_ub = -coverage.T  # (A^T p)_v >= v*  ->  -(A^T p)_v <= -v*
-    a_eq = np.ones((1, t_count))
-    b_eq = np.array([1.0])
-    bounds = [(0.0, 1.0)] * t_count
-
-    membership: Dict[Edge, np.ndarray] = {}
-    for e in game.graph.sorted_edges():
-        row = np.zeros(t_count)
-        for idx, t in enumerate(tuples):
-            if e in t:
-                row[idx] = 1.0
-        membership[e] = row
-
-    last_error: Optional[GameError] = None
-    for widen in (1.0, _TOL_WIDEN):
-        b_ub = np.full(len(vertices), -(value - widen * _relaxation(value)))
-        obs_events.publish(
-            "solver.iteration", solver="ranges.defender",
-            probes=2 * len(membership), widen=widen, value=value,
-        )
-        try:
-            ranges: Dict[Edge, Tuple[float, float]] = {}
-            for e, row in membership.items():
-                low = _probe(row, a_ub, b_ub, a_eq, b_eq, bounds)
-                high = -_probe(-row, a_ub, b_ub, a_eq, b_eq, bounds)
-                ranges[e] = (max(0.0, low), min(1.0, high))
-            return StrategyRanges(value, ranges, sort_key=edge_sort_key)
-        except _ProbeInfeasible as exc:
-            last_error = exc
-            metrics.counter("ranges.probe.retry.count").inc()
-    raise GameError(
-        f"defender range probes infeasible even with a widened tolerance "
-        f"({_TOL_WIDEN:g}x): {last_error}"
+    edges = game.graph.sorted_edges()
+    # Row e of the cost matrix is e's tuple membership [e ∈ t].
+    membership = _payoff_matrix(edges, tuples, lambda t: t, None).T
+    return _probe_ranges(
+        "defender", _MatrixDuel(coverage), value, value,
+        edges, membership, edge_sort_key,
     )

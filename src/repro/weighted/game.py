@@ -188,8 +188,8 @@ def weighted_minimax(
     """Exact equilibrium of the weighted duel by LP.
 
     The duel of :func:`repro.solvers.lp.minimax_over_strategies` over the
-    negated escape matrix ``D[t, v] = w(v)·([v ∈ V(t)] − 1)``, on its
-    two-LP path with the explicit duality-gap check.  The reported
+    negated escape matrix ``D[t, v] = w(v)·([v ∈ V(t)] − 1)``, with its
+    explicit duality-gap check.  The reported
     ``value`` is the equilibrium *escape* profit per attacker (minus the
     duel's value); the defender's per-attacker catch value follows from
     the attacker mixture.
@@ -201,7 +201,7 @@ def weighted_minimax(
         )
     solution = _minimax(
         game.graph.sorted_vertices(), all_tuples(game.graph, game.k),
-        tuple_vertices, game.weights, dual_attacker=False,
+        tuple_vertices, game.weights,
     )
     return _escape_solution(solution)
 

@@ -26,7 +26,7 @@ from repro.core.tuples import tuple_vertices
 from repro.solvers.double_oracle import _double_oracle_loop
 from repro.solvers.lp import (
     _MatrixDuel,
-    _minimax,
+    _payoff_matrix,
     _solve_matrix_duel,
     lp_defender_gain,
     lp_equilibrium,
@@ -166,9 +166,9 @@ class TestIncrementalDuel:
         seen = []
 
         def audit(solution, attackers, defenders):
-            fresh = _minimax(attackers, defenders, tuple_vertices, weights,
-                             dual_attacker=True)
-            seen.append((solution.value, fresh.value))
+            fresh, _, _ = _MatrixDuel(_payoff_matrix(
+                attackers, defenders, tuple_vertices, weights)).solve()
+            seen.append((solution.value, fresh))
 
         _double_oracle_loop(game, weights, 1e-9, 300, "auto", audit=audit)
         assert len(seen) >= 2
@@ -180,8 +180,7 @@ class TestIncrementalDuel:
         payoff = _DUEL_MATRICES[name]
         t_count, n = payoff.shape
         two_lp = _solve_matrix_duel(payoff, list(range(n)),
-                                    list(range(t_count)),
-                                    dual_attacker=False)
+                                    list(range(t_count)))
         value, _, attacker = _grown(payoff).solve()
         assert value == pytest.approx(two_lp.value, abs=1e-9)
         assert attacker.sum() == pytest.approx(1.0, abs=1e-9)

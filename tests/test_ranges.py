@@ -223,3 +223,98 @@ class TestCanonicalOrdering:
         attacker = attacker_vertex_ranges(game)
         usable = attacker.usable()
         assert usable == sorted(usable, key=vertex_sort_key)
+
+
+def _linprog_ranges(game, side):
+    """The probes' earlier formulation, kept here as the reference: one
+    fresh ``linprog`` per probe over the explicit optimality polytope,
+    with the same relative relaxation and one widened retry."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    from repro.core.tuples import all_tuples, tuple_vertices
+    from repro.solvers.lp import solve_minimax
+
+    value = solve_minimax(game).value
+    vertices = game.graph.sorted_vertices()
+    tuples = list(all_tuples(game.graph, game.k))
+    index = {v: i for i, v in enumerate(vertices)}
+    coverage = np.zeros((len(tuples), len(vertices)))
+    for row, t in enumerate(tuples):
+        for v in tuple_vertices(t):
+            coverage[row, index[v]] = 1.0
+    if side == "attacker":
+        keys, costs = vertices, np.eye(len(vertices))
+    else:
+        keys = game.graph.sorted_edges()
+        costs = np.array([[1.0 if e in t else 0.0 for t in tuples]
+                          for e in keys])
+    for widen in (1.0, 1e4):
+        slack = widen * 1e-9 * max(1.0, abs(value))
+        if side == "attacker":
+            a_ub, b_ub = coverage, np.full(len(tuples), value + slack)
+        else:
+            a_ub = -coverage.T
+            b_ub = np.full(len(vertices), -(value - slack))
+        width = a_ub.shape[1]
+        ranges = {}
+        for key, c in zip(keys, costs):
+            low, high = (
+                linprog(sign * c, A_ub=a_ub, b_ub=b_ub,
+                        A_eq=np.ones((1, width)), b_eq=[1.0],
+                        bounds=[(0.0, 1.0)] * width, method="highs")
+                for sign in (1.0, -1.0)
+            )
+            if not (low.success and high.success):
+                break
+            ranges[key] = (max(0.0, low.fun), min(1.0, -high.fun))
+        else:
+            return value, ranges
+    raise AssertionError(f"reference probes infeasible on {game!r}")
+
+
+def _reference_games():
+    import random
+
+    from repro.fuzz.generators import random_spec
+    from repro.graphs.generators import (
+        grid_graph,
+        petersen_graph,
+        random_bipartite_graph,
+    )
+
+    games = [random_spec(random.Random(seed)).to_game() for seed in range(40)]
+    games = [g for g in games if g.tuple_strategy_count() <= 3000]
+    return games + [
+        TupleGame(petersen_graph(), 2, nu=1),
+        TupleGame(petersen_graph(), 3, nu=1),
+        TupleGame(grid_graph(3, 4), 2, nu=1),
+        TupleGame(random_bipartite_graph(8, 10, 0.25, seed=5), 3, nu=1),
+    ]
+
+
+class TestAgainstLinprogFormulation:
+    """The probes run on the duel's pinned HiGHS model; they must agree
+    with the explicit ``linprog`` formulation to the 1e-7 resolution at
+    which ``required()`` / ``usable()`` report, on every game."""
+
+    @pytest.mark.parametrize("side", ["attacker", "defender"])
+    def test_same_ranges_as_linprog(self, side):
+        from repro.solvers.ranges import StrategyRanges
+
+        probe = (attacker_vertex_ranges if side == "attacker"
+                 else defender_edge_ranges)
+        games = _reference_games()
+        assert len(games) >= 40
+        for game in games:
+            ranges = probe(game)
+            value, expected = _linprog_ranges(game, side)
+            assert ranges.value == value, game
+            assert set(ranges.ranges) == set(expected), game
+            for key, (low, high) in expected.items():
+                got_low, got_high = ranges.ranges[key]
+                assert got_low == pytest.approx(low, abs=1e-7), (game, key)
+                assert got_high == pytest.approx(high, abs=1e-7), (game, key)
+            reference = StrategyRanges(value, expected)
+            assert ranges.required() == reference.required(), game
+            assert ranges.usable() == reference.usable(), game

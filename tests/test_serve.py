@@ -233,6 +233,21 @@ class TestValidationErrors:
         assert status == 400
         assert body["error"]["code"] == "invalid-params"
 
+    def test_ranges_tuple_limit_is_capped(self, service):
+        """A served probe never enumerates more tuples than the library
+        default allows: a larger ``tuple_limit`` is a 400, not a hang."""
+        _svc, base = service
+        per_code = metrics.counter("serve.errors.invalid-params.count")
+        before = per_code.value
+        status, body = post(base, "/ranges", {
+            "game": PATH_GAME, "params": {"tuple_limit": 100_001},
+        })
+        assert status == 400
+        assert body["error"]["code"] == "invalid-params"
+        assert "tuple_limit" in body["error"]["message"]
+        _wait_for(lambda: per_code.value >= before + 1,
+                  "invalid-params per-code counter")
+
     def test_no_equilibrium_is_422(self, service):
         _svc, base = service
         status, body = post(base, "/solve", {

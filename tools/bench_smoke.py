@@ -41,8 +41,10 @@ _TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 #: one (run-to-run spread of the medians on the reference host: 1.8-3.4%
 #: against 5.5-5.6%).  The double-oracle cases warm-start one LP model
 #: per run, so their time is mostly the Python coverage kernel, and they
-#: track the pure-Python slice better (1.1-2.1% against 2.0-2.7%).
-_NATIVE = frozenset({"simulation.fast.medium", "fuzz.batch.small"})
+#: track the pure-Python slice better (1.1-2.1% against 2.0-2.7%).  The
+#: range probes are HiGHS solves on one pinned model per side.
+_NATIVE = frozenset({"simulation.fast.medium", "fuzz.batch.small",
+                     "ranges.small"})
 
 
 def _cases():
@@ -56,6 +58,7 @@ def _cases():
     from repro.simulation.fast import simulate_fast
     from repro.solvers.double_oracle import double_oracle
     from repro.solvers.fictitious_play import fictitious_play
+    from repro.solvers.ranges import attacker_vertex_ranges, defender_edge_ranges
     from repro.weighted.game import WeightedTupleGame, weighted_double_oracle
 
     import repro.cache as result_cache
@@ -138,6 +141,11 @@ def _cases():
     fp = TupleGame(random_bipartite_graph(10, 15, 0.2, seed=150), 3, nu=1)
     sim_game = TupleGame(random_bipartite_graph(8, 12, 0.25, seed=9), 3, nu=4)
     sim_config = solve_game(sim_game).mixed
+    probed = TupleGame(random_bipartite_graph(8, 10, 0.25, seed=5), 3, nu=1)
+
+    def range_probes() -> None:
+        attacker_vertex_ranges(probed)
+        defender_edge_ranges(probed)
 
     return {
         "double_oracle.medium_a": lambda: double_oracle(do_a),
@@ -146,6 +154,9 @@ def _cases():
         "weighted_double_oracle.medium": lambda: weighted_double_oracle(
             weighted),
         "fictitious_play.medium": lambda: fictitious_play(fp, rounds=60),
+        # Both sides' optimal-polytope probes: 2 x (n + m) pinned solves
+        # on one warm-started HiGHS model per side.
+        "ranges.small": range_probes,
         "simulation.engine.small": lambda: simulate(
             sim_game, sim_config, trials=20_000, seed=0
         ),
