@@ -24,7 +24,9 @@ check                         theorem     cross-checked paths
 ``incremental-lp``            —           every double-oracle restricted duel,
                                           plain and weighted: the grown
                                           model vs a fresh one-shot duel vs
-                                          the two-LP (``−Aᵀ``) route
+                                          the two-LP (``−Aᵀ``) route; the
+                                          dual-read attacker mixture is
+                                          optimal
 ``cache-replay``              —           every cached entry point, plain and
                                           weighted: cold result vs its
                                           replay from a throwaway store
@@ -33,7 +35,9 @@ check                         theorem     cross-checked paths
                                           brute-force lexicographically
                                           first argmax
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
-``ranges-consistency``        —           polytope probes vs LP value (gated)
+``ranges-consistency``        —           attacker and defender polytope
+                                          probes vs LP value and coordinate
+                                          totals (gated)
 ============================  ==========  =======================================
 
 A check that *raises* is itself a finding — the harness converts the
@@ -89,7 +93,7 @@ from repro.solvers.lp import (
     _payoff_matrix,
     solve_minimax,
 )
-from repro.solvers.ranges import attacker_vertex_ranges
+from repro.solvers.ranges import attacker_vertex_ranges, defender_edge_ranges
 from repro.weighted.game import (
     WeightedTupleGame,
     weighted_do_result_to_json,
@@ -381,14 +385,17 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
     the value of the restricted duel the loop grows column by column
     equals that of a freshly built one-shot duel over the same pools, and
     the two-LP (``−Aᵀ``) route equals the dual-read attacker route, within
-    :data:`_INCREMENTAL_LP_TOLERANCE`."""
+    :data:`_INCREMENTAL_LP_TOLERANCE`; and the dual-read attacker mixture
+    ``q`` is optimal: no pooled tuple scores ``(A q)ₜ`` above the value
+    plus that tolerance."""
     out: List[Violation] = []
     for label, weights in (("plain", None),
                            ("weighted", _weighted_lift(game).weights)):
         def audit(solution: LPSolution, attackers, defenders,
                   label=label, weights=weights) -> None:
-            fresh, _, _ = _MatrixDuel(_payoff_matrix(
-                attackers, defenders, tuple_vertices, weights)).solve()
+            payoff = _payoff_matrix(
+                attackers, defenders, tuple_vertices, weights)
+            fresh, _, _ = _MatrixDuel(payoff).solve()
             two_lp = _minimax(attackers, defenders, tuple_vertices,
                               weights).value
             for route, value, reference in (
@@ -402,6 +409,16 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
                         f"tuples: {route} value {value!r} != fresh "
                         f"dual-read value {reference!r}",
                     ))
+            q = [solution.attacker.get(v, 0.0) for v in attackers]
+            best = float((payoff @ q).max())
+            if best > solution.value + _INCREMENTAL_LP_TOLERANCE:
+                out.append(Violation(
+                    "incremental-lp",
+                    f"{label} double oracle, {len(defenders)} defender "
+                    f"tuples: a pooled tuple scores {best!r} against the "
+                    f"dual-read attacker mixture, above the value "
+                    f"{solution.value!r}",
+                ))
 
         _double_oracle_loop(game, weights, tolerance=1e-9,
                             max_iterations=300, method="auto", audit=audit)
@@ -566,33 +583,42 @@ def check_simulation_agreement(game: TupleGame, tol: float) -> List[Violation]:
 
 
 def check_ranges_consistency(game: TupleGame, tol: float) -> List[Violation]:
-    """Polytope probes: well-formed intervals at the LP value (gated)."""
+    """Polytope probes on both sides, at the LP value (gated): every
+    interval is well formed, the minima sum to at most and the maxima to
+    at least what every mixture's coordinates sum to (1 for the attacker's
+    vertex mass, ``k`` for the defender's edge marginals), and every
+    required coordinate is usable."""
     if (
         game.tuple_strategy_count() > _RANGES_TUPLE_LIMIT
         or game.graph.n > _RANGES_MAX_N
     ):
         return []
-    ranges = attacker_vertex_ranges(game)
     value = solve_minimax(game).value
     out: List[Violation] = []
-    if not _close(ranges.value, value, tol):
-        out.append(Violation(
-            "ranges-consistency",
-            f"probe value {ranges.value!r} != LP value {value!r}",
-        ))
-    total_low = 0.0
-    for v, (low, high) in ranges.ranges.items():
-        if not (-tol <= low <= high + tol and high <= 1.0 + tol):
-            out.append(Violation(
-                "ranges-consistency",
-                f"malformed interval [{low!r}, {high!r}] for vertex {v!r}",
-            ))
-        total_low += low
-    if total_low > 1.0 + tol:
-        out.append(Violation(
-            "ranges-consistency",
-            f"per-vertex minima sum to {total_low!r} > 1",
-        ))
+    for side, ranges, total in (
+        ("attacker", attacker_vertex_ranges(game), 1.0),
+        ("defender", defender_edge_ranges(game), float(game.k)),
+    ):
+        messages = []
+        if not _close(ranges.value, value, tol):
+            messages.append(
+                f"probe value {ranges.value!r} != LP value {value!r}")
+        for key, (low, high) in ranges.ranges.items():
+            if not (-tol <= low <= high + tol and high <= 1.0 + tol):
+                messages.append(
+                    f"malformed interval [{low!r}, {high!r}] for {key!r}")
+        total_low = sum(low for low, _ in ranges.ranges.values())
+        total_high = sum(high for _, high in ranges.ranges.values())
+        if not total_low - tol <= total <= total_high + tol:
+            messages.append(
+                f"bounds sum to [{total_low!r}, {total_high!r}], which "
+                f"misses the coordinate total {total!r}")
+        stray = set(ranges.required()) - set(ranges.usable())
+        if stray:
+            messages.append(
+                f"required but not usable: {sorted(map(repr, stray))}")
+        out.extend(Violation("ranges-consistency", f"{side}: {message}")
+                   for message in messages)
     return out
 
 

@@ -133,7 +133,7 @@ class DoubleOracleResult:
         )
 
 
-_RESULT_FORMAT = "repro.solvers.double-oracle-result.v2"
+_RESULT_FORMAT = "repro.solvers.double-oracle-result.v3"
 
 #: The exact coverage solvers that may certify a run (greedy only proposes).
 _CERTIFYING_METHODS = ("auto", "exhaustive", "bnb")
@@ -214,8 +214,10 @@ def double_oracle(
     ``"greedy"`` included, raises :class:`ValueError`).
 
     Raises :class:`~repro.core.game.GameError` if the oracles still
-    improve after ``max_iterations`` (not observed in practice; a guard
-    against pathological tolerance settings).
+    improve after ``max_iterations``.  Each iteration adds one defender
+    tuple, and large duels can need more than the default: the game on
+    ``random_bipartite_graph(100, 150, 0.025, seed=7)`` with ``k = 20``
+    (m ≈ 400) takes about 220, so raise the cap for games of that size.
     """
     return DOUBLE_ORACLE_CALL(
         game, tolerance=tolerance, max_iterations=max_iterations,

@@ -24,7 +24,10 @@ Solved by HiGHS through scipy's bundled binding
 :class:`_MatrixDuel` model per duel, which the double-oracle loop grows by
 one column per iteration so each restricted solve warm-starts from the
 previous optimal basis, and which :mod:`repro.solvers.ranges` pins at the
-game value to probe the optimal-strategy polytope.
+game value to probe the optimal-strategy polytope.  A model's first solve
+runs HiGHS's default (dual) simplex, and that is the only solve a one-shot
+duel makes; every later solve of the same model runs primal simplex, for
+which the previous optimal basis is still a feasible start.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ __all__ = [
 
 _DEFAULT_TUPLE_LIMIT = 200_000
 _PRUNE = 1e-10
+#: HiGHS's ``simplex_strategy`` option value for primal simplex.
+_PRIMAL_SIMPLEX = 4
 
 
 class LPSolution:
@@ -150,9 +155,9 @@ class _MatrixDuel:
     ``A`` has one row per defender strategy ``t`` (an LP column ``pₜ``)
     and one column per attacker strategy ``r`` (an LP row).
     :meth:`add_column` appends one defender strategy and the next
-    :meth:`solve` warm-starts from the previous optimal basis, so the
-    double-oracle loop grows one model instead of rebuilding it every
-    iteration.
+    :meth:`solve` warm-starts from the previous optimal basis by primal
+    simplex, so the double-oracle loop grows one model instead of
+    rebuilding it every iteration.
     """
 
     __slots__ = ("_highs", "_attackers", "_z")
@@ -208,8 +213,7 @@ class _MatrixDuel:
         them sum to 1, complementary slackness puts mass only on min-hit
         strategies)."""
         highs = self._highs
-        highs.run()
-        status = highs.getModelStatus()
+        status = self._run()
         if status != HighsModelStatus.kOptimal:
             raise GameError(
                 f"duel LP failed: {highs.modelStatusToString(status)}"
@@ -220,6 +224,23 @@ class _MatrixDuel:
             np.delete(solution.col_value, self._z),
             -np.asarray(solution.row_dual)[:self._attackers],
         )
+
+    def _run(self) -> HighsModelStatus:
+        """Run HiGHS and return the model status.
+
+        The first run of a model keeps HiGHS's default (dual) simplex.
+        Every later run restarts from the previous optimal basis, which
+        stays primal feasible under what the callers change: a column
+        from :meth:`add_column` enters at 0, and :meth:`minimize_pinned`'s
+        new costs do not touch feasibility (pinning ``z`` moves it by the
+        probes' relaxation only).  Primal simplex is the textbook restart
+        for that, as in column generation, where dual simplex would start
+        each re-solve dual infeasible and pay its phase 1.
+        """
+        highs = self._highs
+        highs.run()
+        highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        return highs.getModelStatus()
 
     def minimize_pinned(self, guarantee: float, costs: np.ndarray) -> float:
         """Fix ``z`` at ``guarantee``, give the ``p`` columns the costs
@@ -237,8 +258,7 @@ class _MatrixDuel:
         count = len(costs) + 1
         highs.changeColsCost(count, np.arange(count, dtype=np.int32),
                              np.insert(costs, self._z, 0.0))
-        highs.run()
-        status = highs.getModelStatus()
+        status = self._run()
         if status != HighsModelStatus.kOptimal:
             raise GameError(
                 f"pinned duel LP failed: {highs.modelStatusToString(status)}"

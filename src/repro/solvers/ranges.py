@@ -18,7 +18,8 @@ equilibria needed.  Each side is one :class:`~repro.solvers.lp._MatrixDuel`
 — the duel model every other game LP uses — with its guarantee ``z``
 pinned at the relaxed optimum; its ``2 × coordinates`` probes (and the
 widened retry) only change column costs, so each warm-starts from the
-last.
+last, by primal simplex.  ``v*`` is one solve of the defender's duel on
+the coverage matrix ``A``, the very model the defender side then pins.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _TOL_WIDEN = 1e4
 """Infeasibility fallback: one retry with the relaxation widened by this
 factor (1e-9 → 1e-5) before giving up.
 
-``solve_minimax`` returns ``v*`` with solver error around 1e-8 on some
+The duel's value ``v*`` carries solver error around 1e-8 on some
 instances; relaxing the optimality constraints by a smaller tolerance can
 make the probed polytope *empty*, so a probe would fail on games that
 are perfectly well-posed.  The relaxation is relative (scaled by
@@ -116,6 +117,16 @@ def _coverage(game: TupleGame, tuple_limit: int):
                                             None)
 
 
+def _game_value(game, tuple_limit, solve_minimax, duel: _MatrixDuel) -> float:
+    """``v*``: one solve of the defender's duel ``duel`` over the full
+    coverage matrix — the value :func:`~repro.solvers.lp.solve_minimax`
+    reports, bit for bit, without its second (attacker) LP — or, when a
+    ``solve_minimax`` stand-in is given, that stand-in's value."""
+    if solve_minimax is not None:
+        return solve_minimax(game, tuple_limit=tuple_limit).value
+    return float(duel.solve()[0])
+
+
 def _probe_ranges(
     side: str, duel: _MatrixDuel, duel_value: float, value: float,
     keys: List, costs: np.ndarray, sort_key,
@@ -156,18 +167,18 @@ def attacker_vertex_ranges(
 
     The optimality polytope is ``{q ≥ 0 : Σq = 1, (A q)_t ≤ v* ∀t}``.
     """
-    from repro.solvers.lp import solve_minimax
-
     metrics.counter("ranges.attacker.count").inc()
     with obs_ledger.run("solvers.ranges.attacker", game=game), \
             tracing.span("ranges.attacker", n=game.graph.n, k=game.k), \
             metrics.timer("ranges.attacker.seconds"):
-        return _attacker_vertex_ranges(game, tuple_limit, solve_minimax)
+        return _attacker_vertex_ranges(game, tuple_limit)
 
 
-def _attacker_vertex_ranges(game, tuple_limit, solve_minimax) -> StrategyRanges:
+def _attacker_vertex_ranges(
+    game, tuple_limit, solve_minimax=None
+) -> StrategyRanges:
     vertices, _, coverage = _coverage(game, tuple_limit)
-    value = solve_minimax(game, tuple_limit=tuple_limit).value
+    value = _game_value(game, tuple_limit, solve_minimax, _MatrixDuel(coverage))
     # The attacker's duel on −Aᵀ has value −v*; pinning z = −(v* + ε)
     # leaves exactly the q with (A q)_t ≤ v* + ε.
     return _probe_ranges(
@@ -185,22 +196,22 @@ def defender_edge_ranges(
     The optimality polytope is ``{p ≥ 0 : Σp = 1, (Aᵀ p)_v ≥ v* ∀v}``;
     the probed coordinate is ``Σ_{t ∋ e} p_t``.
     """
-    from repro.solvers.lp import solve_minimax
-
     metrics.counter("ranges.defender.count").inc()
     with obs_ledger.run("solvers.ranges.defender", game=game), \
             tracing.span("ranges.defender", n=game.graph.n, k=game.k), \
             metrics.timer("ranges.defender.seconds"):
-        return _defender_edge_ranges(game, tuple_limit, solve_minimax)
+        return _defender_edge_ranges(game, tuple_limit)
 
 
-def _defender_edge_ranges(game, tuple_limit, solve_minimax) -> StrategyRanges:
+def _defender_edge_ranges(
+    game, tuple_limit, solve_minimax=None
+) -> StrategyRanges:
     _, tuples, coverage = _coverage(game, tuple_limit)
-    value = solve_minimax(game, tuple_limit=tuple_limit).value
+    duel = _MatrixDuel(coverage)
+    value = _game_value(game, tuple_limit, solve_minimax, duel)
     edges = game.graph.sorted_edges()
     # Row e of the cost matrix is e's tuple membership [e ∈ t].
     membership = _payoff_matrix(edges, tuples, lambda t: t, None).T
     return _probe_ranges(
-        "defender", _MatrixDuel(coverage), value, value,
-        edges, membership, edge_sort_key,
+        "defender", duel, value, value, edges, membership, edge_sort_key,
     )

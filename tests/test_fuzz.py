@@ -215,6 +215,56 @@ class TestInvariants:
         assert len(messages) == 4
         assert all(m.startswith("branch_and_bound value") for m in messages)
 
+    def test_ranges_consistency_flags_a_malformed_defender_interval(
+            self, monkeypatch):
+        import repro.fuzz.invariants as invariants
+
+        game = TupleGame(Graph([(i, i + 1) for i in range(4)]), 2, nu=1)
+        assert check_game(game, checks=["ranges-consistency"]) == []
+
+        real = invariants.defender_edge_ranges
+
+        def planted(g):
+            ranges = real(g)
+            ranges.ranges[(0, 1)] = (0.6, 0.4)
+            return ranges
+
+        monkeypatch.setattr(invariants, "defender_edge_ranges", planted)
+        messages = [v.message for v in
+                    check_game(game, checks=["ranges-consistency"])]
+        assert "defender: malformed interval [0.6, 0.4] for (0, 1)" \
+            in messages
+        assert all(m.startswith("defender: ") for m in messages)
+
+    def test_incremental_lp_flags_a_non_optimal_attacker_read(
+            self, monkeypatch):
+        """A uniform attacker mixture in place of the dual read keeps
+        every value right but is not optimal on a path: both loops flag
+        it."""
+        import importlib
+
+        from repro.solvers.lp import LPSolution
+
+        do = importlib.import_module("repro.solvers.double_oracle")
+
+        game = TupleGame(Graph([(i, i + 1) for i in range(4)]), 2, nu=1)
+        assert check_game(game, checks=["incremental-lp"]) == []
+
+        real = do._solve_duel
+
+        def uniform(duel, vertices, strategies):
+            solution = real(duel, vertices, strategies)
+            return LPSolution(solution.value, solution.defender,
+                              {v: 1 / len(vertices) for v in vertices})
+
+        monkeypatch.setattr(do, "_solve_duel", uniform)
+        messages = [v.message for v in
+                    check_game(game, checks=["incremental-lp"])]
+        assert messages
+        assert all("against the dual-read attacker mixture" in m
+                   for m in messages)
+        assert {m.split()[0] for m in messages} == {"plain", "weighted"}
+
     def test_violation_payload(self):
         v = Violation("pure-threshold", "msg", theorem="Theorem 3.1")
         assert v.to_payload() == {

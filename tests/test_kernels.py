@@ -239,9 +239,9 @@ class TestGoldenSolverBytes:
 
     GOLDEN = {
         1: ("e45a9a8ef9f9045c9e8a8a6879e3531b6451766a517f6846b0d78707dbfdcd71",
-            "8522e707a1222de989b4a32ecc3740d4bb3cc73b5b5c6775af6fb1f2dabca3bd"),
+            "f448ee7c354582fd942d5a571b88cba413668a649df30ca54c3a637b0622ef1b"),
         2: ("482875e9b9a50a459edf57e02b50dae9c816fab94f13487e64301c384e194be1",
-            "ebae73d77ca178e3408afc0cf164f0763f195ffc42f864eba938611fc48ee85a"),
+            "f7f0054ba9487a5289b401acf7a31b4eaebe0406307ffa9b4855d0d9a1c1eae2"),
     }
 
     @staticmethod

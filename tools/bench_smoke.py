@@ -39,12 +39,15 @@ _TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 #: Cases that spend most of their time in HiGHS or numpy: the native
 #: calibration slice tracks their drift far better than the pure-Python
 #: one (run-to-run spread of the medians on the reference host: 1.8-3.4%
-#: against 5.5-5.6%).  The double-oracle cases warm-start one LP model
-#: per run, so their time is mostly the Python coverage kernel, and they
-#: track the pure-Python slice better (1.1-2.1% against 2.0-2.7%).  The
-#: range probes are HiGHS solves on one pinned model per side.
+#: against 5.5-5.6%).  The range probes are HiGHS solves on one pinned
+#: model per side.  The double-oracle solves spend about half their CPU
+#: in HiGHS (48-55%; the coverage kernel takes 12-13%), and all four
+#: double-oracle cases, the cache replay included, track the native
+#: slice better (2.2-2.5% against 4.0-7.0% over 8 runs of each).
 _NATIVE = frozenset({"simulation.fast.medium", "fuzz.batch.small",
-                     "ranges.small"})
+                     "ranges.small", "double_oracle.medium_a",
+                     "double_oracle.medium_b", "double_oracle.cached",
+                     "weighted_double_oracle.medium"})
 
 
 def _cases():
