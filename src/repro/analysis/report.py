@@ -103,7 +103,7 @@ def _operating_point_section(
 
 
 def _polytope_section(graph: Graph, k: int, lines: List[str]) -> None:
-    from repro.solvers.ranges import attacker_vertex_ranges, defender_edge_ranges
+    from repro.solvers.ranges import strategy_ranges
 
     game = TupleGame(graph, k, nu=1)
     if game.tuple_strategy_count() > _RANGES_TUPLE_LIMIT:
@@ -112,8 +112,8 @@ def _polytope_section(graph: Graph, k: int, lines: List[str]) -> None:
             f"(C(m, k) > {_RANGES_TUPLE_LIMIT})"
         )
         return
-    attacker = attacker_vertex_ranges(game, tuple_limit=_RANGES_TUPLE_LIMIT)
-    defender = defender_edge_ranges(game, tuple_limit=_RANGES_TUPLE_LIMIT)
+    ranges = strategy_ranges(game, tuple_limit=_RANGES_TUPLE_LIMIT)
+    attacker, defender = ranges["attacker"], ranges["defender"]
     safe = sorted(
         graph.vertices() - set(attacker.usable()), key=vertex_sort_key
     )

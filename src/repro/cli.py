@@ -684,11 +684,10 @@ def _cmd_shapes(graph: Graph, k: int) -> int:
 
 
 def _cmd_ranges(graph: Graph, k: int) -> int:
-    from repro.solvers.ranges import attacker_vertex_ranges, defender_edge_ranges
+    from repro.solvers.ranges import strategy_ranges
 
-    game = TupleGame(graph, k, nu=1)
-    attacker = attacker_vertex_ranges(game)
-    defender = defender_edge_ranges(game)
+    ranges = strategy_ranges(TupleGame(graph, k, nu=1))
+    attacker, defender = ranges["attacker"], ranges["defender"]
     _emit(f"duel value (per attacker): {attacker.value:.6f}\n")
 
     v_table = Table(["host", "attack prob min", "attack prob max"])

@@ -26,7 +26,8 @@ check                         theorem     cross-checked paths
                                           model vs a fresh one-shot duel vs
                                           the two-LP (``−Aᵀ``) route; the
                                           dual-read attacker mixture is
-                                          optimal
+                                          optimal; each master solve adds
+                                          1–3 new columns that price out
 ``cache-replay``              —           every cached entry point, plain and
                                           weighted: cold result vs its
                                           replay from a throwaway store
@@ -34,6 +35,10 @@ check                         theorem     cross-checked paths
 ``kernel-reference``          —           bnb and exhaustive DFS vs the
                                           brute-force lexicographically
                                           first argmax
+``certificate-reference``     —           the double oracle's ``G⁺``
+                                          matching certificate vs bnb and
+                                          exhaustive DFS; its decoded tuple
+                                          covers its value
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
 ``ranges-consistency``        —           attacker and defender polytope
                                           probes vs LP value and coordinate
@@ -78,6 +83,7 @@ from repro.matching.covers import minimum_edge_cover_size
 from repro.obs import metrics
 from repro.simulation.fast import simulate_fast
 from repro.solvers.double_oracle import (
+    _GREEDY_PROPOSALS,
     _double_oracle_loop,
     double_oracle,
     double_oracle_result_to_json,
@@ -88,6 +94,7 @@ from repro.solvers.fictitious_play import (
 )
 from repro.solvers.lp import (
     LPSolution,
+    _CoverageMatching,
     _MatrixDuel,
     _minimax,
     _payoff_matrix,
@@ -117,6 +124,9 @@ _RANGES_MAX_N = 8
 #: ``incremental-lp`` compares LP values of the same restricted duel, so
 #: it holds them to solver accuracy, not the cross-pipeline slack.
 _INCREMENTAL_LP_TOLERANCE = 1e-9
+#: The double oracle's ``tolerance`` in ``incremental-lp``'s runs, which
+#: every added column must price out by, and in ``certificate-reference``.
+_DO_TOLERANCE = 1e-9
 
 _SIMULATION_TRIALS = 4_000
 _FP_ROUNDS = 120
@@ -387,14 +397,24 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
     the two-LP (``−Aᵀ``) route equals the dual-read attacker route, within
     :data:`_INCREMENTAL_LP_TOLERANCE`; and the dual-read attacker mixture
     ``q`` is optimal: no pooled tuple scores ``(A q)ₜ`` above the value
-    plus that tolerance."""
+    plus that tolerance.  Between two master solves the loop adds one to
+    ``_GREEDY_PROPOSALS`` columns, each new and pricing out against the
+    previous restricted optimum: ``(A q)ₜ`` above its value by more than
+    the loop's ``tolerance``."""
     out: List[Violation] = []
     for label, weights in (("plain", None),
                            ("weighted", _weighted_lift(game).weights)):
+        previous: List = []
+
         def audit(solution: LPSolution, attackers, defenders,
-                  label=label, weights=weights) -> None:
+                  label=label, weights=weights, previous=previous) -> None:
             payoff = _payoff_matrix(
                 attackers, defenders, tuple_vertices, weights)
+            if previous:
+                out.extend(_pricing_violations(
+                    label, previous[0], previous[1], defenders, payoff,
+                    attackers))
+            previous[:] = [solution, list(defenders)]
             fresh, _, _ = _MatrixDuel(payoff).solve()
             two_lp = _minimax(attackers, defenders, tuple_vertices,
                               weights).value
@@ -420,8 +440,43 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
                     f"{solution.value!r}",
                 ))
 
-        _double_oracle_loop(game, weights, tolerance=1e-9,
+        _double_oracle_loop(game, weights, tolerance=_DO_TOLERANCE,
                             max_iterations=300, method="auto", audit=audit)
+    return out
+
+
+def _pricing_violations(
+    label: str, last: LPSolution, pooled: List[EdgeTuple],
+    defenders: List[EdgeTuple], payoff, attackers,
+) -> List[Violation]:
+    """What is wrong with the columns added after the restricted optimum
+    ``last`` over ``pooled``: their count, a repeat, or a column that
+    does not price out against ``last`` (``payoff`` rows are the grown
+    pool's)."""
+    added = defenders[len(pooled):]
+    where = f"{label} double oracle, after {len(pooled)} defender tuples"
+    out: List[Violation] = []
+    if defenders[:len(pooled)] != pooled or not (
+            1 <= len(added) <= _GREEDY_PROPOSALS):
+        out.append(Violation(
+            "incremental-lp",
+            f"{where}: {len(added)} columns added between two master "
+            f"solves, not 1 to {_GREEDY_PROPOSALS} appended",
+        ))
+    q = [last.attacker.get(v, 0.0) for v in attackers]
+    scores = payoff[len(pooled):] @ q
+    for t, score in zip(added, scores):
+        if t in pooled or added.count(t) > 1:
+            out.append(Violation(
+                "incremental-lp", f"{where}: column {t!r} is already pooled",
+            ))
+        if not score > last.value + _DO_TOLERANCE:
+            out.append(Violation(
+                "incremental-lp",
+                f"{where}: column {t!r} scores {float(score)!r} against "
+                f"the previous restricted optimum, not above its value "
+                f"{last.value!r} by more than {_DO_TOLERANCE!r}",
+            ))
     return out
 
 
@@ -562,6 +617,56 @@ def check_kernel_reference(game: TupleGame, tol: float) -> List[Violation]:
     return out
 
 
+def check_certificate_reference(game: TupleGame,
+                                tol: float) -> List[Violation]:
+    """The double oracle's ``G⁺`` certificate (one
+    :class:`~repro.solvers.lp._CoverageMatching` model, warm across the
+    trials) must agree in value with branch and bound and the exhaustive
+    DFS, bipartite ``G`` or not, and its decoded tuple — ``k`` distinct
+    edges of ``G`` — must cover that value.
+
+    Unit masses come first: on non-bipartite ``G`` they are where the
+    ``G⁺`` LP relaxation overshoots (6 against 5 on two disjoint
+    triangles with ``k = 3``), so an LP standing in for the MIP shows.
+    Two uniform trials and one of small, tie-prone integers follow.
+    """
+    rng = random.Random(game.graph.n * 6271 + game.graph.m * 37 + game.k)
+    vertices = game.graph.sorted_vertices()
+    oracle = shared_oracle(game.graph, game.k)
+    model = _CoverageMatching(oracle, _DO_TOLERANCE)
+    trials = [{v: 1.0 for v in vertices}]
+    trials += [{v: rng.uniform(0.0, 1.0) for v in vertices}
+               for _ in range(2)]
+    trials.append({v: float(rng.randrange(3)) for v in vertices})
+    edges = set(oracle.edges)
+    out: List[Violation] = []
+    for trial, weights in enumerate(trials):
+        decoded, bound = model.best(weights)
+        for name, (_, value) in (
+                ("branch_and_bound", oracle.branch_and_bound(weights)),
+                ("exhaustive", oracle.exhaustive(weights))):
+            if not _close(bound, value, tol):
+                out.append(Violation(
+                    "certificate-reference",
+                    f"G+ certificate reads {bound!r}, {name} {value!r} "
+                    f"(trial {trial})",
+                ))
+        if len(set(decoded)) != game.k or not set(decoded) <= edges:
+            out.append(Violation(
+                "certificate-reference",
+                f"decoded {decoded!r} is not {game.k} distinct edges of G "
+                f"(trial {trial})",
+            ))
+        covered = sum(weights[v] for v in tuple_vertices(decoded))
+        if not _close(covered, bound, tol):
+            out.append(Violation(
+                "certificate-reference",
+                f"decoded {decoded!r} covers {covered!r}, the certificate "
+                f"reads {bound!r} (trial {trial})",
+            ))
+    return out
+
+
 def check_simulation_agreement(game: TupleGame, tol: float) -> List[Violation]:
     """Monte-Carlo profit must bracket the exact expectation (Def. 2.1)."""
     try:
@@ -640,6 +745,7 @@ INVARIANTS: Dict[str, Check] = {
     "cache-replay": check_cache_replay,
     "graph-io-roundtrip": check_graph_io_roundtrip,
     "kernel-reference": check_kernel_reference,
+    "certificate-reference": check_certificate_reference,
     "simulation-agreement": check_simulation_agreement,
     "ranges-consistency": check_ranges_consistency,
 }

@@ -33,11 +33,7 @@ from repro.obs import get_logger, metrics, tracing
 from repro.obs import ledger as obs_ledger
 from repro.solvers.double_oracle import DOUBLE_ORACLE_CALL
 from repro.solvers.fictitious_play import FICTITIOUS_PLAY_CALL
-from repro.solvers.ranges import (
-    StrategyRanges,
-    attacker_vertex_ranges,
-    defender_edge_ranges,
-)
+from repro.solvers.ranges import SIDES, StrategyRanges, strategy_ranges
 from repro.serve.schemas import (
     RESPONSE_SCHEMA,
     RequestError,
@@ -65,16 +61,9 @@ def _ranges_doc(ranges: StrategyRanges) -> Dict[str, Any]:
 
 
 def _ranges_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
-    payload: Dict[str, Any] = {}
-    if params["side"] in ("attacker", "both"):
-        payload["attacker"] = _ranges_doc(
-            attacker_vertex_ranges(game, tuple_limit=params["tuple_limit"])
-        )
-    if params["side"] in ("defender", "both"):
-        payload["defender"] = _ranges_doc(
-            defender_edge_ranges(game, tuple_limit=params["tuple_limit"])
-        )
-    return payload
+    sides = SIDES if params["side"] == "both" else (params["side"],)
+    ranges = strategy_ranges(game, sides, tuple_limit=params["tuple_limit"])
+    return {side: _ranges_doc(found) for side, found in ranges.items()}
 
 
 Runner = Callable[[TupleGame, Dict[str, Any]], Any]

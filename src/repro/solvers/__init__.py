@@ -26,6 +26,7 @@ from repro.solvers.ranges import (
     StrategyRanges,
     attacker_vertex_ranges,
     defender_edge_ranges,
+    strategy_ranges,
 )
 
 __all__ = [
@@ -46,4 +47,5 @@ __all__ = [
     "StrategyRanges",
     "attacker_vertex_ranges",
     "defender_edge_ranges",
+    "strategy_ranges",
 ]

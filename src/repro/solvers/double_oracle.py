@@ -9,19 +9,24 @@ strategy generation:
 1. solve the *restricted* duel over small strategy pools;
 2. ask each side's **best-response oracle** for an improving strategy
    against the opponent's current optimal mixture — for the defender this
-   is weighted k-edge coverage (the :mod:`repro.kernels` coverage oracle,
-   exact), for the attacker the minimum-hit vertex;
+   is weighted k-edge coverage, for the attacker the minimum-hit vertex;
 3. add improving strategies to the pools and repeat; stop when neither
    oracle improves.  At that point the restricted equilibrium is an
    equilibrium of the *full* game, and the final oracle payoffs bracket
    the value (the gap certifies optimality).
 
 The defender side follows the column-generation recipe: the kernel's
-greedy cover *proposes* each new tuple, and the exact oracle is asked
-only when greedy has nothing new and improving to offer.  The loop stops
+greedy cover *proposes* new tuples, up to three per master solve (the
+greedy cover, then greedy again with the vertices of the earlier
+proposals zeroed), and every new proposal that prices out becomes a
+column.  The exact oracle is asked only when none does; the loop stops
 only when the exact oracle adds nothing, so the final gap is still a
-certificate, while the exponential-worst-case exact search typically
-runs once per solve.
+certificate, while the exact search typically runs once per solve.  That
+exact oracle is the coverage kernel's search (exhaustive DFS or branch
+and bound) on small games and, beyond ``C(m, k) = 10¹⁵``, one HiGHS
+model of the same question as a maximum-weight matching of at most ``k``
+edges in ``G⁺`` (:class:`~repro.solvers.lp._CoverageMatching`), whose
+cost does not swing with the attacker mixture as branch and bound's does.
 
 The defender pool typically stays tiny — a few dozen tuples even when
 ``E^k`` has millions — because equilibrium supports are small (cf. the
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import json
 from time import perf_counter
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import repro.cache as result_cache
 from repro.core.game import GameError, TupleGame
@@ -47,6 +52,7 @@ from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
 from repro.solvers.lp import (
     LPSolution,
+    _CoverageMatching,
     _lp_solution_from_payload,
     _lp_solution_payload,
     _MatrixDuel,
@@ -87,9 +93,9 @@ class DoubleOracleResult:
     gap_history:
         One gap per outer iteration, oldest first — the convergence
         trajectory that the scaling experiments plot.  Only the last
-        entry is certified: an iteration whose column greedy proposed
-        records greedy's payoff minus the attacker's, a lower bound on
-        that iteration's true gap.
+        entry is certified: an iteration whose columns greedy proposed
+        records the best proposal's payoff minus the attacker's, a lower
+        bound on that iteration's true gap.
     """
 
     __slots__ = (
@@ -133,10 +139,18 @@ class DoubleOracleResult:
         )
 
 
-_RESULT_FORMAT = "repro.solvers.double-oracle-result.v3"
+_RESULT_FORMAT = "repro.solvers.double-oracle-result.v4"
 
 #: The exact coverage solvers that may certify a run (greedy only proposes).
 _CERTIFYING_METHODS = ("auto", "exhaustive", "bnb")
+
+#: Greedy proposals per master solve (see :func:`_greedy_family`).
+_GREEDY_PROPOSALS = 3
+
+#: ``"auto"`` certifies with the kernel up to this many defender tuples
+#: ``C(m, k)`` and with the ``G⁺`` matching model above (see
+#: :func:`_certifier`).
+_KERNEL_CERTIFICATE_TUPLES = 10**15
 
 
 def double_oracle_result_to_json(result: DoubleOracleResult) -> str:
@@ -169,35 +183,78 @@ def double_oracle_result_from_json(text: str) -> DoubleOracleResult:
     return DOUBLE_ORACLE_CALL.decode(text)
 
 
+def _greedy_family(
+    oracle: CoverageOracle, masses: Mapping[Vertex, float],
+    cap: Optional[int],
+) -> List[EdgeTuple]:
+    """Greedy proposals against ``masses``: the greedy cover, then greedy
+    again with the vertices of every earlier proposal zeroed — at most
+    ``cap`` of them (no cap for ``None``), and none once the zeroed
+    masses leave nothing to cover, so the proposals are distinct.
+
+    One greedy kernel query per proposal, orders of magnitude cheaper
+    than the master solve each column can save.
+    """
+    family: List[EdgeTuple] = []
+    remaining = dict(masses)
+    while cap is None or len(family) < cap:
+        proposal, gain = oracle.greedy(remaining)
+        if gain <= 0.0:
+            break
+        family.append(proposal)
+        for v in tuple_vertices(proposal):
+            remaining[v] = 0.0
+    return family
+
+
+def _coverage(t: EdgeTuple, masses: Mapping[Vertex, float]) -> float:
+    """The mass ``t`` covers, summed in the tuple's canonical order."""
+    seen: Set[Vertex] = set()
+    covered = 0.0
+    for edge in t:
+        for v in edge:
+            if v not in seen:
+                seen.add(v)
+                covered += masses.get(v, 0.0)
+    return covered
+
+
 def _initial_defender_pool(oracle: CoverageOracle) -> List[EdgeTuple]:
-    """Seed: a greedy family of tuples that together cover every vertex.
+    """Seed: the greedy family on unit masses, uncapped — tuples that
+    together cover every vertex.
 
     Equilibrium defender supports rotate k-matchings until every vertex
     is protected (cf. Lemma 4.8), so a pool that already covers the whole
     vertex set starts the restricted LP near the final support — the
     remaining iterations only refine the mixture instead of discovering
-    coverage one tuple at a time.  Each extra seed costs one greedy kernel
-    query, orders of magnitude cheaper than the LP iteration it saves.
+    coverage one tuple at a time.
     """
-    pool: List[EdgeTuple] = []
-    seen: Set[EdgeTuple] = set()
-    uncovered = set(oracle.vertices)
-    first, _ = oracle.greedy({v: 1.0 for v in oracle.vertices})
-    pool.append(first)
-    seen.add(first)
-    uncovered -= tuple_vertices(first)
-    for _ in range(4 * oracle.n):
-        if not uncovered:
-            break
-        masses = {v: (1.0 if v in uncovered else 0.0) for v in oracle.vertices}
-        seed, value = oracle.greedy(masses)
-        if value <= 0.0:
-            break  # the rest of the vertices are not newly coverable
-        if seed not in seen:
-            pool.append(seed)
-            seen.add(seed)
-        uncovered -= tuple_vertices(seed)
-    return pool
+    return _greedy_family(oracle, {v: 1.0 for v in oracle.vertices}, None)
+
+
+def _certifier(
+    oracle: CoverageOracle, method: str, tolerance: float,
+) -> Callable[[Mapping[Vertex, float]], Tuple[EdgeTuple, float]]:
+    """The exact oracle that certifies a run: ``masses -> (tuple,
+    bound)``, ``bound`` an upper bound on every tuple's coverage within
+    ``tolerance`` of the optimum.
+
+    ``"auto"`` asks the kernel (exhaustive DFS or branch and bound) up to
+    :data:`_KERNEL_CERTIFICATE_TUPLES` defender tuples and, above, one
+    :class:`~repro.solvers.lp._CoverageMatching` model of ``G⁺``, built on
+    the first query and warm-started by the later ones.
+    """
+    if method != "auto" or oracle.tuple_count <= _KERNEL_CERTIFICATE_TUPLES:
+        return lambda masses: oracle.best(masses, method=method)
+    model: Optional[_CoverageMatching] = None
+
+    def certify(masses: Mapping[Vertex, float]) -> Tuple[EdgeTuple, float]:
+        nonlocal model
+        if model is None:
+            model = _CoverageMatching(oracle, tolerance)
+        return model.best(masses)
+
+    return certify
 
 
 def double_oracle(
@@ -208,16 +265,18 @@ def double_oracle(
 ) -> DoubleOracleResult:
     """Solve the duel of ``Π_k(G)`` by lazy strategy generation.
 
-    Greedy coverage proposes the defender's new tuples; ``method`` picks
-    the *certifying* exact coverage solver asked when greedy has nothing
-    to add (``"auto"``, ``"exhaustive"`` or ``"bnb"``; any other value,
-    ``"greedy"`` included, raises :class:`ValueError`).
+    Greedy coverage proposes the defender's new tuples, up to three per
+    iteration; ``method`` picks the *certifying* exact solver asked when
+    greedy has nothing to add (``"auto"``, ``"exhaustive"`` or ``"bnb"``;
+    any other value, ``"greedy"`` included, raises :class:`ValueError`).
+    ``"auto"`` asks the coverage kernel up to ``C(m, k) = 10¹⁵`` tuples
+    and the ``G⁺`` matching model above; ``"exhaustive"`` and ``"bnb"``
+    always ask the kernel.
 
     Raises :class:`~repro.core.game.GameError` if the oracles still
-    improve after ``max_iterations``.  Each iteration adds one defender
-    tuple, and large duels can need more than the default: the game on
+    improve after ``max_iterations`` master solves.  The game on
     ``random_bipartite_graph(100, 150, 0.025, seed=7)`` with ``k = 20``
-    (m ≈ 400) takes about 220, so raise the cap for games of that size.
+    (m ≈ 400) converges in about 110.
     """
     return DOUBLE_ORACLE_CALL(
         game, tolerance=tolerance, max_iterations=max_iterations,
@@ -262,10 +321,12 @@ def _double_oracle_loop(
     and gaps in those units).
 
     The attacker pool holds every vertex, so the rows never change: the
-    loop keeps one :class:`~repro.solvers.lp._MatrixDuel` and adds one
-    column per new defender tuple.  ``audit(solution, attacker_pool,
-    defender_pool)``, when given, sees every restricted optimum (the fuzz
-    invariants re-solve it from scratch).
+    loop keeps one :class:`~repro.solvers.lp._MatrixDuel` and adds the
+    one to three new defender tuples of an iteration in one
+    :meth:`~repro.solvers.lp._MatrixDuel.add_columns` call.
+    ``audit(solution, attacker_pool, defender_pool)``, when given, sees
+    every restricted optimum (the fuzz invariants re-solve it from
+    scratch and price the columns added since the last one).
     """
     if method not in _CERTIFYING_METHODS:
         raise ValueError(
@@ -273,11 +334,12 @@ def _double_oracle_loop(
             f"got {method!r}"
         )
     oracle = shared_oracle(game.graph, game.k)
+    certify = _certifier(oracle, method, tolerance)
     vertices = oracle.vertices
     defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
     defender_seen: Set[EdgeTuple] = set(defender_pool)
     restricted = _MatrixDuel(_payoff_matrix(
-        vertices, defender_pool, tuple_vertices, weights))
+        vertices, defender_pool, tuple_vertices, weights), tolerance)
 
     solution = None
     gap = float("inf")
@@ -288,25 +350,34 @@ def _double_oracle_loop(
         if audit is not None:
             audit(solution, vertices, defender_pool)
 
-        # Defender oracle: best tuple against the attacker's mixture over
+        # Defender oracle: best tuples against the attacker's mixture over
         # the *full* vertex set (off-pool vertices have mass 0); weighted,
         # a tuple scores its covered mass q·w minus the whole mass.
-        # Greedy proposes; the exact oracle is asked only when greedy's
-        # tuple is already pooled or does not improve, so the loop can
-        # stop only on an exact answer.
+        # Greedy proposes a family; every new proposal that prices out
+        # becomes a column.  The exact oracle is asked only when none
+        # does, so the loop can stop only on an exact answer.
         masses: Dict[Vertex, float] = dict(solution.attacker)
         total_mass = 0.0
         if weights is not None:
             masses = {v: q * weights[v] for v, q in masses.items()}
             total_mass = sum(masses.values())
+        threshold = solution.value + tolerance
         with tracing.span("double_oracle.oracle.best_response"):
             oracle_start = perf_counter()
-            best_def, covered = oracle.greedy(masses)
-            if (best_def in defender_seen
-                    or covered - total_mass <= solution.value + tolerance):
-                best_def, covered = oracle.best(masses, method=method)
+            columns: List[EdgeTuple] = []
+            def_payoff = float("-inf")
+            for proposal in _greedy_family(oracle, masses, _GREEDY_PROPOSALS):
+                payoff = _coverage(proposal, masses) - total_mass
+                if payoff > threshold and proposal not in defender_seen:
+                    columns.append(proposal)
+                    def_payoff = max(def_payoff, payoff)
+            if not columns:
+                best_def, bound = certify(masses)
+                def_payoff = bound - total_mass
+                if (_coverage(best_def, masses) - total_mass > threshold
+                        and best_def not in defender_seen):
+                    columns.append(best_def)
             oracle_timer.observe(perf_counter() - oracle_start)
-        def_payoff = covered - total_mass
 
         # Attacker oracle: the least payoff over all vertices.  Every
         # vertex is already pooled, so it only bounds the gap.
@@ -332,11 +403,11 @@ def _double_oracle_loop(
             gap=gap, defender_pool=len(defender_pool),
             attacker_pool=len(vertices),
         )
-        if def_payoff > solution.value + tolerance and best_def not in defender_seen:
-            defender_pool.append(best_def)
-            defender_seen.add(best_def)
-            restricted.add_column(_payoff_matrix(
-                vertices, [best_def], tuple_vertices, weights)[0])
+        if columns:
+            defender_pool.extend(columns)
+            defender_seen.update(columns)
+            restricted.add_columns(_payoff_matrix(
+                vertices, columns, tuple_vertices, weights))
             continue
         # At convergence each oracle is within one `tolerance` of the
         # restricted value, so a certified gap beyond twice that means

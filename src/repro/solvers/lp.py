@@ -22,22 +22,29 @@ negated escape ``w(v)·(cov[t, v] − 1)`` for :mod:`repro.weighted`.
 Solved by HiGHS through scipy's bundled binding
 ``scipy.optimize._highspy._core._Highs`` (scipy >= 1.17.1): one
 :class:`_MatrixDuel` model per duel, which the double-oracle loop grows by
-one column per iteration so each restricted solve warm-starts from the
-previous optimal basis, and which :mod:`repro.solvers.ranges` pins at the
-game value to probe the optimal-strategy polytope.  A model's first solve
-runs HiGHS's default (dual) simplex, and that is the only solve a one-shot
-duel makes; every later solve of the same model runs primal simplex, for
-which the previous optimal basis is still a feasible start.
+its new columns each iteration so each restricted solve warm-starts from
+the previous optimal basis, and which :mod:`repro.solvers.ranges` pins at
+the game value to probe the optimal-strategy polytope.  A model's first
+solve runs HiGHS's default (dual) simplex, and that is the only solve a
+one-shot duel makes; every later solve of the same model runs primal
+simplex, for which the previous optimal basis is still a feasible start.
+The same binding answers the double oracle's certificate on large games:
+:class:`_CoverageMatching` is the defender's best response as a matching
+model of ``G⁺``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 try:
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus,
+        HighsVarType,
+        _Highs,
+    )
 except ImportError as exc:
     raise ImportError(
         "repro.solvers.lp needs the HiGHS binding that scipy bundles as "
@@ -49,6 +56,7 @@ from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.tuples import EdgeTuple, all_tuples, tuple_vertices
 from repro.graphs.core import tuple_sort_key, vertex_sort_key
+from repro.graphs.properties import is_bipartite
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
 from repro.obs import ledger as obs_ledger
@@ -67,6 +75,8 @@ _DEFAULT_TUPLE_LIMIT = 200_000
 _PRUNE = 1e-10
 #: HiGHS's ``simplex_strategy`` option value for primal simplex.
 _PRIMAL_SIMPLEX = 4
+#: The smallest feasibility tolerance HiGHS accepts.
+_MIN_FEASIBILITY = 1e-10
 
 
 class LPSolution:
@@ -154,7 +164,7 @@ class _MatrixDuel:
 
     ``A`` has one row per defender strategy ``t`` (an LP column ``pₜ``)
     and one column per attacker strategy ``r`` (an LP row).
-    :meth:`add_column` appends one defender strategy and the next
+    :meth:`add_columns` appends defender strategies and the next
     :meth:`solve` warm-starts from the previous optimal basis by primal
     simplex, so the double-oracle loop grows one model instead of
     rebuilding it every iteration.
@@ -162,10 +172,19 @@ class _MatrixDuel:
 
     __slots__ = ("_highs", "_attackers", "_z")
 
-    def __init__(self, payoff: np.ndarray) -> None:
+    def __init__(self, payoff: np.ndarray,
+                 tolerance: Optional[float] = None) -> None:
         count, attackers = payoff.shape
         highs = _Highs()
         highs.setOptionValue("output_flag", False)
+        if tolerance is not None:
+            # A duel certified to ``tolerance`` needs its optimum feasible
+            # to about that: at HiGHS's default 1e-7 the defender mixture
+            # can fall short of the value by more than the certificate
+            # allows.
+            for option in ("primal_feasibility_tolerance",
+                           "dual_feasibility_tolerance"):
+                highs.setOptionValue(option, max(tolerance, _MIN_FEASIBILITY))
         # LP row r < attackers reads z − Σₜ pₜ·A[t, r] ≤ 0, the last one
         # Σ p = 1.  The p columns come first and z after them: the column
         # order decides which optimal vertex of a degenerate duel HiGHS
@@ -197,15 +216,6 @@ class _MatrixDuel:
             rows.astype(np.int32), entries[columns, rows],
         )
 
-    def add_column(self, payoff_row: np.ndarray) -> None:
-        """Append one defender strategy, given as its row of ``A``."""
-        rows = np.flatnonzero(payoff_row)
-        self._highs.addCol(
-            0.0, 0.0, np.inf, len(rows) + 1,
-            np.append(rows, self._attackers).astype(np.int32),
-            np.append(-payoff_row[rows], 1.0),
-        )
-
     def solve(self) -> Tuple[float, np.ndarray, np.ndarray]:
         """``(value, p, q)``: the duel's value, the defender's optimal
         weights ``p`` and the attacker's optimal mixture ``q``, read off
@@ -231,7 +241,7 @@ class _MatrixDuel:
         The first run of a model keeps HiGHS's default (dual) simplex.
         Every later run restarts from the previous optimal basis, which
         stays primal feasible under what the callers change: a column
-        from :meth:`add_column` enters at 0, and :meth:`minimize_pinned`'s
+        from :meth:`add_columns` enters at 0, and :meth:`minimize_pinned`'s
         new costs do not touch feasibility (pinning ``z`` moves it by the
         probes' relaxation only).  Primal simplex is the textbook restart
         for that, as in column generation, where dual simplex would start
@@ -264,6 +274,130 @@ class _MatrixDuel:
                 f"pinned duel LP failed: {highs.modelStatusToString(status)}"
             )
         return highs.getObjectiveValue()
+
+
+class _CoverageMatching:
+    """One HiGHS model of the defender's best response as a matching.
+
+    "``k`` edges covering the most vertex weight" is a maximum-weight
+    matching of at most ``k`` edges in ``G⁺``: ``G`` plus one pendant edge
+    per non-isolated vertex ``v``, weighing ``w(v)``, where a ``G``-edge
+    ``(u, v)`` weighs ``w(u) + w(v)``.  One column per ``G``-edge and per
+    pendant, in ``[0, 1]``; one row per vertex (its matched edges ``≤ 1``)
+    and one cardinality row (``≤ k``).  On bipartite ``G`` the LP is a
+    ``k``-unit flow and so integral; otherwise the columns are integer
+    and the model is a MIP solved to an absolute gap of ``tolerance``.
+
+    The model is built once; :meth:`best` only changes the column costs,
+    so each LP re-solve warm-starts from the last optimal basis, which a
+    cost change leaves primal feasible.
+    """
+
+    __slots__ = ("_highs", "_oracle", "_eu", "_ev", "_pendants", "_integral")
+
+    def __init__(self, oracle, tolerance: float) -> None:
+        vertices, edges = oracle.vertices, oracle.edges
+        slot = oracle.vertex_slot
+        n, m = len(vertices), len(edges)
+        eu = np.array([slot(u) for u, _ in edges], np.int32)
+        ev = np.array([slot(v) for _, v in edges], np.int32)
+        pendants = np.array(
+            [i for i, v in enumerate(vertices) if oracle.incident_edge_slots(v)],
+            np.int32,
+        )
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.addRows(
+            n + 1, np.full(n + 1, -np.inf),
+            np.append(np.ones(n), float(oracle.k)), 0,
+            np.zeros(n + 1, np.int32), np.empty(0, np.int32), np.empty(0),
+        )
+        # A G-edge column has entries in rows u, v and n (cardinality), a
+        # pendant column in rows v and n.
+        count = m + len(pendants)
+        cardinality = np.full(count, n, np.int32)
+        index = np.concatenate([
+            np.column_stack([eu, ev, cardinality[:m]]).ravel(),
+            np.column_stack([pendants, cardinality[m:]]).ravel(),
+        ]).astype(np.int32)
+        starts = np.append(np.arange(0, 3 * m, 3),
+                           3 * m + np.arange(0, 2 * len(pendants), 2))
+        highs.addCols(
+            count, np.zeros(count), np.zeros(count), np.ones(count),
+            len(index), starts.astype(np.int32), index, np.ones(len(index)),
+        )
+        self._integral = not is_bipartite(oracle.graph)
+        if self._integral:
+            highs.changeColsIntegrality(
+                count, np.arange(count, dtype=np.int32),
+                np.full(count, HighsVarType.kInteger, np.uint8),
+            )
+            highs.setOptionValue("mip_rel_gap", 0.0)
+            highs.setOptionValue("mip_abs_gap", tolerance)
+        self._highs = highs
+        self._oracle = oracle
+        self._eu = eu
+        self._ev = ev
+        self._pendants = pendants
+
+    def best(self, weights) -> Tuple[EdgeTuple, float]:
+        """``(tuple, bound)``: a ``k``-tuple decoded from the optimal
+        matching and an upper bound on every ``k``-tuple's coverage of
+        ``weights`` (nonnegative, by vertex): the LP's weak-duality bound
+        or the MIP's dual bound, within ``tolerance`` of the optimum."""
+        metrics.counter("lp.matching.solve.count").inc()
+        highs = self._highs
+        oracle = self._oracle
+        w = np.array([weights.get(v, 0.0) for v in oracle.vertices])
+        costs = -np.concatenate([w[self._eu] + w[self._ev], w[self._pendants]])
+        count = len(costs)
+        highs.changeColsCost(count, np.arange(count, dtype=np.int32), costs)
+        with metrics.timer("lp.matching.solve.seconds"):
+            highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise GameError(
+                f"matching model failed: {highs.modelStatusToString(status)}"
+            )
+        solution = highs.getSolution()
+        if self._integral:
+            bound = -highs.getInfo().mip_dual_bound
+        else:
+            # Weak duality with any row duals y ≥ 0 bounds the optimum by
+            # Σ b·y plus each column's positive reduced cost; at HiGHS's
+            # optimum that is its objective, up to its tolerances.
+            y = np.maximum(-np.asarray(solution.row_dual), 0.0)
+            priced = np.concatenate([y[self._eu] + y[self._ev],
+                                     y[self._pendants]]) + y[-1]
+            bound = (y[:-1].sum() + oracle.k * y[-1]
+                     + np.maximum(-costs - priced, 0.0).sum())
+            highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        picked = np.asarray(solution.col_value) > 0.5
+        m = len(self._eu)
+        return self._decode(np.flatnonzero(picked[:m]),
+                            self._pendants[picked[m:]]), float(bound)
+
+    def _decode(self, matched: np.ndarray, pendants: np.ndarray) -> EdgeTuple:
+        """The matched edges, then for each pendant vertex still uncovered
+        its lowest-slot unused incident edge, then the lowest unused
+        slots until ``k`` edges — coverage at least the matching's."""
+        oracle = self._oracle
+        eu, ev = self._eu, self._ev
+        chosen = set(matched.tolist())
+        covered = set(eu[matched].tolist()) | set(ev[matched].tolist())
+        for v in pendants.tolist():
+            if v in covered:
+                continue
+            for e in oracle.incident_edge_slots(oracle.vertices[v]):
+                if e not in chosen:
+                    chosen.add(e)
+                    covered.update((int(eu[e]), int(ev[e])))
+                    break
+        filler = iter(range(oracle.m))
+        while len(chosen) < oracle.k:
+            chosen.add(next(e for e in filler if e not in chosen))
+        edges = oracle.edges
+        return tuple(edges[e] for e in sorted(chosen))
 
 
 @tracing.traced("lp.minimax_over_strategies")

@@ -19,12 +19,14 @@ equilibria needed.  Each side is one :class:`~repro.solvers.lp._MatrixDuel`
 pinned at the relaxed optimum; its ``2 × coordinates`` probes (and the
 widened retry) only change column costs, so each warm-starts from the
 last, by primal simplex.  ``v*`` is one solve of the defender's duel on
-the coverage matrix ``A``, the very model the defender side then pins.
+the coverage matrix ``A``, the very model the defender side then pins;
+:func:`strategy_ranges` builds that matrix and solves that duel once for
+both sides.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -36,7 +38,16 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics, tracing
 from repro.solvers.lp import _MatrixDuel, _payoff_matrix
 
-__all__ = ["StrategyRanges", "attacker_vertex_ranges", "defender_edge_ranges"]
+__all__ = [
+    "SIDES",
+    "StrategyRanges",
+    "attacker_vertex_ranges",
+    "defender_edge_ranges",
+    "strategy_ranges",
+]
+
+#: The two polytopes :func:`strategy_ranges` probes.
+SIDES = ("attacker", "defender")
 
 _TOL = 1e-9
 _TOL_WIDEN = 1e4
@@ -117,16 +128,6 @@ def _coverage(game: TupleGame, tuple_limit: int):
                                             None)
 
 
-def _game_value(game, tuple_limit, solve_minimax, duel: _MatrixDuel) -> float:
-    """``v*``: one solve of the defender's duel ``duel`` over the full
-    coverage matrix — the value :func:`~repro.solvers.lp.solve_minimax`
-    reports, bit for bit, without its second (attacker) LP — or, when a
-    ``solve_minimax`` stand-in is given, that stand-in's value."""
-    if solve_minimax is not None:
-        return solve_minimax(game, tuple_limit=tuple_limit).value
-    return float(duel.solve()[0])
-
-
 def _probe_ranges(
     side: str, duel: _MatrixDuel, duel_value: float, value: float,
     keys: List, costs: np.ndarray, sort_key,
@@ -159,6 +160,64 @@ def _probe_ranges(
     )
 
 
+def strategy_ranges(
+    game: TupleGame,
+    sides: Sequence[str] = SIDES,
+    tuple_limit: int = _DEFAULT_TUPLE_LIMIT,
+) -> Dict[str, StrategyRanges]:
+    """The ranges of each of ``sides`` (``"attacker"``, ``"defender"``),
+    keyed by side in the order given.
+
+    Both sides share one coverage matrix and one solve of the defender's
+    duel for ``v*``; each answer is the one the side's own function
+    returns, bit for bit.
+    """
+    sides = tuple(sides)
+    if not sides or not set(sides) <= set(SIDES):
+        raise ValueError(f"sides must be drawn from {SIDES}; got {sides!r}")
+    entry = "both" if len(set(sides)) > 1 else sides[0]
+    with obs_ledger.run(f"solvers.ranges.{entry}", game=game), \
+            tracing.span("ranges", sides=entry, n=game.graph.n, k=game.k):
+        return _strategy_ranges(game, sides, tuple_limit)
+
+
+def _strategy_ranges(
+    game, sides, tuple_limit, solve_minimax=None
+) -> Dict[str, StrategyRanges]:
+    """:func:`strategy_ranges` without the ledger run; a
+    ``solve_minimax`` stand-in, when given, supplies ``v*``."""
+    vertices, tuples, coverage = _coverage(game, tuple_limit)
+    # The defender's duel A: its one solve gives v*, and the defender
+    # side then pins it.
+    duel = _MatrixDuel(coverage)
+    if solve_minimax is not None:
+        value = solve_minimax(game, tuple_limit=tuple_limit).value
+    else:
+        value = float(duel.solve()[0])
+    out: Dict[str, StrategyRanges] = {}
+    for side in sides:
+        metrics.counter(f"ranges.{side}.count").inc()
+        with tracing.span(f"ranges.{side}", n=game.graph.n, k=game.k), \
+                metrics.timer(f"ranges.{side}.seconds"):
+            if side == "attacker":
+                # The attacker's duel on −Aᵀ has value −v*; pinning
+                # z = −(v* + ε) leaves exactly the q with (A q)_t ≤ v* + ε.
+                out[side] = _probe_ranges(
+                    side, _MatrixDuel(-coverage.T), -value, value,
+                    vertices, np.eye(len(vertices)), vertex_sort_key,
+                )
+            else:
+                edges = game.graph.sorted_edges()
+                # Row e of the cost matrix is e's tuple membership [e ∈ t].
+                membership = _payoff_matrix(edges, tuples, lambda t: t,
+                                            None).T
+                out[side] = _probe_ranges(
+                    side, duel, value, value, edges, membership,
+                    edge_sort_key,
+                )
+    return out
+
+
 def attacker_vertex_ranges(
     game: TupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
 ) -> StrategyRanges:
@@ -167,24 +226,7 @@ def attacker_vertex_ranges(
 
     The optimality polytope is ``{q ≥ 0 : Σq = 1, (A q)_t ≤ v* ∀t}``.
     """
-    metrics.counter("ranges.attacker.count").inc()
-    with obs_ledger.run("solvers.ranges.attacker", game=game), \
-            tracing.span("ranges.attacker", n=game.graph.n, k=game.k), \
-            metrics.timer("ranges.attacker.seconds"):
-        return _attacker_vertex_ranges(game, tuple_limit)
-
-
-def _attacker_vertex_ranges(
-    game, tuple_limit, solve_minimax=None
-) -> StrategyRanges:
-    vertices, _, coverage = _coverage(game, tuple_limit)
-    value = _game_value(game, tuple_limit, solve_minimax, _MatrixDuel(coverage))
-    # The attacker's duel on −Aᵀ has value −v*; pinning z = −(v* + ε)
-    # leaves exactly the q with (A q)_t ≤ v* + ε.
-    return _probe_ranges(
-        "attacker", _MatrixDuel(-coverage.T), -value, value,
-        vertices, np.eye(len(vertices)), vertex_sort_key,
-    )
+    return strategy_ranges(game, ("attacker",), tuple_limit)["attacker"]
 
 
 def defender_edge_ranges(
@@ -196,22 +238,4 @@ def defender_edge_ranges(
     The optimality polytope is ``{p ≥ 0 : Σp = 1, (Aᵀ p)_v ≥ v* ∀v}``;
     the probed coordinate is ``Σ_{t ∋ e} p_t``.
     """
-    metrics.counter("ranges.defender.count").inc()
-    with obs_ledger.run("solvers.ranges.defender", game=game), \
-            tracing.span("ranges.defender", n=game.graph.n, k=game.k), \
-            metrics.timer("ranges.defender.seconds"):
-        return _defender_edge_ranges(game, tuple_limit)
-
-
-def _defender_edge_ranges(
-    game, tuple_limit, solve_minimax=None
-) -> StrategyRanges:
-    _, tuples, coverage = _coverage(game, tuple_limit)
-    duel = _MatrixDuel(coverage)
-    value = _game_value(game, tuple_limit, solve_minimax, duel)
-    edges = game.graph.sorted_edges()
-    # Row e of the cost matrix is e's tuple membership [e ∈ t].
-    membership = _payoff_matrix(edges, tuples, lambda t: t, None).T
-    return _probe_ranges(
-        "defender", duel, value, value, edges, membership, edge_sort_key,
-    )
+    return strategy_ranges(game, ("defender",), tuple_limit)["defender"]

@@ -214,7 +214,7 @@ def _escape_solution(solution: LPSolution) -> LPSolution:
 
 
 _LP_RESULT_FORMAT = "repro.weighted.lp-result.v1"
-_DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v3"
+_DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v4"
 
 
 def weighted_lp_result_to_json(

@@ -265,6 +265,43 @@ class TestInvariants:
                    for m in messages)
         assert {m.split()[0] for m in messages} == {"plain", "weighted"}
 
+    def test_incremental_lp_flags_a_non_improving_column(self, monkeypatch):
+        """A loop whose pricing overrates every tuple by 1 adds columns
+        that do not improve on the previous restricted optimum."""
+        import importlib
+
+        do = importlib.import_module("repro.solvers.double_oracle")
+
+        game = TupleGame(Graph([(i, (i + 1) % 6) for i in range(6)]), 2, nu=1)
+        assert check_game(game, checks=["incremental-lp"]) == []
+
+        real = do._coverage
+        monkeypatch.setattr(do, "_coverage",
+                            lambda t, masses: real(t, masses) + 1.0)
+        messages = [v.message for v in
+                    check_game(game, checks=["incremental-lp"])]
+        assert messages
+        assert all("against the previous restricted optimum, not above "
+                   "its value" in m for m in messages)
+
+    def test_certificate_reference_flags_an_lp_certificate_on_two_triangles(
+            self, monkeypatch):
+        """On two disjoint triangles with k=3 the G+ LP relaxation reads 6
+        on unit masses; the certificate must read the integral 5."""
+        import repro.solvers.lp as lp
+
+        game = TupleGame(
+            Graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 3, nu=1)
+        assert check_game(game, checks=["certificate-reference"]) == []
+
+        monkeypatch.setattr(lp, "is_bipartite", lambda graph: True)
+        messages = [v.message for v in
+                    check_game(game, checks=["certificate-reference"])]
+        assert "G+ certificate reads 6.0, branch_and_bound 5.0 (trial 0)" \
+            in messages
+        assert "G+ certificate reads 6.0, exhaustive 5.0 (trial 0)" \
+            in messages
+
     def test_violation_payload(self):
         v = Violation("pure-threshold", "msg", theorem="Theorem 3.1")
         assert v.to_payload() == {

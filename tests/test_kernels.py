@@ -239,9 +239,9 @@ class TestGoldenSolverBytes:
 
     GOLDEN = {
         1: ("e45a9a8ef9f9045c9e8a8a6879e3531b6451766a517f6846b0d78707dbfdcd71",
-            "f448ee7c354582fd942d5a571b88cba413668a649df30ca54c3a637b0622ef1b"),
+            "890add71d137c3cdf6ce59b9e374d403a75ce0e55b7258d20c6ae4c2c7eb05bc"),
         2: ("482875e9b9a50a459edf57e02b50dae9c816fab94f13487e64301c384e194be1",
-            "f7f0054ba9487a5289b401acf7a31b4eaebe0406307ffa9b4855d0d9a1c1eae2"),
+            "35d6badc39fff7a579f219a89e227b78e90b462ae522ab424312c90d0bda02fc"),
     }
 
     @staticmethod

@@ -127,10 +127,10 @@ class TestLPEquilibrium:
 
 def _grown(payoff):
     """A duel built over the first strategy, the rest added one
-    ``add_column`` call at a time."""
+    ``add_columns`` call, and one strategy, at a time."""
     duel = _MatrixDuel(payoff[:1])
     for row in payoff[1:]:
-        duel.add_column(row)
+        duel.add_columns(row[None, :])
     return duel
 
 
@@ -198,3 +198,62 @@ def test_missing_highs_binding_fails_at_import():
     last = result.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError:")
     assert "scipy.optimize._highspy._core._Highs" in last
+
+
+class TestCoverageMatching:
+    """The G+ matching model of the defender's best response."""
+
+    @staticmethod
+    def _model(graph, k):
+        from repro.kernels.coverage import CoverageOracle
+        from repro.solvers.lp import _CoverageMatching
+
+        oracle = CoverageOracle(graph, k)
+        return oracle, _CoverageMatching(oracle, 1e-9)
+
+    def test_pendants_decode_to_unused_incident_edges(self):
+        """On a star the optimum is one G-edge plus pendants; each
+        pendant decodes to its own spoke."""
+        _, model = self._model(star_graph(4), 3)
+        found, bound = model.best({v: 1.0 for v in range(5)})
+        assert bound == pytest.approx(4.0)
+        assert len(set(found)) == 3
+        assert len(tuple_vertices(found)) == 4
+
+    def test_fillers_take_the_lowest_unused_slots(self):
+        """Mass on one vertex is covered by one edge; the other k − 1
+        edges are the lowest slots not yet taken."""
+        oracle, model = self._model(path_graph(6), 3)
+        found, bound = model.best({3: 1.0})
+        assert bound == pytest.approx(1.0)
+        # Whichever of (2, 3), (3, 4) or 3's pendant the optimum takes,
+        # slots 0 and 1 fill the tuple.
+        assert 3 in tuple_vertices(found)
+        assert set(oracle.edges[:2]) < set(found)
+        assert len(set(found)) == 3
+
+    def test_non_bipartite_reads_the_integral_optimum(self):
+        """Two disjoint triangles, k = 3, unit masses: the LP relaxation
+        reads 6, the model (a MIP off bipartite graphs) reads 5."""
+        from repro.graphs.core import Graph
+
+        graph = Graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        oracle, model = self._model(graph, 3)
+        found, bound = model.best({v: 1.0 for v in range(6)})
+        assert bound == pytest.approx(5.0, abs=1e-9)
+        assert len(tuple_vertices(found)) == 5
+
+    def test_warm_queries_match_branch_and_bound(self):
+        import random
+
+        rng = random.Random(3)
+        for graph, k in ((petersen_graph(), 4),
+                         (complete_bipartite_graph(3, 4), 3)):
+            oracle, model = self._model(graph, k)
+            for _ in range(5):
+                masses = {v: rng.random() for v in graph.vertices()}
+                found, bound = model.best(masses)
+                _, exact = oracle.branch_and_bound(masses)
+                assert bound == pytest.approx(exact, abs=1e-9)
+                assert sum(masses[v] for v in tuple_vertices(found)) \
+                    == pytest.approx(exact, abs=1e-9)

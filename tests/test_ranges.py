@@ -9,6 +9,7 @@ from repro.graphs.generators import (
     complete_bipartite_graph,
     cycle_graph,
     path_graph,
+    random_bipartite_graph,
     star_graph,
 )
 from repro.matching.covers import minimum_edge_cover_size
@@ -100,6 +101,62 @@ class TestErgonomics:
         assert "value=" in repr(attacker_vertex_ranges(game))
 
 
+class TestBothSides:
+    """``/ranges side=both`` builds the coverage matrix and solves the
+    defender duel's value once, and answers the bytes of two single-side
+    requests."""
+
+    @pytest.mark.parametrize("graph, k", [
+        (star_graph(3), 1),
+        (cycle_graph(5), 2),
+        (complete_bipartite_graph(2, 3), 2),
+        (random_bipartite_graph(8, 10, 0.25, seed=5), 3),
+    ], ids=["star3", "cycle5", "k23", "bipartite"])
+    def test_payload_bytes_equal_two_single_side_calls(self, graph, k):
+        import json
+
+        from repro.serve.routes import _ranges_payload
+
+        game = TupleGame(graph, k, nu=1)
+
+        def payload(side):
+            return _ranges_payload(game, {"side": side,
+                                          "tuple_limit": 100_000})
+
+        single = {side: payload(side)[side]
+                  for side in ("attacker", "defender")}
+        assert json.dumps(payload("both"), sort_keys=True).encode() \
+            == json.dumps(single, sort_keys=True).encode()
+
+    def test_both_sides_share_one_matrix_and_one_value_solve(
+            self, monkeypatch):
+        import repro.solvers.ranges as ranges
+
+        calls = {"coverage": 0, "solve": 0}
+        real_coverage = ranges._coverage
+        real_solve = ranges._MatrixDuel.solve
+
+        def coverage(*args):
+            calls["coverage"] += 1
+            return real_coverage(*args)
+
+        def solve(self):
+            calls["solve"] += 1
+            return real_solve(self)
+
+        monkeypatch.setattr(ranges, "_coverage", coverage)
+        monkeypatch.setattr(ranges._MatrixDuel, "solve", solve)
+        found = ranges.strategy_ranges(TupleGame(cycle_graph(5), 2, nu=1))
+        assert list(found) == ["attacker", "defender"]
+        assert calls == {"coverage": 1, "solve": 1}
+
+    def test_unknown_side_is_rejected(self):
+        from repro.solvers.ranges import strategy_ranges
+
+        with pytest.raises(ValueError, match="sides"):
+            strategy_ranges(TupleGame(path_graph(4), 1, nu=1), ("both",))
+
+
 class TestPerturbedValueRobustness:
     """Regression: the probe LPs used an *absolute* 1e-9 relaxation on the
     optimality constraints and no fallback.  A game value carrying normal
@@ -126,11 +183,12 @@ class TestPerturbedValueRobustness:
         """v* reported 1e-7 low: (Aq)_t <= v* + 1e-9 is infeasible, the
         widened retry (1e-5 relative) recovers."""
         from repro.obs import metrics
-        from repro.solvers.ranges import _attacker_vertex_ranges
+        from repro.solvers.ranges import _strategy_ranges
 
         game = TupleGame(star_graph(3), 1, nu=1)
         before = metrics.counter("ranges.probe.retry.count").value
-        ranges = _attacker_vertex_ranges(game, 1000, self._stub_minimax(-1e-7))
+        ranges = _strategy_ranges(game, ("attacker",), 1000,
+                                  self._stub_minimax(-1e-7))["attacker"]
         assert metrics.counter("ranges.probe.retry.count").value == before + 1
         # Star K_{1,3}: the attacker hides on a leaf, never the center.
         low, high = ranges.ranges[0]
@@ -140,11 +198,12 @@ class TestPerturbedValueRobustness:
         """v* reported 1e-7 high: (A^T p)_v >= v* - 1e-9 is infeasible,
         the widened retry recovers."""
         from repro.obs import metrics
-        from repro.solvers.ranges import _defender_edge_ranges
+        from repro.solvers.ranges import _strategy_ranges
 
         game = TupleGame(star_graph(3), 1, nu=1)
         before = metrics.counter("ranges.probe.retry.count").value
-        ranges = _defender_edge_ranges(game, 1000, self._stub_minimax(1e-7))
+        ranges = _strategy_ranges(game, ("defender",), 1000,
+                                  self._stub_minimax(1e-7))["defender"]
         assert metrics.counter("ranges.probe.retry.count").value == before + 1
         for low, high in ranges.ranges.values():
             assert low == pytest.approx(1 / 3, abs=1e-4)
@@ -152,11 +211,12 @@ class TestPerturbedValueRobustness:
 
     def test_hopeless_value_still_fails_loudly(self):
         """An error far beyond the widened relaxation must still raise."""
-        from repro.solvers.ranges import _attacker_vertex_ranges
+        from repro.solvers.ranges import _strategy_ranges
 
         game = TupleGame(star_graph(3), 1, nu=1)
         with pytest.raises(GameError, match="widened tolerance"):
-            _attacker_vertex_ranges(game, 1000, self._stub_minimax(-0.05))
+            _strategy_ranges(game, ("attacker",), 1000,
+                             self._stub_minimax(-0.05))
 
     def test_unperturbed_paths_do_not_retry(self):
         from repro.obs import metrics

@@ -45,7 +45,8 @@ _TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 #: double-oracle cases, the cache replay included, track the native
 #: slice better (2.2-2.5% against 4.0-7.0% over 8 runs of each).
 _NATIVE = frozenset({"simulation.fast.medium", "fuzz.batch.small",
-                     "ranges.small", "double_oracle.medium_a",
+                     "ranges.small", "certificate.matching",
+                     "double_oracle.medium_a",
                      "double_oracle.medium_b", "double_oracle.cached",
                      "weighted_double_oracle.medium"})
 
@@ -56,12 +57,13 @@ def _cases():
     from repro.fuzz.invariants import INVARIANTS
     from repro.fuzz.runner import run_fuzz
     from repro.graphs.generators import random_bipartite_graph
-    from repro.kernels import clear_shared_oracles
+    from repro.kernels import CoverageOracle, clear_shared_oracles
     from repro.simulation.engine import simulate
     from repro.simulation.fast import simulate_fast
     from repro.solvers.double_oracle import double_oracle
     from repro.solvers.fictitious_play import fictitious_play
-    from repro.solvers.ranges import attacker_vertex_ranges, defender_edge_ranges
+    from repro.solvers.lp import _CoverageMatching
+    from repro.solvers.ranges import strategy_ranges
     from repro.weighted.game import WeightedTupleGame, weighted_double_oracle
 
     import repro.cache as result_cache
@@ -147,8 +149,21 @@ def _cases():
     probed = TupleGame(random_bipartite_graph(8, 10, 0.25, seed=5), 3, nu=1)
 
     def range_probes() -> None:
-        attacker_vertex_ranges(probed)
-        defender_edge_ranges(probed)
+        strategy_ranges(probed)
+
+    # The double oracle's certificate above the kernel's size limit: a
+    # cold G+ matching model (its own prebuilt coverage oracle, so no
+    # kernel build is timed) asked once at the final attacker mixture of
+    # each of two games with C(m, k) > 10^15.
+    certified = []
+    for shape in ((40, 60, 0.06), (50, 75, 0.05)):
+        game = TupleGame(random_bipartite_graph(*shape, seed=1), 10, nu=1)
+        certified.append((CoverageOracle(game.graph, game.k),
+                          double_oracle(game).solution.attacker))
+
+    def matching_certificates() -> None:
+        for oracle, masses in certified:
+            _CoverageMatching(oracle, 1e-9).best(masses)
 
     return {
         "double_oracle.medium_a": lambda: double_oracle(do_a),
@@ -160,6 +175,7 @@ def _cases():
         # Both sides' optimal-polytope probes: 2 x (n + m) pinned solves
         # on one warm-started HiGHS model per side.
         "ranges.small": range_probes,
+        "certificate.matching": matching_certificates,
         "simulation.engine.small": lambda: simulate(
             sim_game, sim_config, trials=20_000, seed=0
         ),
