@@ -82,14 +82,3 @@ def test_e7_bench_playout_throughput(benchmark, nu):
     report = benchmark(simulate, game, config, 2_000, 7)
     assert report.trials == 2_000
 
-
-@pytest.mark.parametrize("nu", [1, 8])
-def test_e7_bench_vectorized_playout_throughput(benchmark, nu):
-    """The numpy fast path at the same trial count — typically two orders
-    of magnitude more trials per second than the reference engine."""
-    from repro.simulation.fast import simulate_fast
-
-    game = TupleGame(grid_graph(3, 3), 2, nu=nu)
-    config = solve_game(game).mixed
-    result = benchmark(simulate_fast, game, config, 2_000, 7)
-    assert result.trials == 2_000

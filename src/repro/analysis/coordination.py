@@ -26,13 +26,14 @@ defender game (whose strategic form is a different model).
 
 from __future__ import annotations
 
-import random
+import numpy as np
 
 from repro.core.game import GameError, TupleGame
 from repro.equilibria.solve import solve_game
 from repro.graphs.core import Graph
 from repro.matching.covers import minimum_edge_cover_size
-from repro.simulation.engine import Sampler
+from repro.kernels.coverage import shared_oracle
+from repro.simulation.engine import draw_tuples, draw_vertices
 
 __all__ = [
     "coordinated_hit_probability",
@@ -83,15 +84,10 @@ def simulate_uncoordinated(
     edge_game = TupleGame(graph, 1, nu=1)
     result = solve_game(edge_game)
     config = result.mixed
-    rng = random.Random(seed)
-    attacker_sampler = Sampler(config.vp_distribution(0))
-    scanner_sampler = Sampler(config.tp_distribution())
-    caught = 0
-    for _ in range(trials):
-        target = attacker_sampler.sample(rng)
-        for _ in range(k):
-            (edge,) = scanner_sampler.sample(rng)
-            if target in edge:
-                caught += 1
-                break
-    return caught / trials
+    rng = np.random.default_rng(seed)
+    targets, target_draws = draw_vertices(config, 0, rng, trials)
+    edges, scans = draw_tuples(config, rng, (trials, k))
+    coverage, vertex_slot = shared_oracle(graph, 1).coverage_matrix(edges)
+    slots = np.array([vertex_slot[v] for v in targets])[target_draws]
+    caught = coverage[scans, slots[:, None]].any(axis=1)
+    return float(caught.mean())

@@ -81,7 +81,7 @@ from repro.graphs.io import (
 from repro.kernels.coverage import shared_oracle
 from repro.matching.covers import minimum_edge_cover_size
 from repro.obs import metrics
-from repro.simulation.fast import simulate_fast
+from repro.simulation.engine import simulate
 from repro.solvers.double_oracle import (
     _GREEDY_PROPOSALS,
     _double_oracle_loop,
@@ -673,13 +673,13 @@ def check_simulation_agreement(game: TupleGame, tol: float) -> List[Violation]:
         result = solve_game(game)
     except NoEquilibriumFoundError:
         return []
-    sim = simulate_fast(game, result.mixed, trials=_SIMULATION_TRIALS, seed=7)
-    stderr = sim.defender_std / max(1, _SIMULATION_TRIALS) ** 0.5
+    sim = simulate(game, result.mixed, trials=_SIMULATION_TRIALS, seed=7)
+    stderr = sim.defender_profit.stddev / max(1, _SIMULATION_TRIALS) ** 0.5
     slack = 6.0 * stderr + tol
-    if abs(sim.defender_mean - result.defender_gain) > slack:
+    if abs(sim.defender_profit.mean - result.defender_gain) > slack:
         return [Violation(
             "simulation-agreement",
-            f"simulated gain {sim.defender_mean!r} is {slack!r}-far from "
+            f"simulated gain {sim.defender_profit.mean!r} is {slack!r}-far from "
             f"exact {result.defender_gain!r} "
             f"({_SIMULATION_TRIALS} trials, 6 sigma)",
             theorem="Definition 2.1",

@@ -52,10 +52,10 @@ import threading
 from collections import OrderedDict
 from itertools import accumulate, islice
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tuples import EdgeTuple, tuple_vertices
-from repro.graphs.core import Edge, Graph, GraphError, Vertex, tuple_sort_key
+from repro.graphs.core import Edge, Graph, GraphError, Vertex
 from repro.obs import metrics, tracing
 
 __all__ = ["CoverageOracle", "shared_oracle", "clear_shared_oracles"]
@@ -84,9 +84,8 @@ class CoverageOracle:
     -----
     The oracle is read-only after construction and safe to share across
     solver iterations; per-query state lives on the stack.  The memoized
-    coverage views (:meth:`coverage_sets`, :meth:`coverage_matrix`) keep a
-    single-entry cache each, sized for the simulate-same-config-repeatedly
-    access pattern of the benchmark zoo.
+    :meth:`coverage_matrix` keeps a single-entry cache, sized for the
+    simulate-same-config-repeatedly access pattern of the benchmark zoo.
     """
 
     __slots__ = (
@@ -101,8 +100,6 @@ class CoverageOracle:
         "_eu",
         "_ev",
         "_incidence",
-        "_cover_sets_key",
-        "_cover_sets_val",
         "_cover_matrix_key",
         "_cover_matrix_val",
     )
@@ -131,8 +128,6 @@ class CoverageOracle:
             self._incidence: Tuple[Tuple[int, ...], ...] = tuple(
                 tuple(slots) for slots in incidence
             )
-            self._cover_sets_key: Optional[Tuple[EdgeTuple, ...]] = None
-            self._cover_sets_val: Dict[EdgeTuple, FrozenSet[Vertex]] = {}
             self._cover_matrix_key: Optional[Tuple[EdgeTuple, ...]] = None
             self._cover_matrix_val = None
         metrics.counter("perf.kernel.build.count").inc()
@@ -540,35 +535,16 @@ class CoverageOracle:
             return [self.best(wv, method=method) for wv in vectors]
 
     # ------------------------------------------------------------------
-    # coverage views for the simulation engines
+    # coverage view for the simulation engine
     # ------------------------------------------------------------------
-    def coverage_sets(
-        self, tuples: Iterable[EdgeTuple]
-    ) -> Dict[EdgeTuple, FrozenSet[Vertex]]:
-        """Tuple → covered-vertex-set map, memoized on the support.
-
-        The Monte-Carlo engines resolve every sampled tuple through this
-        map; memoizing on the (sorted) support means repeated runs over
-        the same configuration skip the rebuild entirely.
-        """
-        key = tuple(sorted(tuples, key=tuple_sort_key))
-        if key == self._cover_sets_key:
-            metrics.counter("perf.kernel.cover.hits.count").inc()
-            return self._cover_sets_val
-        val = {t: tuple_vertices(t) for t in key}
-        self._cover_sets_key = key
-        self._cover_sets_val = val
-        metrics.counter("perf.kernel.cover.misses.count").inc()
-        return val
-
     def coverage_matrix(self, tuples: Sequence[EdgeTuple]):
         """0/1 coverage matrix (tuples × vertex slots), memoized.
 
         Returns ``(matrix, vertex_slot)`` where ``matrix[row, j]`` is
         True iff ``tuples[row]`` covers the vertex at slot ``j`` of
-        :attr:`vertices`.  Used by the vectorized simulation fast path;
-        numpy is imported lazily so the kernel package itself stays
-        stdlib-only.
+        :attr:`vertices`.  The Monte-Carlo engine reads every trial's
+        catches off it; numpy is imported lazily so the kernel package
+        itself stays stdlib-only.
         """
         key = tuple(tuples)
         if key == self._cover_matrix_key:

@@ -96,7 +96,6 @@ class LintConfig:
                 "repro.kernels.",
                 "repro.solvers.",
                 "repro.simulation.engine",
-                "repro.simulation.fast",
                 "repro.equilibria.solve",
                 "repro.fuzz.runner",
                 "repro.serve.",

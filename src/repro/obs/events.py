@@ -71,7 +71,6 @@ EVENT_TYPES = frozenset({
     "lp.solve",
     "fuzz.case",
     "bench.case",
-    "serve.request",
     "slo.breach",
 })
 

@@ -424,13 +424,13 @@ class DefenderService:
         latency_s: float,
         cache_hit: Optional[bool] = None,
     ) -> None:
-        """Request epilogue: histogram, SLO feed, access line, event.
+        """Request epilogue: histogram, SLO feed, access line.
 
         Runs for every connection — including ones that died before a
         response could be written — so the operational record is
-        complete.  The access line and the ``serve.request`` event carry
-        the same fields and are no-ops while their sinks are off (the
-        obs cost contract); the SLO engine's append is always on.
+        complete.  The access line is the one per-request record and a
+        no-op while its sink is off (the obs cost contract); the SLO
+        engine's append is always on.
         """
         metrics.histogram("serve.request.seconds").observe(latency_s)
         fields = dict(
@@ -442,7 +442,6 @@ class DefenderService:
         self.slo.observe(endpoint=fields["endpoint"], status=status,
                          latency_s=latency_s)
         obs_access.log_request(**fields)
-        obs_events.publish("serve.request", **fields)
 
 
 @contextlib.contextmanager

@@ -6,19 +6,14 @@ from repro.simulation.adaptive import (
     exploit_gap,
     regret_matching_attack,
 )
-from repro.simulation.engine import Sampler, SimulationReport, simulate
-from repro.simulation.estimators import RunningStat, wilson_interval
-from repro.simulation.fast import FastSimulationResult, simulate_fast
+from repro.simulation.engine import SimulationReport, simulate
+from repro.simulation.estimators import wilson_interval
 
 __all__ = [
     "AdaptiveAttackResult",
     "exploit_gap",
     "regret_matching_attack",
-    "Sampler",
     "SimulationReport",
     "simulate",
-    "RunningStat",
     "wilson_interval",
-    "FastSimulationResult",
-    "simulate_fast",
 ]

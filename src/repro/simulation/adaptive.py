@@ -23,14 +23,15 @@ the repeated game so experiments can watch both facts happen:
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Sequence
+
+import numpy as np
 
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.core.tuples import tuple_vertices
 from repro.graphs.core import Vertex
-from repro.simulation.engine import Sampler
+from repro.simulation.engine import draw_tuples
 
 __all__ = ["AdaptiveAttackResult", "regret_matching_attack", "exploit_gap"]
 
@@ -101,26 +102,32 @@ def regret_matching_attack(
     positive cumulative regrets (uniform while all regrets are
     non-positive), then observes the *full* outcome (which vertices were
     covered) and updates every counterfactual regret.
+
+    The defender's play does not depend on the attacker's, so all its
+    tuples are drawn up front, followed by one uniform per round for the
+    attacker's pick, from one ``numpy.random.default_rng(seed)``; the
+    regret updates stay a sequential loop.
     """
     if defender.game != game:
         raise GameError("defender configuration belongs to a different game")
     if rounds < 1:
         raise GameError("at least one round is required")
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     vertices: Sequence[Vertex] = game.graph.sorted_vertices()
-    tuple_sampler = Sampler(defender.tp_distribution())
-    coverage = {t: tuple_vertices(t) for t in defender.tp_support()}
+    tuples, tuple_draws = draw_tuples(defender, rng, rounds)
+    coverage = [tuple_vertices(t) for t in tuples]
+    uniforms = rng.random(rounds).tolist()
 
     cumulative_regret: Dict[Vertex, float] = {v: 0.0 for v in vertices}
     play_counts: Dict[Vertex, int] = {v: 0 for v in vertices}
     hindsight_escapes: Dict[Vertex, int] = {v: 0 for v in vertices}
     escapes = 0
 
-    for _ in range(rounds):
+    for drawn, u in zip(tuple_draws.tolist(), uniforms):
         positive = {v: r for v, r in cumulative_regret.items() if r > 0}
         if positive:
             total = sum(positive.values())
-            pick = rng.random() * total
+            pick = u * total
             acc = 0.0
             choice = vertices[-1]
             for v in vertices:
@@ -132,9 +139,9 @@ def regret_matching_attack(
                     choice = v
                     break
         else:
-            choice = vertices[rng.randrange(len(vertices))]
+            choice = vertices[int(u * len(vertices))]
 
-        covered = coverage[tuple_sampler.sample(rng)]
+        covered = coverage[drawn]
         payoff = 0.0 if choice in covered else 1.0
         escapes += int(payoff)
         play_counts[choice] += 1

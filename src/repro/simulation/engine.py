@@ -2,51 +2,64 @@
 
 Equations (1)–(2) of the paper are *expectations* over the joint play of
 ``ν + 1`` independent mixed strategies.  This engine actually plays the
-game: every trial samples a vertex for each attacker and a tuple for the
-defender, scores the pure profits of Definition 2.1, and accumulates
-streaming statistics.  Experiment E7 uses it to confirm the analytic
-profit formulas (and hence every closed form derived from them) to within
-sampling error.
+game: it draws every trial's defender tuple and attacker vertices at
+once with numpy, reads the catches off the kernel's 0/1 coverage matrix,
+and summarises the pure profits of Definition 2.1 per trial.  Experiment
+E7 uses it to confirm the analytic profit formulas (and hence every
+closed form derived from them) to within sampling error.
 
-Sampling is alias-free inverse-CDF over the support (supports here are
-small), seeded and fully deterministic per seed.
+The draws are fixed per seed, from one ``numpy.random.default_rng(seed)``:
+first the defender's tuples, over its support sorted by
+``tuple_sort_key``; then each attacker in player order, over its support
+sorted by ``repr``.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
-from itertools import accumulate
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
-from repro.graphs.core import Vertex
+from repro.core.tuples import EdgeTuple
+from repro.graphs.core import Vertex, tuple_sort_key
 from repro.kernels.coverage import shared_oracle
 from repro.obs import get_logger, metrics, tracing
-from repro.simulation.estimators import RunningStat, wilson_interval
+from repro.simulation.estimators import SampleSummary, wilson_interval
 
 _log = get_logger("repro.simulation.engine")
 
-__all__ = ["Sampler", "SimulationReport", "simulate"]
+__all__ = ["SimulationReport", "draw_tuples", "draw_vertices", "simulate"]
 
 
-class Sampler:
-    """Inverse-CDF sampler over a finite distribution."""
+def draw_tuples(
+    config: MixedConfiguration, rng: np.random.Generator, size
+) -> Tuple[List[EdgeTuple], np.ndarray]:
+    """Draw defender tuples from ``config``'s tuple distribution.
 
-    __slots__ = ("_items", "_cumulative")
+    Returns ``(tuples, draws)``: the support sorted by ``tuple_sort_key``,
+    and an index array of shape ``size`` into it.
+    """
+    tuples = sorted(config.tp_support(), key=tuple_sort_key)
+    return tuples, _choice(rng, [config.prob_tp(t) for t in tuples], size)
 
-    def __init__(self, distribution: Dict) -> None:
-        items = sorted(distribution.items(), key=lambda kv: repr(kv[0]))
-        if not items:
-            raise GameError("cannot sample from an empty distribution")
-        self._items = [key for key, _ in items]
-        self._cumulative = list(accumulate(p for _, p in items))
 
-    def sample(self, rng: random.Random):
-        """Draw one outcome."""
-        u = rng.random() * self._cumulative[-1]
-        return self._items[bisect_right(self._cumulative, u)]
+def draw_vertices(
+    config: MixedConfiguration, i: int, rng: np.random.Generator, size
+) -> Tuple[List[Vertex], np.ndarray]:
+    """Draw vertices from vertex player ``i``'s distribution in ``config``.
+
+    Returns ``(support, draws)``: the support sorted by ``repr``, and an
+    index array of shape ``size`` into it.
+    """
+    support = sorted(config.vp_distribution(i), key=repr)
+    return support, _choice(rng, [config.prob_vp(i, v) for v in support], size)
+
+
+def _choice(rng: np.random.Generator, weights: Sequence[float], size) -> np.ndarray:
+    probs = np.array(weights)
+    return rng.choice(len(probs), size=size, p=probs / probs.sum())
 
 
 class SimulationReport:
@@ -57,29 +70,36 @@ class SimulationReport:
     trials:
         Number of complete game playouts.
     defender_profit:
-        :class:`RunningStat` over the defender's per-trial catches.
+        :class:`SampleSummary` of the defender's per-trial catches.
     attacker_profit:
-        One :class:`RunningStat` per vertex player (1 = escaped).
+        One :class:`SampleSummary` per vertex player (1 = escaped).
     catches:
         Per-attacker count of trials in which that attacker was caught.
     hit_counts:
         Per-vertex count of trials in which the defender's tuple covered
-        the vertex — the empirical ``P(Hit(v))``.
+        the vertex — the empirical ``P(Hit(v))``.  Vertices never covered
+        are absent.
     """
 
     __slots__ = ("trials", "defender_profit", "attacker_profit", "catches", "hit_counts")
 
-    def __init__(self, nu: int) -> None:
-        self.trials = 0
-        self.defender_profit = RunningStat()
-        self.attacker_profit = [RunningStat() for _ in range(nu)]
-        self.catches = [0] * nu
-        self.hit_counts: Dict[Vertex, int] = {}
+    def __init__(self, caught: np.ndarray, hit_counts: Dict[Vertex, int]) -> None:
+        # caught[i, trial] is True iff attacker i was caught in that trial.
+        n = self.trials = caught.shape[1]
+        self.defender_profit = SampleSummary.of(caught.sum(axis=0).astype(float))
+        self.catches = [int(c) for c in np.count_nonzero(caught, axis=1)]
+        # An attacker's profit is 1 (escaped) or 0 in each trial, so its
+        # e = n - catches escapes give the mean e/n and the ddof=1
+        # variance e(n - e)/(n(n - 1)) of its per-trial sample.
+        self.attacker_profit = [
+            SampleSummary(n, (n - c) / n,
+                          (n - c) * c / (n * (n - 1)) if n > 1 else 0.0)
+            for c in self.catches
+        ]
+        self.hit_counts = hit_counts
 
     def catch_rate(self, i: int) -> float:
         """Empirical probability that attacker ``i`` is caught."""
-        if self.trials == 0:
-            raise GameError("no trials recorded")
         return self.catches[i] / self.trials
 
     def catch_rate_interval(self, i: int) -> Tuple[float, float]:
@@ -88,8 +108,6 @@ class SimulationReport:
 
     def empirical_hit_probability(self, v: Vertex) -> float:
         """Fraction of trials in which ``v`` was covered by the defender."""
-        if self.trials == 0:
-            raise GameError("no trials recorded")
         return self.hit_counts.get(v, 0) / self.trials
 
     def __repr__(self) -> str:
@@ -114,36 +132,25 @@ def simulate(
         raise GameError("configuration belongs to a different game")
     if trials < 1:
         raise GameError("at least one trial is required")
-    rng = random.Random(seed)
-    attacker_samplers = [
-        Sampler(config.vp_distribution(i)) for i in range(game.nu)
-    ]
-    tuple_sampler = Sampler(config.tp_distribution())
-    # Tuple -> covered vertex set, resolved through the shared kernel so
-    # repeated runs over the same configuration reuse one precompute.
-    coverage = shared_oracle(game.graph, game.k).coverage_sets(
-        config.tp_support()
-    )
-
-    report = SimulationReport(game.nu)
     with tracing.span("simulation.run", trials=trials, nu=game.nu), \
             metrics.timer("simulation.run.seconds") as timing:
-        for _ in range(trials):
-            chosen_tuple = tuple_sampler.sample(rng)
-            covered = coverage[chosen_tuple]
-            for v in covered:
-                report.hit_counts[v] = report.hit_counts.get(v, 0) + 1
-            caught = 0
-            for i, sampler in enumerate(attacker_samplers):
-                vertex = sampler.sample(rng)
-                if vertex in covered:
-                    caught += 1
-                    report.catches[i] += 1
-                    report.attacker_profit[i].push(0.0)
-                else:
-                    report.attacker_profit[i].push(1.0)
-            report.defender_profit.push(float(caught))
-            report.trials += 1
+        rng = np.random.default_rng(seed)
+        tuples, tuple_draws = draw_tuples(config, rng, trials)
+        # Tuples x vertex slots, memoized by the shared kernel so repeated
+        # runs over one configuration skip the rebuild.
+        coverage, vertex_slot = shared_oracle(
+            game.graph, game.k
+        ).coverage_matrix(tuples)
+        caught = np.empty((game.nu, trials), dtype=bool)
+        for i in range(game.nu):
+            support, draws = draw_vertices(config, i, rng, trials)
+            slots = np.array([vertex_slot[v] for v in support])
+            caught[i] = coverage[tuple_draws, slots[draws]]
+        covered = np.bincount(tuple_draws, minlength=len(tuples)) @ coverage
+        report = SimulationReport(caught, {
+            v: int(covered[slot])
+            for v, slot in vertex_slot.items() if covered[slot]
+        })
     metrics.counter("simulation.runs.count").inc()
     metrics.counter("simulation.trials.count").inc(trials)
     # One defender draw plus one draw per attacker, every trial.

@@ -1,7 +1,7 @@
-"""Streaming statistics for Monte-Carlo experiments.
+"""Sample statistics for Monte-Carlo experiments.
 
-Plain Welford accumulation plus interval helpers — enough to attach honest
-error bars to the simulated profits that validate equations (1)–(2).
+Per-run summaries plus interval helpers — enough to attach honest error
+bars to the simulated profits that validate equations (1)–(2).
 """
 
 from __future__ import annotations
@@ -9,46 +9,33 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-__all__ = ["RunningStat", "wilson_interval"]
+__all__ = ["SampleSummary", "wilson_interval"]
 
 _Z95 = 1.959963984540054
 """Two-sided 95% normal quantile."""
 
 
-class RunningStat:
-    """Welford's online mean/variance accumulator.
+class SampleSummary:
+    """Mean and unbiased (ddof=1) variance of one non-empty sample.
 
-    Examples
-    --------
-    >>> stat = RunningStat()
-    >>> for x in [1.0, 2.0, 3.0]:
-    ...     stat.push(x)
-    >>> stat.mean
-    2.0
-    >>> round(stat.variance, 6)
-    1.0
+    A single value has no spread: its variance reads 0 and
+    :meth:`confidence_interval` degenerates to the zero-width
+    ``(mean, mean)``, which is no usable error bar.
     """
 
-    __slots__ = ("count", "mean", "_m2")
+    __slots__ = ("count", "mean", "variance")
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
+    def __init__(self, count: int, mean: float, variance: float) -> None:
+        self.count = count
+        self.mean = mean
+        self.variance = variance
 
-    def push(self, value: float) -> None:
-        """Fold one observation into the accumulator."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0 for fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
+    @classmethod
+    def of(cls, values) -> "SampleSummary":
+        """Summarise a non-empty numpy array."""
+        count = len(values)
+        return cls(count, float(values.mean()),
+                   float(values.var(ddof=1)) if count > 1 else 0.0)
 
     @property
     def stddev(self) -> float:
@@ -57,24 +44,15 @@ class RunningStat:
     @property
     def stderr(self) -> float:
         """Standard error of the mean."""
-        if self.count == 0:
-            return float("inf")
         return self.stddev / math.sqrt(self.count)
 
     def confidence_interval(self, z: float = _Z95) -> Tuple[float, float]:
-        """Normal-approximation CI for the mean (95% by default).
-
-        Boundary behavior (pinned by the test suite): with no samples the
-        interval is vacuous, ``(-inf, inf)``; with a single sample the
-        variance estimate is 0 and the interval degenerates to the
-        zero-width ``(mean, mean)``.  Neither is a usable error bar —
-        callers wanting honest intervals need ``count >= 2``.
-        """
+        """Normal-approximation CI for the mean (95% by default)."""
         half = z * self.stderr
         return self.mean - half, self.mean + half
 
     def __repr__(self) -> str:
-        return f"RunningStat(n={self.count}, mean={self.mean:.6f})"
+        return f"SampleSummary(n={self.count}, mean={self.mean:.6f})"
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> Tuple[float, float]:

@@ -320,21 +320,6 @@ class TestSharedCache:
 
 
 class TestCoverageViews:
-    def test_coverage_sets_match_tuple_vertices(self):
-        graph = cycle_graph(6)
-        oracle = CoverageOracle(graph, 2)
-        tuples = [((0, 1), (2, 3)), ((1, 2), (4, 5))]
-        sets = oracle.coverage_sets(tuples)
-        assert sets == {t: tuple_vertices(t) for t in tuples}
-
-    def test_coverage_sets_memoized_on_support(self):
-        graph = cycle_graph(6)
-        oracle = CoverageOracle(graph, 2)
-        tuples = [((0, 1), (2, 3)), ((1, 2), (4, 5))]
-        first = oracle.coverage_sets(tuples)
-        again = oracle.coverage_sets(list(reversed(tuples)))
-        assert again is first
-
     def test_coverage_matrix_entries(self):
         np = pytest.importorskip("numpy")
         graph = cycle_graph(6)

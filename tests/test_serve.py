@@ -314,8 +314,9 @@ class TestOperationalEndpoints:
         try:
             post(base, "/solve", {"game": PATH_GAME})
             _wait_for(lambda: any(
-                e["type"] == "serve.request"
-                for e in obs_events.recent()), "serve.request event buffered")
+                e["type"] == "run.end"
+                and e["payload"]["entry_point"] == "serve.solve"
+                for e in obs_events.recent()), "run.end event buffered")
             status, text, _headers = get(base, "/debug/events")
             payload = json.loads(text)
             assert status == 200
@@ -604,8 +605,7 @@ class TestEndToEndCorrelation:
 
     def test_one_trace_id_across_every_sink(self, tmp_path, service):
         """The acceptance loop: response header == ledger record ==
-        run events == access line == ``serve.request`` event == span
-        tree, for one request."""
+        run events == access line == span tree, for one request."""
         _svc, base = service
         access_dir, events_dir = tmp_path / "access", tmp_path / "events"
         events_file = events_dir / obs_events.SINK_FILENAME
@@ -613,10 +613,6 @@ class TestEndToEndCorrelation:
         def mine(records):
             return [r for r in records if r.get("trace_id") == self.TRACE_ID
                     or r.get("payload", {}).get("trace_id") == self.TRACE_ID]
-
-        def served_events():
-            return [e for e in mine(obs_events.read_events(events_file))
-                    if e["type"] == "serve.request"]
 
         obs_ledger.enable_ledger(tmp_path / "ledger")
         obs_events.enable_events(events_dir)
@@ -629,8 +625,8 @@ class TestEndToEndCorrelation:
             assert status == 200
             trace_id = headers["X-Request-Id"]
             assert trace_id == self.TRACE_ID
-            _wait_for(lambda: mine(obs_access.read_access(access_dir))
-                      and served_events(), "access line and event written")
+            _wait_for(lambda: mine(obs_access.read_access(access_dir)),
+                      "access line written")
         finally:
             obs_access.disable_access_log()
             obs_events.disable_events()
@@ -656,12 +652,6 @@ class TestEndToEndCorrelation:
         assert line["method"] == "POST"
         assert line["status"] == 200
         assert line["error_code"] is None
-        # The event stream alone answers what the access line does,
-        # cache polarity and pool occupancy included.
-        (event,) = served_events()
-        fields = {key: value for key, value in line.items()
-                  if key not in ("schema", "ts")}
-        assert event["payload"] == fields
 
     def test_request_latency_histogram(self, service):
         _svc, base = service

@@ -1,8 +1,9 @@
 """Tests for the Monte-Carlo engine and estimators (repro.simulation)."""
 
 import math
-import random
+import statistics
 
+import numpy as np
 import pytest
 
 from repro.core.configuration import MixedConfiguration
@@ -13,46 +14,41 @@ from repro.core.profits import (
     hit_probability,
 )
 from repro.equilibria.solve import solve_game
-from repro.graphs.generators import complete_bipartite_graph, grid_graph, path_graph
-from repro.simulation.engine import Sampler, simulate
-from repro.simulation.estimators import RunningStat, wilson_interval
+from repro.graphs.generators import grid_graph, path_graph
+from repro.simulation.engine import draw_tuples, simulate
+from repro.simulation.estimators import SampleSummary, wilson_interval
 
 
-class TestRunningStat:
+@pytest.fixture
+def equilibrium():
+    game = TupleGame(grid_graph(3, 3), 2, nu=4)
+    return game, solve_game(game).mixed
+
+
+class TestSampleSummary:
     def test_mean_and_variance(self):
-        stat = RunningStat()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for x in data:
-            stat.push(x)
+        stat = SampleSummary.of(np.array([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]))
         assert stat.count == 8
         assert stat.mean == pytest.approx(5.0)
-        # Unbiased sample variance of the classic dataset.
+        # Unbiased (ddof=1) sample deviation of the classic dataset.
         assert stat.variance == pytest.approx(32.0 / 7.0)
         assert stat.stddev == pytest.approx(math.sqrt(32.0 / 7.0))
+        assert stat.stderr == pytest.approx(math.sqrt(32.0 / 7.0) / math.sqrt(8))
 
-    def test_matches_numpy(self):
-        import numpy as np
-
-        rng = random.Random(3)
-        data = [rng.gauss(0, 2) for _ in range(500)]
-        stat = RunningStat()
-        for x in data:
-            stat.push(x)
-        assert stat.mean == pytest.approx(float(np.mean(data)), abs=1e-12)
-        assert stat.variance == pytest.approx(float(np.var(data, ddof=1)), abs=1e-9)
+    def test_matches_stdlib_statistics(self):
+        data = np.random.default_rng(3).normal(0.0, 2.0, size=500)
+        stat = SampleSummary.of(data)
+        assert stat.mean == pytest.approx(statistics.fmean(data), abs=1e-12)
+        assert stat.stddev == pytest.approx(statistics.stdev(data), abs=1e-9)
 
     def test_degenerate_cases(self):
-        stat = RunningStat()
+        stat = SampleSummary.of(np.array([1.5]))
         assert stat.variance == 0.0
-        assert stat.stderr == float("inf")
-        stat.push(1.5)
-        assert stat.variance == 0.0
+        assert stat.stddev == 0.0
         assert stat.mean == 1.5
 
     def test_confidence_interval_contains_mean(self):
-        stat = RunningStat()
-        for x in [1.0, 2.0, 3.0]:
-            stat.push(x)
+        stat = SampleSummary.of(np.array([1.0, 2.0, 3.0]))
         low, high = stat.confidence_interval()
         assert low <= stat.mean <= high
 
@@ -81,21 +77,31 @@ class TestWilsonInterval:
             wilson_interval(5, 3)
 
 
-class TestSampler:
+class TestDraws:
     def test_frequencies_approach_distribution(self):
-        sampler = Sampler({"a": 0.2, "b": 0.8})
-        rng = random.Random(0)
-        draws = [sampler.sample(rng) for _ in range(20_000)]
-        assert draws.count("b") / len(draws) == pytest.approx(0.8, abs=0.02)
+        game = TupleGame(path_graph(4), 1, nu=1)
+        config = MixedConfiguration(
+            game, [{0: 1.0}], {((0, 1),): 0.2, ((2, 3),): 0.8}
+        )
+        tuples, draws = draw_tuples(config, np.random.default_rng(0), 20_000)
+        assert tuples == [((0, 1),), ((2, 3),)]
+        assert np.mean(draws == 1) == pytest.approx(0.8, abs=0.02)
 
     def test_degenerate_distribution(self):
-        sampler = Sampler({"only": 1.0})
-        rng = random.Random(1)
-        assert all(sampler.sample(rng) == "only" for _ in range(10))
+        game = TupleGame(path_graph(4), 1, nu=1)
+        config = MixedConfiguration(game, [{0: 1.0}], {((2, 3),): 1.0})
+        tuples, draws = draw_tuples(config, np.random.default_rng(1), (10, 3))
+        assert tuples == [((2, 3),)]
+        assert draws.shape == (10, 3) and not draws.any()
 
     def test_rejects_empty(self):
-        with pytest.raises(GameError):
-            Sampler({})
+        # An empty support never reaches the draws: the configuration
+        # refuses it.
+        game = TupleGame(path_graph(4), 1, nu=1)
+        with pytest.raises(GameError, match="empty support"):
+            MixedConfiguration(game, [{0: 1.0}], {})
+        with pytest.raises(GameError, match="empty support"):
+            MixedConfiguration(game, [{}], {((0, 1),): 1.0})
 
 
 class TestSimulate:
@@ -117,6 +123,20 @@ class TestSimulate:
         report = simulate(k24_game, config, trials=40_000, seed=11)
         low, high = report.defender_profit.confidence_interval()
         assert low <= expected_profit_tp(config) <= high
+
+    def test_attacker_summaries_match_their_samples(self, k24_game):
+        # Each attacker's summary is read off its catch count; it must be
+        # the summary of its 0/1 per-trial escape sample.
+        config = solve_game(k24_game).mixed
+        report = simulate(k24_game, config, trials=3_000, seed=4)
+        for i in range(k24_game.nu):
+            escapes = np.zeros(report.trials)
+            escapes[: report.trials - report.catches[i]] = 1.0
+            sample = SampleSummary.of(escapes)
+            summary = report.attacker_profit[i]
+            assert summary.count == sample.count == 3_000
+            assert summary.mean == pytest.approx(sample.mean, abs=1e-15)
+            assert summary.variance == pytest.approx(sample.variance, abs=1e-15)
 
     def test_attacker_means_match_equation_1(self):
         game = TupleGame(grid_graph(2, 3), 2, nu=3)
@@ -147,17 +167,46 @@ class TestSimulate:
 
     def test_non_uniform_profile(self):
         game = TupleGame(path_graph(4), 1, nu=1)
-        config = MixedConfiguration(
-            game, [{0: 0.25, 3: 0.75}], {((0, 1),): 0.1, ((2, 3),): 0.9}
-        )
-        report = simulate(game, config, trials=40_000, seed=13)
+        for vp, tp, trials, seed in (
+            ({0: 0.25, 3: 0.75}, {((0, 1),): 0.1, ((2, 3),): 0.9}, 40_000, 13),
+            ({0: 0.3, 3: 0.7}, {((0, 1),): 0.2, ((2, 3),): 0.8}, 150_000, 9),
+        ):
+            config = MixedConfiguration(game, [vp], tp)
+            report = simulate(game, config, trials=trials, seed=seed)
+            low, high = report.defender_profit.confidence_interval()
+            assert low <= expected_profit_tp(config) <= high
+
+    def test_ci_contains_analytic_value(self, equilibrium):
+        game, config = equilibrium
+        report = simulate(game, config, trials=120_000, seed=3)
         low, high = report.defender_profit.confidence_interval()
         assert low <= expected_profit_tp(config) <= high
 
+    def test_catch_rates_match_hit_probabilities(self, equilibrium):
+        game, config = equilibrium
+        report = simulate(game, config, trials=120_000, seed=5)
+        support = sorted(config.vp_support_union(), key=repr)
+        theoretical = hit_probability(config, support[0])
+        for i in range(game.nu):
+            assert report.catch_rate(i) == pytest.approx(theoretical, abs=0.01)
+
+    def test_single_trial(self, equilibrium):
+        game, config = equilibrium
+        report = simulate(game, config, trials=1, seed=0)
+        assert report.trials == 1
+        assert report.defender_profit.stddev == 0.0
+        mean = report.defender_profit.mean
+        assert report.defender_profit.confidence_interval() == (mean, mean)
+
+    def test_repr(self, equilibrium):
+        game, config = equilibrium
+        assert "trials=100" in repr(simulate(game, config, trials=100))
+
     def test_rejects_zero_trials(self, k24_game):
         config = solve_game(k24_game).mixed
-        with pytest.raises(GameError, match="at least one trial"):
-            simulate(k24_game, config, trials=0)
+        for trials in (0, -5):
+            with pytest.raises(GameError, match="at least one trial"):
+                simulate(k24_game, config, trials=trials)
 
     def test_rejects_foreign_config(self, k24_game):
         other = TupleGame(path_graph(4), 1, nu=1)
@@ -166,16 +215,43 @@ class TestSimulate:
             simulate(k24_game, config, trials=10)
 
 
+class TestStream:
+    """One draw stream per seed: the defender's tuples over the support in
+    ``tuple_sort_key`` order, then each attacker over its support in
+    ``repr`` order, from one ``numpy.random.default_rng(seed)``.  The
+    figures below are that stream's, recorded from the earlier numpy
+    playout, so any reordering of the draws shows up as a mismatch."""
+
+    def test_path_game_stream(self):
+        game = TupleGame(path_graph(4), 1, nu=1)
+        config = MixedConfiguration(
+            game, [{0: 0.3, 3: 0.7}], {((0, 1),): 0.2, ((2, 3),): 0.8}
+        )
+        report = simulate(game, config, trials=20_000, seed=9)
+        assert report.defender_profit.mean == 0.61815
+        assert report.defender_profit.stddev == 0.4858522204528923
+        assert report.catch_rate(0) == 0.61815
+
+    def test_grid_game_stream(self):
+        # Attacker 0's support sorts as 10, 11, 2 under repr.
+        game = TupleGame(grid_graph(3, 4), 2, nu=2)
+        config = MixedConfiguration(
+            game,
+            [{2: 0.3, 10: 0.5, 11: 0.2}, {1: 0.6, 9: 0.4}],
+            {((0, 1), (10, 11)): 0.5, ((2, 6), (5, 9)): 0.3,
+             ((3, 7), (8, 9)): 0.2},
+        )
+        report = simulate(game, config, trials=5_000, seed=11)
+        assert report.defender_profit.mean == 0.9386
+        assert report.defender_profit.stddev == 0.7373864575360409
+        assert [report.catch_rate(i) for i in range(2)] == [0.439, 0.4996]
+
+
 class TestEstimatorBoundaries:
     """Pinned boundary behavior for the interval helpers."""
 
-    def test_confidence_interval_empty_is_vacuous(self):
-        low, high = RunningStat().confidence_interval()
-        assert low == float("-inf") and high == float("inf")
-
     def test_confidence_interval_single_sample_is_zero_width(self):
-        stat = RunningStat()
-        stat.push(2.5)
+        stat = SampleSummary.of(np.array([2.5]))
         assert stat.confidence_interval() == (2.5, 2.5)
 
     def test_wilson_at_zero_successes(self):

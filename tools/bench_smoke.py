@@ -44,7 +44,7 @@ _TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 #: in HiGHS (48-55%; the coverage kernel takes 12-13%), and all four
 #: double-oracle cases, the cache replay included, track the native
 #: slice better (2.2-2.5% against 4.0-7.0% over 8 runs of each).
-_NATIVE = frozenset({"simulation.fast.medium", "fuzz.batch.small",
+_NATIVE = frozenset({"simulation.medium", "fuzz.batch.small",
                      "ranges.small", "certificate.matching",
                      "double_oracle.medium_a",
                      "double_oracle.medium_b", "double_oracle.cached",
@@ -59,7 +59,6 @@ def _cases():
     from repro.graphs.generators import random_bipartite_graph
     from repro.kernels import CoverageOracle, clear_shared_oracles
     from repro.simulation.engine import simulate
-    from repro.simulation.fast import simulate_fast
     from repro.solvers.double_oracle import double_oracle
     from repro.solvers.fictitious_play import fictitious_play
     from repro.solvers.lp import _CoverageMatching
@@ -176,10 +175,7 @@ def _cases():
         # on one warm-started HiGHS model per side.
         "ranges.small": range_probes,
         "certificate.matching": matching_certificates,
-        "simulation.engine.small": lambda: simulate(
-            sim_game, sim_config, trials=20_000, seed=0
-        ),
-        "simulation.fast.medium": lambda: simulate_fast(
+        "simulation.medium": lambda: simulate(
             sim_game, sim_config, trials=400_000, seed=0
         ),
         # A small differential-fuzz batch: every solver path end to end.
