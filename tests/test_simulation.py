@@ -19,12 +19,6 @@ from repro.simulation.engine import draw_tuples, simulate
 from repro.simulation.estimators import SampleSummary, wilson_interval
 
 
-@pytest.fixture
-def equilibrium():
-    game = TupleGame(grid_graph(3, 3), 2, nu=4)
-    return game, solve_game(game).mixed
-
-
 class TestSampleSummary:
     def test_mean_and_variance(self):
         stat = SampleSummary.of(np.array([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]))
@@ -167,40 +161,12 @@ class TestSimulate:
 
     def test_non_uniform_profile(self):
         game = TupleGame(path_graph(4), 1, nu=1)
-        for vp, tp, trials, seed in (
-            ({0: 0.25, 3: 0.75}, {((0, 1),): 0.1, ((2, 3),): 0.9}, 40_000, 13),
-            ({0: 0.3, 3: 0.7}, {((0, 1),): 0.2, ((2, 3),): 0.8}, 150_000, 9),
-        ):
-            config = MixedConfiguration(game, [vp], tp)
-            report = simulate(game, config, trials=trials, seed=seed)
-            low, high = report.defender_profit.confidence_interval()
-            assert low <= expected_profit_tp(config) <= high
-
-    def test_ci_contains_analytic_value(self, equilibrium):
-        game, config = equilibrium
-        report = simulate(game, config, trials=120_000, seed=3)
+        config = MixedConfiguration(
+            game, [{0: 0.25, 3: 0.75}], {((0, 1),): 0.1, ((2, 3),): 0.9}
+        )
+        report = simulate(game, config, trials=40_000, seed=13)
         low, high = report.defender_profit.confidence_interval()
         assert low <= expected_profit_tp(config) <= high
-
-    def test_catch_rates_match_hit_probabilities(self, equilibrium):
-        game, config = equilibrium
-        report = simulate(game, config, trials=120_000, seed=5)
-        support = sorted(config.vp_support_union(), key=repr)
-        theoretical = hit_probability(config, support[0])
-        for i in range(game.nu):
-            assert report.catch_rate(i) == pytest.approx(theoretical, abs=0.01)
-
-    def test_single_trial(self, equilibrium):
-        game, config = equilibrium
-        report = simulate(game, config, trials=1, seed=0)
-        assert report.trials == 1
-        assert report.defender_profit.stddev == 0.0
-        mean = report.defender_profit.mean
-        assert report.defender_profit.confidence_interval() == (mean, mean)
-
-    def test_repr(self, equilibrium):
-        game, config = equilibrium
-        assert "trials=100" in repr(simulate(game, config, trials=100))
 
     def test_rejects_zero_trials(self, k24_game):
         config = solve_game(k24_game).mixed
