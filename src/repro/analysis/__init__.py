@@ -21,7 +21,6 @@ from repro.analysis.gain import (
 )
 from repro.analysis.report import security_report
 from repro.analysis.schedule import (
-    best_response_schedule,
     compile_roster,
     roster_discrepancy,
     roster_frequencies,
@@ -42,7 +41,6 @@ __all__ = [
     "gain_curve",
     "max_linearity_residual",
     "security_report",
-    "best_response_schedule",
     "compile_roster",
     "roster_discrepancy",
     "roster_frequencies",

@@ -23,16 +23,14 @@ the equilibrium guarantee needs when the attacker cannot observe phase.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError
 from repro.core.tuples import EdgeTuple
-from repro.graphs.core import Graph, Vertex, tuple_sort_key
-from repro.kernels.coverage import shared_oracle
+from repro.graphs.core import tuple_sort_key
 
 __all__ = [
-    "best_response_schedule",
     "compile_roster",
     "roster_discrepancy",
     "roster_frequencies",
@@ -50,31 +48,6 @@ def _apportion(probabilities: Dict[EdgeTuple, float], length: int) -> Dict[EdgeT
     for t in by_remainder[:remaining]:
         counts[t] += 1
     return counts
-
-
-def best_response_schedule(
-    graph: Graph,
-    k: int,
-    weight_profiles: Sequence[Mapping[Vertex, float]],
-    method: str = "auto",
-) -> List[Tuple[EdgeTuple, float]]:
-    """Best defender tuples for a sweep of attacker weight profiles.
-
-    Operators planning rosters against *forecast* attacker behaviour (one
-    weight profile per period — shift, day, threat level) need the best
-    response to every profile; answering them against one shared
-    :class:`~repro.kernels.coverage.CoverageOracle` amortizes the graph
-    precompute across the whole sweep.  Returns ``(tuple,
-    coverage_value)`` pairs in profile order; ``method`` follows the
-    :func:`repro.solvers.best_response.best_tuple` contract.
-
-    Raises :class:`~repro.core.game.GameError` when the sweep is empty
-    (an empty roster has no meaning downstream).
-    """
-    if not weight_profiles:
-        raise GameError("best_response_schedule needs at least one profile")
-    oracle = shared_oracle(graph, k)
-    return oracle.query_many(weight_profiles, method=method)
 
 
 def compile_roster(

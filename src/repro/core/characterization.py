@@ -119,13 +119,12 @@ class CharacterizationReport:
 def check_characterization(
     game: TupleGame,
     config: MixedConfiguration,
-    method: str = "auto",
     tol: float = _TOL,
 ) -> CharacterizationReport:
     """Evaluate every clause of Theorem 3.4 against a mixed configuration.
 
-    ``method`` selects the coverage-maximum solver for clause 3(a) (see
-    :func:`repro.solvers.best_response.best_tuple`); ``tol`` is the
+    Clause 3(a) takes the exact coverage maximum from
+    :func:`repro.solvers.best_response.best_tuple`; ``tol`` is the
     numerical tolerance for probability comparisons.
     """
     if config.game != game:
@@ -178,7 +177,7 @@ def check_characterization(
     support_tuple_masses = [
         tuple_mass(config, t) for t in sorted(config.tp_support(), key=tuple_sort_key)
     ]
-    _, global_max = _best_tuple(graph, masses, game.k, method=method)
+    _, global_max = _best_tuple(graph, masses, game.k)
     mass_spread = (
         max(support_tuple_masses) - min(support_tuple_masses)
         if support_tuple_masses
@@ -208,7 +207,6 @@ def check_characterization(
 def is_mixed_nash(
     game: TupleGame,
     config: MixedConfiguration,
-    method: str = "auto",
     tol: float = _TOL,
 ) -> bool:
     """True when the configuration is a mixed Nash equilibrium.
@@ -217,17 +215,16 @@ def is_mixed_nash(
     first-principles best-response check to degenerate ones (see the
     module docstring on the Claim 3.6 boundary).
     """
-    report = check_characterization(game, config, method=method, tol=tol)
+    report = check_characterization(game, config, tol=tol)
     if report.properly_mixed:
         return report.is_nash
-    ok, _ = verify_best_responses(game, config, method=method, tol=tol)
+    ok, _ = verify_best_responses(game, config, tol=tol)
     return ok
 
 
 def verify_best_responses(
     game: TupleGame,
     config: MixedConfiguration,
-    method: str = "auto",
     tol: float = _TOL,
 ) -> Tuple[bool, Dict[str, float]]:
     """First-principles NE check, independent of Theorem 3.4.
@@ -250,7 +247,7 @@ def verify_best_responses(
         if regret > tol:
             ok = False
     masses = all_vertex_masses(config)
-    _, best_tp_payoff = _best_tuple(game.graph, masses, game.k, method=method)
+    _, best_tp_payoff = _best_tuple(game.graph, masses, game.k)
     tp_regret = best_tp_payoff - expected_profit_tp(config)
     gaps["tp"] = tp_regret
     if tp_regret > tol * max(1.0, game.nu):

@@ -67,7 +67,7 @@ def best_attacker_deviation(
 
 
 def best_defender_deviation(
-    game: TupleGame, config: MixedConfiguration, method: str = "auto"
+    game: TupleGame, config: MixedConfiguration
 ) -> DefenderDeviation:
     """The tuple maximizing expected catches against the attackers'
     mixtures, with the improvement over the defender's current profit."""
@@ -77,14 +77,12 @@ def best_defender_deviation(
     from repro.solvers.best_response import best_tuple
 
     masses = all_vertex_masses(config)
-    choice, payoff = best_tuple(game.graph, masses, game.k, method=method)
+    choice, payoff = best_tuple(game.graph, masses, game.k)
     current = expected_profit_tp(config)
     return DefenderDeviation(choice, payoff, payoff - current)
 
 
-def exploitability(
-    game: TupleGame, config: MixedConfiguration, method: str = "auto"
-) -> float:
+def exploitability(game: TupleGame, config: MixedConfiguration) -> float:
     """The profile's distance from equilibrium: the largest positive
     deviation gain any player has (0 at an exact NE).
 
@@ -94,6 +92,6 @@ def exploitability(
     worst = 0.0
     for i in range(game.nu):
         worst = max(worst, best_attacker_deviation(game, config, i).gain)
-    defender = best_defender_deviation(game, config, method=method)
+    defender = best_defender_deviation(game, config)
     worst = max(worst, defender.gain / game.nu)
     return max(0.0, worst)

@@ -67,7 +67,7 @@ def find_pure_nash(game: TupleGame) -> Optional[PureConfiguration]:
     return PureConfiguration(game, [anchor] * game.nu, cover)
 
 
-def is_pure_nash(game: TupleGame, config: PureConfiguration, method: str = "auto") -> bool:
+def is_pure_nash(game: TupleGame, config: PureConfiguration) -> bool:
     """Directly verify that a pure profile is a Nash equilibrium.
 
     Checks best responses from first principles (no reliance on Theorem
@@ -91,5 +91,5 @@ def is_pure_nash(game: TupleGame, config: PureConfiguration, method: str = "auto
     weights = {v: 0.0 for v in game.graph.vertices()}
     for v in config.vertex_choices:
         weights[v] += 1.0
-    _, optimum = best_tuple(game.graph, weights, game.k, method=method)
+    _, optimum = best_tuple(game.graph, weights, game.k)
     return pure_profit_tp(config) >= optimum - 1e-9

@@ -187,7 +187,7 @@ def check_value_agreement(game: TupleGame, tol: float) -> List[Violation]:
     out: List[Violation] = []
     value = solve_minimax(game).value
 
-    do_exact = double_oracle(game, method="auto")
+    do_exact = double_oracle(game)
     if not do_exact.exact:
         out.append(Violation(
             "value-agreement",
@@ -197,7 +197,7 @@ def check_value_agreement(game: TupleGame, tol: float) -> List[Violation]:
     if not _close(do_exact.value, value, tol):
         out.append(Violation(
             "value-agreement",
-            f"double_oracle(auto)={do_exact.value!r} vs LP={value!r}",
+            f"double_oracle={do_exact.value!r} vs LP={value!r}",
         ))
 
     fp = fictitious_play(game, rounds=_FP_ROUNDS)
@@ -441,7 +441,7 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
                 ))
 
         _double_oracle_loop(game, weights, tolerance=_DO_TOLERANCE,
-                            max_iterations=300, method="auto", audit=audit)
+                            max_iterations=300, audit=audit)
     return out
 
 
@@ -576,7 +576,7 @@ def check_kernel_reference(game: TupleGame, tol: float) -> List[Violation]:
     lexicographically first argmax, with values equal bit for bit.
 
     Branch and bound is called by name: fuzz games are small enough that
-    ``best(..., "auto")`` always picks the exhaustive DFS.  Three trials
+    ``best`` always picks the exhaustive DFS.  Three trials
     draw uniform masses; a fourth draws small integers, whose exact sums
     make many tuples tie and so test the tie-break.
     """

@@ -29,10 +29,9 @@ Queries then take only the *changing* attacker weight vector:
 * :meth:`CoverageOracle.greedy` — the ``(1 − 1/e)`` approximation: edge
   gains are computed once and, after each pick, recomputed only for the
   edges incident to the newly covered vertices;
-* :meth:`CoverageOracle.best` — the dispatching entry point mirroring
-  :func:`repro.solvers.best_response.best_tuple`;
-* :meth:`CoverageOracle.query_many` — a batch of queries, answered in
-  input order.
+* :meth:`CoverageOracle.best` — the one exact best-response entry point
+  (behind :func:`repro.solvers.best_response.best_tuple` too): exhaustive
+  DFS on small strategy sets, branch and bound on large ones.
 
 Both exact methods return the **lexicographically smallest** optimal tuple,
 so they agree exactly even on ties (the seed branch and bound did not — its
@@ -52,7 +51,7 @@ import threading
 from collections import OrderedDict
 from itertools import accumulate, islice
 from math import comb
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tuples import EdgeTuple, tuple_vertices
 from repro.graphs.core import Edge, Graph, GraphError, Vertex
@@ -64,10 +63,7 @@ _EPS = 1e-15
 """Value-comparison tolerance, identical to the seed best-response code."""
 
 _AUTO_DFS_LIMIT = 20_000
-"""``auto`` dispatch: exhaustive DFS below this many tuples, bnb above."""
-
-_EXHAUSTIVE_LIMIT = 100_000
-"""Compatibility ceiling mirrored from the seed ``best_tuple`` dispatcher."""
+""":meth:`CoverageOracle.best`: exhaustive DFS up to this many tuples, bnb above."""
 
 
 class CoverageOracle:
@@ -489,50 +485,21 @@ class CoverageOracle:
             return self._slots_to_tuple(slots), value
 
     # ------------------------------------------------------------------
-    # dispatch + batching
+    # dispatch
     # ------------------------------------------------------------------
-    def best(
-        self,
-        weights: Mapping[Vertex, float],
-        method: str = "auto",
-        exhaustive_limit: int = _EXHAUSTIVE_LIMIT,
-    ) -> Tuple[EdgeTuple, float]:
-        """Best ``k``-edge coverage against ``weights``.
+    def best(self, weights: Mapping[Vertex, float]) -> Tuple[EdgeTuple, float]:
+        """The exact best ``k``-edge coverage against ``weights``: the
+        canonical (lexicographically smallest) optimal tuple and its
+        value.
 
-        ``method`` is one of ``"auto"``, ``"exhaustive"``, ``"bnb"`` or
-        ``"greedy"`` — the contract of
-        :func:`repro.solvers.best_response.best_tuple`.  Since both exact
-        strategies return the canonical optimal tuple, ``auto`` is free
-        to pick whichever is faster: exhaustive DFS for small ``C(m,
-        k)``, branch and bound beyond.
+        Both exact searches return that tuple, so the choice between
+        them is speed alone: exhaustive DFS up to
+        :data:`_AUTO_DFS_LIMIT` tuples, branch and bound beyond.
         """
         metrics.counter("perf.kernel.query.count").inc()
-        if method == "exhaustive":
-            return self.exhaustive(weights)
-        if method == "bnb":
-            return self.branch_and_bound(weights)
-        if method == "greedy":
-            return self.greedy(weights)
-        if method != "auto":
-            raise ValueError(f"unknown method {method!r}")
-        if self.tuple_count <= min(exhaustive_limit, _AUTO_DFS_LIMIT):
+        if self.tuple_count <= _AUTO_DFS_LIMIT:
             return self.exhaustive(weights)
         return self.branch_and_bound(weights)
-
-    def query_many(
-        self,
-        weight_vectors: Iterable[Mapping[Vertex, float]],
-        method: str = "auto",
-    ) -> List[Tuple[EdgeTuple, float]]:
-        """Answer a batch of weight vectors in this process, in input
-        order (the sweep face of
-        :func:`repro.analysis.schedule.best_response_schedule`)."""
-        vectors = [dict(wv) for wv in weight_vectors]
-        metrics.counter("perf.kernel.batch.count").inc()
-        metrics.counter("perf.kernel.batch.queries.count").inc(len(vectors))
-        with tracing.span("kernel.query_many", queries=len(vectors),
-                          method=method):
-            return [self.best(wv, method=method) for wv in vectors]
 
     # ------------------------------------------------------------------
     # coverage view for the simulation engine

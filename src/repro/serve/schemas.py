@@ -151,11 +151,6 @@ def _choice_param(choices: Tuple[str, ...], default: str) -> Tuple[Any, Callable
     return default, check
 
 
-#: Double oracle takes only the exact solvers that can certify a run;
-#: fictitious play may also answer its rounds greedily.
-_EXACT_METHODS = ("auto", "exhaustive", "bnb")
-_COVERAGE_METHODS = _EXACT_METHODS + ("greedy",)
-
 #: Per-endpoint parameter schema: name -> (default, validator).  The
 #: validated dict is passed to the library's cached call as its keyword
 #: params, so names and defaults must match the entry point's signature;
@@ -168,11 +163,9 @@ _PARAM_SPECS: Dict[str, Dict[str, Tuple[Any, Callable]]] = {
     "double-oracle": {
         "tolerance": _positive_float_param(1e-9),
         "max_iterations": _int_param(200, minimum=1, maximum=100_000),
-        "method": _choice_param(_EXACT_METHODS, "auto"),
     },
     "fictitious-play": {
         "rounds": _int_param(200, minimum=1, maximum=1_000_000),
-        "method": _choice_param(_COVERAGE_METHODS, "auto"),
         "tolerance": _optional_positive_float_param(),
     },
     "ranges": {

@@ -6,13 +6,7 @@ equilibria — they know nothing about matchings or partitions, yet must
 wherever both apply.
 """
 
-from repro.solvers.best_response import (
-    best_tuple,
-    branch_and_bound_best_tuple,
-    coverage_value,
-    exhaustive_best_tuple,
-    greedy_tuple,
-)
+from repro.solvers.best_response import best_tuple, coverage_value
 from repro.solvers.double_oracle import DoubleOracleResult, double_oracle
 from repro.solvers.fictitious_play import FictitiousPlayResult, fictitious_play
 from repro.solvers.lp import (
@@ -31,10 +25,7 @@ from repro.solvers.ranges import (
 
 __all__ = [
     "best_tuple",
-    "branch_and_bound_best_tuple",
     "coverage_value",
-    "exhaustive_best_tuple",
-    "greedy_tuple",
     "DoubleOracleResult",
     "double_oracle",
     "FictitiousPlayResult",

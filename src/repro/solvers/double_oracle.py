@@ -50,6 +50,7 @@ from repro.graphs.core import Vertex
 from repro.kernels.coverage import CoverageOracle, shared_oracle
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics, tracing
+from repro.solvers.best_response import coverage_value
 from repro.solvers.lp import (
     LPSolution,
     _CoverageMatching,
@@ -141,15 +142,11 @@ class DoubleOracleResult:
 
 _RESULT_FORMAT = "repro.solvers.double-oracle-result.v4"
 
-#: The exact coverage solvers that may certify a run (greedy only proposes).
-_CERTIFYING_METHODS = ("auto", "exhaustive", "bnb")
-
 #: Greedy proposals per master solve (see :func:`_greedy_family`).
 _GREEDY_PROPOSALS = 3
 
-#: ``"auto"`` certifies with the kernel up to this many defender tuples
-#: ``C(m, k)`` and with the ``G⁺`` matching model above (see
-#: :func:`_certifier`).
+#: Runs certify with the kernel up to this many defender tuples ``C(m, k)``
+#: and with the ``G⁺`` matching model above (see :func:`_certifier`).
 _KERNEL_CERTIFICATE_TUPLES = 10**15
 
 
@@ -207,18 +204,6 @@ def _greedy_family(
     return family
 
 
-def _coverage(t: EdgeTuple, masses: Mapping[Vertex, float]) -> float:
-    """The mass ``t`` covers, summed in the tuple's canonical order."""
-    seen: Set[Vertex] = set()
-    covered = 0.0
-    for edge in t:
-        for v in edge:
-            if v not in seen:
-                seen.add(v)
-                covered += masses.get(v, 0.0)
-    return covered
-
-
 def _initial_defender_pool(oracle: CoverageOracle) -> List[EdgeTuple]:
     """Seed: the greedy family on unit masses, uncapped — tuples that
     together cover every vertex.
@@ -233,19 +218,19 @@ def _initial_defender_pool(oracle: CoverageOracle) -> List[EdgeTuple]:
 
 
 def _certifier(
-    oracle: CoverageOracle, method: str, tolerance: float,
+    oracle: CoverageOracle, tolerance: float,
 ) -> Callable[[Mapping[Vertex, float]], Tuple[EdgeTuple, float]]:
     """The exact oracle that certifies a run: ``masses -> (tuple,
     bound)``, ``bound`` an upper bound on every tuple's coverage within
     ``tolerance`` of the optimum.
 
-    ``"auto"`` asks the kernel (exhaustive DFS or branch and bound) up to
-    :data:`_KERNEL_CERTIFICATE_TUPLES` defender tuples and, above, one
-    :class:`~repro.solvers.lp._CoverageMatching` model of ``G⁺``, built on
-    the first query and warm-started by the later ones.
+    That is the kernel's :meth:`~repro.kernels.coverage.CoverageOracle.best`
+    up to :data:`_KERNEL_CERTIFICATE_TUPLES` defender tuples and, above,
+    one :class:`~repro.solvers.lp._CoverageMatching` model of ``G⁺``,
+    built on the first query and warm-started by the later ones.
     """
-    if method != "auto" or oracle.tuple_count <= _KERNEL_CERTIFICATE_TUPLES:
-        return lambda masses: oracle.best(masses, method=method)
+    if oracle.tuple_count <= _KERNEL_CERTIFICATE_TUPLES:
+        return oracle.best
     model: Optional[_CoverageMatching] = None
 
     def certify(masses: Mapping[Vertex, float]) -> Tuple[EdgeTuple, float]:
@@ -261,17 +246,13 @@ def double_oracle(
     game: TupleGame,
     tolerance: float = 1e-9,
     max_iterations: int = 200,
-    method: str = "auto",
 ) -> DoubleOracleResult:
     """Solve the duel of ``Π_k(G)`` by lazy strategy generation.
 
     Greedy coverage proposes the defender's new tuples, up to three per
-    iteration; ``method`` picks the *certifying* exact solver asked when
-    greedy has nothing to add (``"auto"``, ``"exhaustive"`` or ``"bnb"``;
-    any other value, ``"greedy"`` included, raises :class:`ValueError`).
-    ``"auto"`` asks the coverage kernel up to ``C(m, k) = 10¹⁵`` tuples
-    and the ``G⁺`` matching model above; ``"exhaustive"`` and ``"bnb"``
-    always ask the kernel.
+    iteration; when greedy has nothing to add, the exact oracle certifies
+    — the coverage kernel up to ``C(m, k) = 10¹⁵`` tuples and the ``G⁺``
+    matching model above.
 
     Raises :class:`~repro.core.game.GameError` if the oracles still
     improve after ``max_iterations`` master solves.  The game on
@@ -280,7 +261,6 @@ def double_oracle(
     """
     return DOUBLE_ORACLE_CALL(
         game, tolerance=tolerance, max_iterations=max_iterations,
-        method=method,
     )
 
 
@@ -300,7 +280,6 @@ DOUBLE_ORACLE_CALL = result_cache.CachedCall(
         bool(payload["exact"]),
     ),
     _RESULT_FORMAT,
-    attributes=lambda params: {"method": params["method"]},
     scope=lambda game, _params: [tracing.span(
         "double_oracle.solve", n=game.graph.n, m=game.graph.m, k=game.k)],
 )
@@ -311,7 +290,6 @@ def _double_oracle_loop(
     weights: Optional[Mapping[Vertex, float]],
     tolerance: float,
     max_iterations: int,
-    method: str,
     audit: Optional[
         Callable[[LPSolution, List[Vertex], List[EdgeTuple]], None]
     ] = None,
@@ -328,13 +306,8 @@ def _double_oracle_loop(
     every restricted optimum (the fuzz invariants re-solve it from
     scratch and price the columns added since the last one).
     """
-    if method not in _CERTIFYING_METHODS:
-        raise ValueError(
-            f"double oracle method must be one of {_CERTIFYING_METHODS}; "
-            f"got {method!r}"
-        )
     oracle = shared_oracle(game.graph, game.k)
-    certify = _certifier(oracle, method, tolerance)
+    certify = _certifier(oracle, tolerance)
     vertices = oracle.vertices
     defender_pool: List[EdgeTuple] = _initial_defender_pool(oracle)
     defender_seen: Set[EdgeTuple] = set(defender_pool)
@@ -367,14 +340,14 @@ def _double_oracle_loop(
             columns: List[EdgeTuple] = []
             def_payoff = float("-inf")
             for proposal in _greedy_family(oracle, masses, _GREEDY_PROPOSALS):
-                payoff = _coverage(proposal, masses) - total_mass
+                payoff = coverage_value(masses, proposal) - total_mass
                 if payoff > threshold and proposal not in defender_seen:
                     columns.append(proposal)
                     def_payoff = max(def_payoff, payoff)
             if not columns:
                 best_def, bound = certify(masses)
                 def_payoff = bound - total_mass
-                if (_coverage(best_def, masses) - total_mass > threshold
+                if (coverage_value(masses, best_def) - total_mass > threshold
                         and best_def not in defender_seen):
                     columns.append(best_def)
             oracle_timer.observe(perf_counter() - oracle_start)

@@ -9,11 +9,10 @@ usable on instances where the exact LP (over ``C(m,k)`` tuples) is out of
 reach, and a second independent confirmation of the linear-in-k law on
 instances where it is not.
 
-The defender's best response is the k-edge coverage maximum, answered by
-the amortized :mod:`repro.kernels` coverage oracle — built once per run,
-queried every round (exact by default; pass ``method="greedy"`` for very
-large instances, at the cost of the value bounds no longer being exact
-bounds).
+The defender's best response is the exact k-edge coverage maximum,
+answered by the amortized :mod:`repro.kernels` coverage oracle — built
+once per run, queried every round — so both value bounds are exact
+bounds.
 """
 
 from __future__ import annotations
@@ -158,7 +157,6 @@ def fictitious_play_result_from_json(text: str) -> FictitiousPlayResult:
 def fictitious_play(
     game: TupleGame,
     rounds: int = 200,
-    method: str = "auto",
     tolerance: Optional[float] = None,
 ) -> FictitiousPlayResult:
     """Run fictitious play for the duel underlying ``Π_k(G)``.
@@ -170,8 +168,6 @@ def fictitious_play(
         per-attacker).
     rounds:
         Maximum iterations (at least 1).
-    method:
-        Coverage-solver method for the defender's best response.
     tolerance:
         Optional early stop once ``upper − lower ≤ tolerance``; must be
         positive when given.
@@ -182,8 +178,7 @@ def fictitious_play(
         On degenerate parameters (``rounds < 1``, ``tolerance <= 0``).
     """
     _check_params(rounds, tolerance)
-    return FICTITIOUS_PLAY_CALL(game, rounds=rounds, method=method,
-                                tolerance=tolerance)
+    return FICTITIOUS_PLAY_CALL(game, rounds=rounds, tolerance=tolerance)
 
 
 def _check_params(rounds: int, tolerance: Optional[float]) -> None:
@@ -231,8 +226,7 @@ FICTITIOUS_PLAY_CALL = result_cache.CachedCall(
          for lower, upper in payload["history"]],
     ),
     _RESULT_FORMAT,
-    attributes=lambda params: {"max_rounds": params["rounds"],
-                               "method": params["method"]},
+    attributes=lambda params: {"max_rounds": params["rounds"]},
     scope=lambda game, params: [
         tracing.span("fictitious_play.run", n=game.graph.n, k=game.k,
                      max_rounds=params["rounds"]),
@@ -245,7 +239,6 @@ FICTITIOUS_PLAY_CALL = result_cache.CachedCall(
 def _run_fictitious_play(
     game: TupleGame,
     rounds: int,
-    method: str,
     tolerance: Optional[float],
 ) -> FictitiousPlayResult:
     graph = game.graph
@@ -276,7 +269,7 @@ def _run_fictitious_play(
         attacker_counts[current_attack] = attacker_counts.get(current_attack, 0) + 1
         # Defender best-responds to the attacker's empirical mixture.
         weights = {v: c / round_index for v, c in attacker_counts.items()}
-        response, response_value = oracle.best(weights, method=method)
+        response, response_value = oracle.best(weights)
         defender_counts[response] = defender_counts.get(response, 0) + 1
         for v in tuple_vertices(response):
             hit_mass[v] += 1.0

@@ -312,8 +312,7 @@ def _weighted_do_cold(
     game: WeightedTupleGame, tolerance: float, max_iterations: int
 ) -> Tuple[MixedConfiguration, float]:
     result = _double_oracle_loop(
-        game.base, game.weights, tolerance, max_iterations, method="auto",
-    )
+        game.base, game.weights, tolerance, max_iterations)
     if not result.exact:
         raise GameError(
             f"weighted double oracle stalled short of the optimum "

@@ -1,4 +1,5 @@
-"""Tests for the coverage best-response solvers (repro.solvers.best_response)."""
+"""Tests for the coverage best response (repro.solvers.best_response) and
+the kernel's named searches behind it."""
 
 import random
 
@@ -12,13 +13,22 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.solvers.best_response import (
-    best_tuple,
-    branch_and_bound_best_tuple,
-    coverage_value,
-    exhaustive_best_tuple,
-    greedy_tuple,
-)
+from repro.kernels import shared_oracle
+from repro.kernels.coverage import _AUTO_DFS_LIMIT
+from repro.obs import metrics
+from repro.solvers.best_response import best_tuple, coverage_value
+
+
+def exhaustive(graph, weights, k):
+    return shared_oracle(graph, k).exhaustive(weights)
+
+
+def branch_and_bound(graph, weights, k):
+    return shared_oracle(graph, k).branch_and_bound(weights)
+
+
+def greedy(graph, weights, k):
+    return shared_oracle(graph, k).greedy(weights)
 
 
 class TestCoverageValue:
@@ -29,6 +39,12 @@ class TestCoverageValue:
     def test_missing_vertices_count_zero(self):
         assert coverage_value({}, ((0, 1),)) == 0.0
 
+    def test_sums_in_canonical_order(self):
+        # 1e16 + 1.0 rounds back to 1e16, so only the tuple's own order
+        # a, b, c gives 0.0; a hash-ordered sum over {a, b, c} could give 1.0.
+        weights = {"a": 1e16, "b": 1.0, "c": -1e16}
+        assert coverage_value(weights, (("a", "b"), ("b", "c"))) == 0.0
+
 
 class TestExactSolvers:
     def test_known_optimum_path(self):
@@ -36,7 +52,7 @@ class TestExactSolvers:
         weights = {0: 5.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 5.0}
         # Two edges cannot cover 0, 2 and 4 simultaneously on P5, so the
         # optimum takes both endpoints and forfeits the middle vertex.
-        t, value = exhaustive_best_tuple(g, weights, 2)
+        t, value = exhaustive(g, weights, 2)
         assert value == pytest.approx(10.0)
         assert t == ((0, 1), (3, 4))
 
@@ -44,7 +60,7 @@ class TestExactSolvers:
         # Star: all edges share the center, so extra edges add only leaves.
         g = star_graph(4)
         weights = {0: 10.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
-        t, value = exhaustive_best_tuple(g, weights, 2)
+        t, value = exhaustive(g, weights, 2)
         assert value == pytest.approx(10.0 + 4.0 + 3.0)
         assert t == ((0, 3), (0, 4))
 
@@ -54,21 +70,21 @@ class TestExactSolvers:
         g = gnp_random_graph(rng.randrange(5, 10), 0.5, seed=seed)
         weights = {v: rng.uniform(0, 3) for v in g.vertices()}
         k = rng.randrange(1, min(4, g.m) + 1)
-        _, exhaustive_value = exhaustive_best_tuple(g, weights, k)
-        _, bnb_value = branch_and_bound_best_tuple(g, weights, k)
+        _, exhaustive_value = exhaustive(g, weights, k)
+        _, bnb_value = branch_and_bound(g, weights, k)
         assert bnb_value == pytest.approx(exhaustive_value)
 
     def test_bnb_on_uniform_weights(self):
         g = cycle_graph(8)
         weights = {v: 1.0 for v in g.vertices()}
-        _, value = branch_and_bound_best_tuple(g, weights, 4)
+        _, value = branch_and_bound(g, weights, 4)
         assert value == pytest.approx(8.0)  # perfect cover exists
 
     def test_deterministic_tie_breaking(self):
         g = cycle_graph(6)
         weights = {v: 1.0 for v in g.vertices()}
-        first = exhaustive_best_tuple(g, weights, 2)
-        second = exhaustive_best_tuple(g, weights, 2)
+        first = exhaustive(g, weights, 2)
+        second = exhaustive(g, weights, 2)
         assert first == second
 
 
@@ -84,8 +100,8 @@ class TestCanonicalTieBreak:
         rng = random.Random(1)
         g = gnp_random_graph(rng.randrange(5, 9), 0.5, seed=1)
         weights = {v: float(rng.choice([0, 1, 1, 2])) for v in g.vertices()}
-        t_exh, v_exh = exhaustive_best_tuple(g, weights, 2)
-        t_bnb, v_bnb = branch_and_bound_best_tuple(g, weights, 2)
+        t_exh, v_exh = exhaustive(g, weights, 2)
+        t_bnb, v_bnb = branch_and_bound(g, weights, 2)
         assert t_exh == t_bnb == ((0, 4), (3, 5))
         assert v_exh == v_bnb == pytest.approx(6.0)
 
@@ -96,15 +112,15 @@ class TestCanonicalTieBreak:
         g = gnp_random_graph(rng.randrange(5, 9), 0.5, seed=seed)
         weights = {v: float(rng.choice([0, 1, 1, 2])) for v in g.vertices()}
         for k in range(1, min(4, g.m) + 1):
-            assert exhaustive_best_tuple(g, weights, k) == \
-                branch_and_bound_best_tuple(g, weights, k)
+            assert exhaustive(g, weights, k) == \
+                branch_and_bound(g, weights, k)
 
 
 class TestGreedy:
     def test_greedy_is_optimal_on_disjoint_instance(self):
         g = path_graph(6)
         weights = {0: 3.0, 1: 3.0, 2: 0.0, 3: 0.0, 4: 2.0, 5: 2.0}
-        _, value = greedy_tuple(g, weights, 2)
+        _, value = greedy(g, weights, 2)
         assert value == pytest.approx(10.0)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -113,43 +129,44 @@ class TestGreedy:
         g = gnp_random_graph(8, 0.5, seed=seed)
         weights = {v: rng.uniform(0, 2) for v in g.vertices()}
         k = min(3, g.m)
-        _, opt = exhaustive_best_tuple(g, weights, k)
-        _, approx = greedy_tuple(g, weights, k)
+        _, opt = exhaustive(g, weights, k)
+        _, approx = greedy(g, weights, k)
         assert approx <= opt + 1e-9
         # 1 - 1/e guarantee, with slack for exact-arithmetic edge cases.
         assert approx >= (1 - 1 / 2.718281828) * opt - 1e-9
 
     def test_greedy_returns_k_distinct_edges(self):
         g = complete_bipartite_graph(3, 3)
-        t, _ = greedy_tuple(g, {v: 1.0 for v in g.vertices()}, 4)
+        t, _ = greedy(g, {v: 1.0 for v in g.vertices()}, 4)
         assert len(set(t)) == 4
 
 
 class TestDispatch:
+    """``best_tuple`` runs the exhaustive DFS up to ``_AUTO_DFS_LIMIT``
+    tuples and branch and bound above; either way it must return the
+    exhaustive reference, tuple and value, on tie-prone weights."""
+
+    @staticmethod
+    def _check_side(graph, k, search):
+        counter = metrics.counter(f"perf.kernel.query.{search}.count")
+        for seed in range(3):
+            rng = random.Random(seed)
+            weights = {v: float(rng.choice([0, 1, 1, 2]))
+                       for v in graph.vertices()}
+            before = counter.value
+            got = best_tuple(graph, weights, k)
+            assert counter.value == before + 1, (search, seed)
+            assert got == exhaustive(graph, weights, k), seed
+
     def test_auto_uses_exhaustive_for_small(self):
-        g = path_graph(4)
-        result_auto = best_tuple(g, {0: 1.0}, 1, method="auto")
-        result_ex = exhaustive_best_tuple(g, {0: 1.0}, 1)
-        assert result_auto == result_ex
+        graph = complete_bipartite_graph(5, 10)  # C(50, 3) = 19600 tuples
+        assert shared_oracle(graph, 3).tuple_count <= _AUTO_DFS_LIMIT
+        self._check_side(graph, 3, "exhaustive")
 
     def test_auto_switches_to_bnb(self):
-        g = complete_bipartite_graph(4, 5)
-        weights = {v: 1.0 for v in g.vertices()}
-        # Force the switch by setting the enumeration budget to 1.
-        t, value = best_tuple(g, weights, 3, method="auto", exhaustive_limit=1)
-        _, reference = exhaustive_best_tuple(g, weights, 3)
-        assert value == pytest.approx(reference)
-
-    def test_explicit_methods(self):
-        g = path_graph(5)
-        weights = {v: 1.0 for v in g.vertices()}
-        for method in ("exhaustive", "bnb", "greedy"):
-            t, value = best_tuple(g, weights, 2, method=method)
-            assert len(t) == 2
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            best_tuple(path_graph(4), {}, 1, method="magic")
+        graph = complete_bipartite_graph(3, 17)  # C(51, 3) = 20825 tuples
+        assert shared_oracle(graph, 3).tuple_count > _AUTO_DFS_LIMIT
+        self._check_side(graph, 3, "bnb")
 
     def test_bad_k(self):
         with pytest.raises(GraphError):

@@ -75,12 +75,6 @@ class TestMechanics:
         game = TupleGame(path_graph(4), 1, nu=1)
         assert "value=" in repr(double_oracle(game))
 
-    def test_greedy_method_is_rejected(self):
-        """Greedy proposes columns but cannot certify a run."""
-        game = TupleGame(path_graph(4), 1, nu=1)
-        with pytest.raises(ValueError, match="greedy"):
-            double_oracle(game, method="greedy")
-
 
 class TestInexactConvergence:
     """Regression: a greedy defender oracle stalls on this graph, on a
@@ -98,13 +92,6 @@ class TestInexactConvergence:
         assert result.exact
         assert result.certified_gap <= 2e-9
         assert result.value == pytest.approx(truth, abs=1e-9)
-
-    def test_exact_methods_certify(self):
-        game = TupleGame(grid_graph(2, 4), 2, nu=1)
-        for method in ("auto", "bnb", "exhaustive"):
-            result = double_oracle(game, method=method)
-            assert result.exact
-            assert result.certified_gap <= 2e-9
 
 
 class TestExactWork:
@@ -158,19 +145,22 @@ class TestLargeTier:
 
     def test_non_bipartite_certificate_agrees_with_bnb(self):
         """Above the threshold off bipartite graphs the G+ model is a
-        MIP; its certified value is branch and bound's."""
+        MIP; at the run's final attacker mixture, branch and bound finds
+        no tuple beyond the value it certified."""
         from repro.graphs.generators import gnp_random_graph
+        from repro.kernels import shared_oracle
         from repro.obs import metrics
 
         game = TupleGame(gnp_random_graph(40, 0.2, seed=3), 10, nu=1)
         assert game.tuple_strategy_count() > 10**15
         matching = metrics.counter("lp.matching.solve.count")
         before = matching.value
-        auto = double_oracle(game)
+        result = double_oracle(game)
         assert matching.value > before
-        bnb = double_oracle(game, method="bnb")
-        assert auto.exact and bnb.exact
-        assert auto.value == pytest.approx(bnb.value, abs=1e-9)
+        assert result.exact
+        _, best = shared_oracle(game.graph, game.k).branch_and_bound(
+            result.solution.attacker)
+        assert best == pytest.approx(result.value, abs=1e-9)
 
 
 class TestConvergenceGuard:

@@ -275,9 +275,9 @@ class TestInvariants:
         game = TupleGame(Graph([(i, (i + 1) % 6) for i in range(6)]), 2, nu=1)
         assert check_game(game, checks=["incremental-lp"]) == []
 
-        real = do._coverage
-        monkeypatch.setattr(do, "_coverage",
-                            lambda t, masses: real(t, masses) + 1.0)
+        real = do.coverage_value
+        monkeypatch.setattr(do, "coverage_value",
+                            lambda masses, t: real(masses, t) + 1.0)
         messages = [v.message for v in
                     check_game(game, checks=["incremental-lp"])]
         assert messages

@@ -116,14 +116,14 @@ class TestMatchesReference:
         k = min(3, graph.m)
         oracle = CoverageOracle(graph, k)
         ref_t, ref_v = reference_exhaustive(graph, weights, k)
-        for method in ("auto", "exhaustive", "bnb"):
-            got_t, got_v = oracle.best(weights, method=method)
-            assert got_t == ref_t and got_v == pytest.approx(ref_v)
+        got_t, got_v = oracle.best(weights)
+        assert got_t == ref_t and got_v == pytest.approx(ref_v)
+        assert (got_t, got_v) == oracle.exhaustive(weights)
 
     def test_off_graph_weights_ignored(self):
         graph = path_graph(4)
         oracle = CoverageOracle(graph, 1)
-        t, v = oracle.best({0: 1.0, "nope": 99.0}, method="exhaustive")
+        t, v = oracle.best({0: 1.0, "nope": 99.0})
         assert v == pytest.approx(1.0)
         assert 0 in tuple_vertices(t)
 
@@ -132,11 +132,6 @@ class TestMatchesReference:
             CoverageOracle(path_graph(4), 0)
         with pytest.raises(GraphError):
             CoverageOracle(path_graph(4), 9)
-
-    def test_unknown_method_rejected(self):
-        oracle = CoverageOracle(path_graph(4), 1)
-        with pytest.raises(ValueError, match="unknown method"):
-            oracle.best({}, method="magic")
 
 
 class TestExactMethodsAgreeOnTies:
@@ -182,8 +177,8 @@ def fp_count_weights(rng, vertices):
 
 
 def bnb_sized_case(model, seed):
-    """A ``k = 4`` instance large enough that ``best(..., "auto")``
-    answers with branch and bound, and one near-tie weight vector."""
+    """A ``k = 4`` instance large enough that ``best`` answers with
+    branch and bound, and one near-tie weight vector."""
     graph = gnp_random_graph(12, 0.6, seed=seed)
     oracle = CoverageOracle(graph, 4)
     assert oracle.tuple_count > _AUTO_DFS_LIMIT
@@ -259,31 +254,6 @@ class TestGoldenSolverBytes:
 
 
 # --------------------------------------------------------------------------
-# batching
-# --------------------------------------------------------------------------
-
-
-class TestQueryMany:
-    def _vectors(self, graph, count=6):
-        rng = random.Random(7)
-        return [
-            {v: rng.randrange(0, 64) / 16.0 for v in graph.vertices()}
-            for _ in range(count)
-        ]
-
-    def test_matches_single_queries(self):
-        graph = complete_bipartite_graph(3, 4)
-        oracle = CoverageOracle(graph, 2)
-        vectors = self._vectors(graph)
-        batched = oracle.query_many(vectors)
-        assert batched == [oracle.best(wv) for wv in vectors]
-
-    def test_empty_batch(self):
-        oracle = CoverageOracle(path_graph(4), 1)
-        assert oracle.query_many([]) == []
-
-
-# --------------------------------------------------------------------------
 # shared cache + coverage views
 # --------------------------------------------------------------------------
 
@@ -339,15 +309,12 @@ class TestCoverageViews:
 
 
 class TestFacadeContract:
-    """The best_response facade must keep the seed public surface: every
-    export documented in docs/api.md, signatures unchanged."""
+    """The best_response facade's public surface is pinned: every export
+    documented in docs/api.md, with these exact signatures."""
 
     EXPECTED_SIGNATURES = {
         "coverage_value": "(weights, t)",
-        "exhaustive_best_tuple": "(graph, weights, k)",
-        "branch_and_bound_best_tuple": "(graph, weights, k)",
-        "greedy_tuple": "(graph, weights, k)",
-        "best_tuple": "(graph, weights, k, method='auto', exhaustive_limit=100000)",
+        "best_tuple": "(graph, weights, k)",
     }
 
     def test_signatures_unchanged(self):

@@ -170,7 +170,7 @@ class TestIncrementalDuel:
                 attackers, defenders, tuple_vertices, weights)).solve()
             seen.append((solution.value, fresh))
 
-        _double_oracle_loop(game, weights, 1e-9, 300, "auto", audit=audit)
+        _double_oracle_loop(game, weights, 1e-9, 300, audit=audit)
         assert len(seen) >= 2
         for incremental, fresh in seen:
             assert incremental == pytest.approx(fresh, abs=1e-9)

@@ -208,11 +208,20 @@ class TestValidationErrors:
     @pytest.mark.parametrize("params", [
         {"lazy_attacker": True},
         {"method": "greedy"},
-    ], ids=["lazy-attacker", "greedy-method"])
+        {"method": "bnb"},
+    ], ids=["lazy-attacker", "greedy-method", "bnb-method"])
     def test_removed_double_oracle_params_rejected(self, service, params):
         _svc, base = service
         status, body = post(base, "/double-oracle", {
             "game": PATH_GAME, "params": params,
+        })
+        assert status == 400
+        assert body["error"]["code"] == "invalid-params"
+
+    def test_removed_fictitious_play_method_rejected(self, service):
+        _svc, base = service
+        status, body = post(base, "/fictitious-play", {
+            "game": PATH_GAME, "params": {"method": "greedy"},
         })
         assert status == 400
         assert body["error"]["code"] == "invalid-params"
@@ -411,11 +420,11 @@ LIBRARY_CALLS = [
      {"seed": 3, "allow_extensions": False}),
     ("double-oracle",
      lambda game, **p: double_oracle_result_to_json(double_oracle(game, **p)),
-     {"tolerance": 1e-7, "max_iterations": 50, "method": "bnb"}),
+     {"tolerance": 1e-7, "max_iterations": 50}),
     ("fictitious-play",
      lambda game, **p: fictitious_play_result_to_json(
          fictitious_play(game, **p)),
-     {"rounds": 7, "method": "greedy", "tolerance": 0.5}),
+     {"rounds": 7, "tolerance": 0.5}),
 ]
 
 
