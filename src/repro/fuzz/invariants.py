@@ -32,12 +32,13 @@ check                         theorem     cross-checked paths
                                           weighted: cold result vs its
                                           replay from a throwaway store
 ``graph-io-roundtrip``        —           graph JSON + edge-list codecs
-``kernel-reference``          —           bnb and exhaustive DFS vs the
-                                          brute-force lexicographically
-                                          first argmax
+``kernel-reference``          —           ``best`` (bnb) and its exhaustive
+                                          DFS reference vs the brute-force
+                                          lexicographically first argmax,
+                                          above unit mass too
 ``certificate-reference``     —           the double oracle's ``G⁺``
-                                          matching certificate vs bnb and
-                                          exhaustive DFS; its decoded tuple
+                                          matching certificate vs ``best``
+                                          and the DFS; its decoded tuple
                                           covers its value
 ``simulation-agreement``      D2.1        vectorized Monte Carlo vs exact profit
 ``ranges-consistency``        —           attacker and defender polytope
@@ -572,25 +573,29 @@ def _reference_best(game: TupleGame, weights: Dict,
 
 
 def check_kernel_reference(game: TupleGame, tol: float) -> List[Violation]:
-    """Both exact coverage searches must return the brute-force
+    """The exact best response (``best``, branch and bound) and its
+    reference, the exhaustive DFS, must both return the brute-force
     lexicographically first argmax, with values equal bit for bit.
 
-    Branch and bound is called by name: fuzz games are small enough that
-    ``best`` always picks the exhaustive DFS.  Three trials
-    draw uniform masses; a fourth draws small integers, whose exact sums
-    make many tuples tie and so test the tie-break.
+    Three trials draw uniform masses; a fourth draws small integers,
+    whose exact sums make many tuples tie and so test the tie-break.  A
+    fifth draws counts ``c / r`` (``r`` = 3–7): mathematically tied
+    coverages that round a few ulps apart, at a total mass above 1, so
+    the searches agree only if their tie tolerance scales with the mass.
     """
     rng = random.Random(game.graph.n * 7919 + game.graph.m * 31 + game.k)
     vertices = game.graph.sorted_vertices()
     oracle = shared_oracle(game.graph, game.k)
     trials = [{v: rng.uniform(0.0, 1.0) for v in vertices} for _ in range(3)]
     trials.append({v: float(rng.randrange(3)) for v in vertices})
+    r = rng.randint(3, 7)
+    trials.append({v: rng.randrange(r + 1) / r for v in vertices})
     out: List[Violation] = []
     for trial, weights in enumerate(trials):
         ref_tuple, reference = _reference_best(game, weights, tol)
-        bnb = oracle.branch_and_bound(weights)
+        best = oracle.best(weights)
         exhaustive = oracle.exhaustive(weights)
-        for name, (got, value) in (("branch_and_bound", bnb),
+        for name, (got, value) in (("best", best),
                                    ("exhaustive", exhaustive)):
             if got != ref_tuple or not _close(value, reference, tol):
                 out.append(Violation(
@@ -601,10 +606,10 @@ def check_kernel_reference(game: TupleGame, tol: float) -> List[Violation]:
                 ))
         # Same tuple, same summation order: the values must be the same
         # float, not merely close.
-        if bnb[1] != exhaustive[1]:
+        if best[1] != exhaustive[1]:
             out.append(Violation(
                 "kernel-reference",
-                f"branch_and_bound value {bnb[1]!r} != exhaustive "
+                f"best value {best[1]!r} != exhaustive "
                 f"{exhaustive[1]!r} (trial {trial})",
             ))
         _, greedy_value = oracle.greedy(weights)
@@ -621,9 +626,9 @@ def check_certificate_reference(game: TupleGame,
                                 tol: float) -> List[Violation]:
     """The double oracle's ``G⁺`` certificate (one
     :class:`~repro.solvers.lp._CoverageMatching` model, warm across the
-    trials) must agree in value with branch and bound and the exhaustive
-    DFS, bipartite ``G`` or not, and its decoded tuple — ``k`` distinct
-    edges of ``G`` — must cover that value.
+    trials) must agree in value with the kernel's ``best`` and its
+    exhaustive reference, bipartite ``G`` or not, and its decoded tuple
+    — ``k`` distinct edges of ``G`` — must cover that value.
 
     Unit masses come first: on non-bipartite ``G`` they are where the
     ``G⁺`` LP relaxation overshoots (6 against 5 on two disjoint
@@ -643,7 +648,7 @@ def check_certificate_reference(game: TupleGame,
     for trial, weights in enumerate(trials):
         decoded, bound = model.best(weights)
         for name, (_, value) in (
-                ("branch_and_bound", oracle.branch_and_bound(weights)),
+                ("best", oracle.best(weights)),
                 ("exhaustive", oracle.exhaustive(weights))):
             if not _close(bound, value, tol):
                 out.append(Violation(

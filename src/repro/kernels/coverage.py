@@ -18,23 +18,24 @@ k)`` hundreds of times per solve.
 
 Queries then take only the *changing* attacker weight vector:
 
-* :meth:`CoverageOracle.exhaustive` — exact, depth-first enumeration of
-  ``E^k`` in lexicographic order with incremental gains (no per-tuple set
-  construction);
-* :meth:`CoverageOracle.branch_and_bound` — exact, two-phase: a
-  static-weight-ordered bound-and-prune pass establishes the optimal
-  *value*, then a lexicographic search bounded by the top static weights
-  still ahead finds the canonical (lexicographically smallest) optimal
-  tuple;
+* :meth:`CoverageOracle.best` — the one exact best response (behind
+  :func:`repro.solvers.best_response.best_tuple` too), by two-phase branch
+  and bound at every size: a static-weight-ordered bound-and-prune pass
+  establishes the optimal *value*, then a lexicographic search bounded by
+  the top static weights still ahead finds the canonical
+  (lexicographically smallest) optimal tuple;
 * :meth:`CoverageOracle.greedy` — the ``(1 − 1/e)`` approximation: edge
   gains are computed once and, after each pick, recomputed only for the
   edges incident to the newly covered vertices;
-* :meth:`CoverageOracle.best` — the one exact best-response entry point
-  (behind :func:`repro.solvers.best_response.best_tuple` too): exhaustive
-  DFS on small strategy sets, branch and bound on large ones.
+* :meth:`CoverageOracle.exhaustive` — the reference only: depth-first
+  enumeration of ``E^k`` in lexicographic order with incremental gains,
+  which the tests and the ``kernel-reference`` fuzz invariant hold
+  :meth:`~CoverageOracle.best` to, tuple and value bit for bit.
 
-Both exact methods return the **lexicographically smallest** optimal tuple,
-so they agree exactly even on ties (the seed branch and bound did not — its
+Every value comparison in a query uses one tie tolerance,
+``_EPS · max(1, Σ w)``, so ties are judged relative to the attacker mass
+and the two exact searches return the same **lexicographically smallest**
+optimal tuple at any total mass (the seed branch and bound did not — its
 ``≤ incumbent + ε`` prune could discard an equal-value, lexicographically
 smaller tuple).
 
@@ -60,10 +61,14 @@ from repro.obs import metrics, tracing
 __all__ = ["CoverageOracle", "shared_oracle", "clear_shared_oracles"]
 
 _EPS = 1e-15
-"""Value-comparison tolerance, identical to the seed best-response code."""
+"""Value-comparison tolerance per unit of attacker mass; at unit mass it
+is the seed best-response code's absolute one."""
 
-_AUTO_DFS_LIMIT = 20_000
-""":meth:`CoverageOracle.best`: exhaustive DFS up to this many tuples, bnb above."""
+
+def _tie_tolerance(w: Sequence[float]) -> float:
+    """The one tie tolerance of a query on weights ``w``: ``_EPS`` scaled
+    by the total mass, so it spans the same few ulps at any coverage."""
+    return _EPS * max(1.0, sum(w))
 
 
 class CoverageOracle:
@@ -159,22 +164,19 @@ class CoverageOracle:
         return tuple(edges[i] for i in slots)
 
     # ------------------------------------------------------------------
-    # exact query: exhaustive DFS
+    # reference query: exhaustive DFS
     # ------------------------------------------------------------------
     def exhaustive(self, weights: Mapping[Vertex, float]) -> Tuple[EdgeTuple, float]:
         """Exact maximum by lexicographic depth-first enumeration of ``E^k``.
 
-        Semantically identical to the seed full enumeration (the
-        lexicographically smallest optimal tuple wins), but gains are
-        accumulated incrementally along the DFS — no per-tuple vertex-set
-        construction — which is an order of magnitude faster.
+        The reference :meth:`best` is tested against, tuple and value bit
+        for bit; it records no metrics.  Semantically identical to the
+        seed full enumeration (the lexicographically smallest optimal
+        tuple wins), but gains are accumulated incrementally along the
+        DFS — no per-tuple vertex-set construction.
         """
-        with metrics.timer("perf.kernel.query.seconds"):
-            metrics.counter("perf.kernel.query.exhaustive.count").inc()
-            w = self._weight_array(weights)
-            return self._exhaustive_dfs(w)
-
-    def _exhaustive_dfs(self, w: List[float]) -> Tuple[EdgeTuple, float]:
+        w = self._weight_array(weights)
+        eps = _tie_tolerance(w)
         eu, ev, m, k = self._eu, self._ev, self.m, self.k
         covered = bytearray(self.n)
         chosen: List[int] = []
@@ -185,7 +187,7 @@ class CoverageOracle:
             nonlocal best_value, best_slots
             depth = len(chosen)
             if depth == k:
-                if value > best_value + _EPS:
+                if value > best_value + eps:
                     best_value = value
                     best_slots = tuple(chosen)
                 return
@@ -213,10 +215,10 @@ class CoverageOracle:
     # ------------------------------------------------------------------
     # exact query: branch and bound
     # ------------------------------------------------------------------
-    def branch_and_bound(
-        self, weights: Mapping[Vertex, float]
-    ) -> Tuple[EdgeTuple, float]:
-        """Exact maximum via two-phase branch and bound.
+    def best(self, weights: Mapping[Vertex, float]) -> Tuple[EdgeTuple, float]:
+        """The exact best ``k``-edge coverage against ``weights``: the
+        canonical (lexicographically smallest) optimal tuple and its
+        value, by two-phase branch and bound.
 
         Phase 1 finds the optimal *value*: edges are visited in
         descending static-weight order (``w(u) + w(v)`` bounds any edge's
@@ -225,25 +227,36 @@ class CoverageOracle:
         lexicographic order — pruned by the top static weights still
         ahead against the now-known optimum — and stops at the first
         tuple reaching it, which by construction is the lexicographically
-        smallest optimal tuple.  The two exact methods therefore agree
-        *exactly*, ties included (the seed bnb did not).
+        smallest optimal tuple.  Under the shared mass-relative tie
+        tolerance it therefore equals :meth:`exhaustive` *exactly*, ties
+        included, at any total mass.
         """
+        metrics.counter("perf.kernel.query.count").inc()
         with metrics.timer("perf.kernel.query.seconds"):
-            metrics.counter("perf.kernel.query.bnb.count").inc()
             w = self._weight_array(weights)
+            eps = _tie_tolerance(w)
             static = [w[u] + w[v] for u, v in zip(self._eu, self._ev)]
             order = sorted(range(self.m), key=static.__getitem__, reverse=True)
-            value = self._bnb_value(w, static, order)
-            slots, exact_value = self._lex_argmax(w, static, order, value)
+            value = self._bnb_value(w, static, order, eps)
+            # Phase 2 cannot fail in exact arithmetic (the phase-1 value
+            # is attained by some tuple); a looser, still-benign margin
+            # guards against pathological rounding.
+            found = (self._lex_greedy(w, static, order, value, eps)
+                     or self._lex_greedy(w, static, order, value, 1e6 * eps))
+            if found is None:
+                raise RuntimeError(f"no tuple reaches coverage {value!r}")
+            slots, exact_value = found
             return self._slots_to_tuple(slots), exact_value
 
-    def _greedy_cover(self, w: List[float]) -> Tuple[List[int], float]:
+    def _greedy_cover(
+        self, w: List[float], eps: float
+    ) -> Tuple[List[int], float]:
         """The greedy cover's slots (in pick order) and value.
 
         The one greedy loop: :meth:`greedy` answers with it and phase 1
         of branch and bound takes its value as the initial incumbent.
         Each round scans for the first slot whose gain beats the best so
-        far by more than ``_EPS``; the gains are computed once and, after
+        far by more than ``eps``; the gains are computed once and, after
         a pick, recomputed only for the edges incident to the newly
         covered vertices — every other edge's gain is unchanged.  A
         picked edge's gain becomes ``-inf``, so no scan takes it again.
@@ -258,12 +271,12 @@ class CoverageOracle:
         for _ in range(k):
             best_slot = -1
             best_gain = taken
-            threshold = best_gain + _EPS
+            threshold = best_gain + eps
             for i, gain in enumerate(gains):
                 if gain > threshold:
                     best_gain = gain
                     best_slot = i
-                    threshold = gain + _EPS
+                    threshold = gain + eps
             gains[best_slot] = taken
             slots.append(best_slot)
             value += best_gain
@@ -285,14 +298,14 @@ class CoverageOracle:
         return slots, value
 
     def _bnb_value(
-        self, w: List[float], static: List[float], order: List[int]
+        self, w: List[float], static: List[float], order: List[int], eps: float
     ) -> float:
         """Phase 1: the optimal coverage value (argmax deferred to phase 2)."""
         m, k = self.m, self.k
         oe_u = [self._eu[i] for i in order]
         oe_v = [self._ev[i] for i in order]
         prefix = list(accumulate(map(static.__getitem__, order), initial=0.0))
-        best = self._greedy_cover(w)[1]
+        best = self._greedy_cover(w, eps)[1]
         covered = bytearray(self.n)
 
         def descend(index: int, depth: int, value: float) -> None:
@@ -300,12 +313,12 @@ class CoverageOracle:
             # next slot: the loop is the "leave it out" branch.
             nonlocal best
             if depth == k:
-                if value > best + _EPS:
+                if value > best + eps:
                     best = value
                 return
             remaining = k - depth
             while m - index >= remaining:
-                if value + prefix[index + remaining] - prefix[index] <= best + _EPS:
+                if value + prefix[index + remaining] - prefix[index] <= best + eps:
                     return
                 u = oe_u[index]
                 v = oe_v[index]
@@ -323,24 +336,6 @@ class CoverageOracle:
 
         descend(0, 0, 0.0)
         return best
-
-    def _lex_argmax(
-        self,
-        w: List[float],
-        static: List[float],
-        order: List[int],
-        target: float,
-    ) -> Tuple[Tuple[int, ...], float]:
-        """Phase 2: lexicographically first tuple with value ``>= target − ε``."""
-        found = self._lex_greedy(w, static, order, target, _EPS)
-        if found is None:
-            # Unreachable in exact arithmetic (the phase-1 value is
-            # attained by some tuple); guards against pathological
-            # rounding by retrying with a looser, still-benign margin.
-            found = self._lex_greedy(w, static, order, target, 1e-9)
-        if found is None:
-            raise RuntimeError(f"no tuple reaches coverage {target!r}")
-        return found
 
     def _lex_greedy(
         self,
@@ -480,26 +475,10 @@ class CoverageOracle:
         """
         with metrics.timer("perf.kernel.query.seconds"):
             metrics.counter("perf.kernel.query.greedy.count").inc()
-            slots, value = self._greedy_cover(self._weight_array(weights))
+            w = self._weight_array(weights)
+            slots, value = self._greedy_cover(w, _tie_tolerance(w))
             slots.sort()
             return self._slots_to_tuple(slots), value
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def best(self, weights: Mapping[Vertex, float]) -> Tuple[EdgeTuple, float]:
-        """The exact best ``k``-edge coverage against ``weights``: the
-        canonical (lexicographically smallest) optimal tuple and its
-        value.
-
-        Both exact searches return that tuple, so the choice between
-        them is speed alone: exhaustive DFS up to
-        :data:`_AUTO_DFS_LIMIT` tuples, branch and bound beyond.
-        """
-        metrics.counter("perf.kernel.query.count").inc()
-        if self.tuple_count <= _AUTO_DFS_LIMIT:
-            return self.exhaustive(weights)
-        return self.branch_and_bound(weights)
 
     # ------------------------------------------------------------------
     # coverage view for the simulation engine

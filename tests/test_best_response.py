@@ -14,7 +14,6 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.kernels import shared_oracle
-from repro.kernels.coverage import _AUTO_DFS_LIMIT
 from repro.obs import metrics
 from repro.solvers.best_response import best_tuple, coverage_value
 
@@ -23,8 +22,8 @@ def exhaustive(graph, weights, k):
     return shared_oracle(graph, k).exhaustive(weights)
 
 
-def branch_and_bound(graph, weights, k):
-    return shared_oracle(graph, k).branch_and_bound(weights)
+def best(graph, weights, k):
+    return shared_oracle(graph, k).best(weights)
 
 
 def greedy(graph, weights, k):
@@ -71,13 +70,13 @@ class TestExactSolvers:
         weights = {v: rng.uniform(0, 3) for v in g.vertices()}
         k = rng.randrange(1, min(4, g.m) + 1)
         _, exhaustive_value = exhaustive(g, weights, k)
-        _, bnb_value = branch_and_bound(g, weights, k)
+        _, bnb_value = best(g, weights, k)
         assert bnb_value == pytest.approx(exhaustive_value)
 
     def test_bnb_on_uniform_weights(self):
         g = cycle_graph(8)
         weights = {v: 1.0 for v in g.vertices()}
-        _, value = branch_and_bound(g, weights, 4)
+        _, value = best(g, weights, 4)
         assert value == pytest.approx(8.0)  # perfect cover exists
 
     def test_deterministic_tie_breaking(self):
@@ -101,7 +100,7 @@ class TestCanonicalTieBreak:
         g = gnp_random_graph(rng.randrange(5, 9), 0.5, seed=1)
         weights = {v: float(rng.choice([0, 1, 1, 2])) for v in g.vertices()}
         t_exh, v_exh = exhaustive(g, weights, 2)
-        t_bnb, v_bnb = branch_and_bound(g, weights, 2)
+        t_bnb, v_bnb = best(g, weights, 2)
         assert t_exh == t_bnb == ((0, 4), (3, 5))
         assert v_exh == v_bnb == pytest.approx(6.0)
 
@@ -112,8 +111,7 @@ class TestCanonicalTieBreak:
         g = gnp_random_graph(rng.randrange(5, 9), 0.5, seed=seed)
         weights = {v: float(rng.choice([0, 1, 1, 2])) for v in g.vertices()}
         for k in range(1, min(4, g.m) + 1):
-            assert exhaustive(g, weights, k) == \
-                branch_and_bound(g, weights, k)
+            assert exhaustive(g, weights, k) == best(g, weights, k)
 
 
 class TestGreedy:
@@ -142,31 +140,27 @@ class TestGreedy:
 
 
 class TestDispatch:
-    """``best_tuple`` runs the exhaustive DFS up to ``_AUTO_DFS_LIMIT``
-    tuples and branch and bound above; either way it must return the
-    exhaustive reference, tuple and value, on tie-prone weights."""
+    """``best_tuple`` is one kernel query, branch and bound at every
+    size; it must return the exhaustive reference, tuple and value, on
+    tie-prone weights."""
 
     @staticmethod
-    def _check_side(graph, k, search):
-        counter = metrics.counter(f"perf.kernel.query.{search}.count")
+    def _check(graph, k):
+        counter = metrics.counter("perf.kernel.query.count")
         for seed in range(3):
             rng = random.Random(seed)
             weights = {v: float(rng.choice([0, 1, 1, 2]))
                        for v in graph.vertices()}
             before = counter.value
             got = best_tuple(graph, weights, k)
-            assert counter.value == before + 1, (search, seed)
+            assert counter.value == before + 1, seed
             assert got == exhaustive(graph, weights, k), seed
 
-    def test_auto_uses_exhaustive_for_small(self):
-        graph = complete_bipartite_graph(5, 10)  # C(50, 3) = 19600 tuples
-        assert shared_oracle(graph, 3).tuple_count <= _AUTO_DFS_LIMIT
-        self._check_side(graph, 3, "exhaustive")
+    def test_one_query_matches_reference_at_19600_tuples(self):
+        self._check(complete_bipartite_graph(5, 10), 3)  # C(50, 3)
 
-    def test_auto_switches_to_bnb(self):
-        graph = complete_bipartite_graph(3, 17)  # C(51, 3) = 20825 tuples
-        assert shared_oracle(graph, 3).tuple_count > _AUTO_DFS_LIMIT
-        self._check_side(graph, 3, "bnb")
+    def test_one_query_matches_reference_at_20825_tuples(self):
+        self._check(complete_bipartite_graph(3, 17), 3)  # C(51, 3)
 
     def test_bad_k(self):
         with pytest.raises(GraphError):

@@ -102,9 +102,7 @@ class TestExactWork:
     def _exact_queries():
         from repro.obs import metrics
 
-        counters = metrics.get_registry().snapshot()["counters"]
-        return (counters.get("perf.kernel.query.bnb.count", 0)
-                + counters.get("perf.kernel.query.exhaustive.count", 0))
+        return metrics.counter("perf.kernel.query.count").value
 
     def test_one_exact_query_per_solve(self):
         graph = random_bipartite_graph(25, 40, 0.10, seed=11)
@@ -158,7 +156,7 @@ class TestLargeTier:
         result = double_oracle(game)
         assert matching.value > before
         assert result.exact
-        _, best = shared_oracle(game.graph, game.k).branch_and_bound(
+        _, best = shared_oracle(game.graph, game.k).best(
             result.solution.attacker)
         assert best == pytest.approx(result.value, abs=1e-9)
 

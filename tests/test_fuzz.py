@@ -197,23 +197,24 @@ class TestInvariants:
             best = max(value for _, value in scored)
             return [(t, value) for t, value in scored if value == best][-1]
 
-        # On uniform masses the argmax is unique; only the small-integer
-        # trial ties, so only it sees a tie broken the wrong way.
-        monkeypatch.setattr(CoverageOracle, "branch_and_bound", last_argmax)
+        # On uniform masses and on this game's c/r counts the argmax is
+        # unique; only the small-integer trial ties, so only it sees a
+        # tie broken the wrong way.
+        monkeypatch.setattr(CoverageOracle, "best", last_argmax)
         messages = [v.message for v in
                     check_game(game, checks=["kernel-reference"])]
-        assert messages and all(m.startswith("branch_and_bound returned")
+        assert messages and all(m.startswith("best returned")
                                 and m.endswith("(trial 3)") for m in messages)
 
         def drifted(self, weights):
             t, value = self.exhaustive(weights)
             return t, value + 1e-13
 
-        monkeypatch.setattr(CoverageOracle, "branch_and_bound", drifted)
+        monkeypatch.setattr(CoverageOracle, "best", drifted)
         messages = [v.message for v in
                     check_game(game, checks=["kernel-reference"])]
-        assert len(messages) == 4
-        assert all(m.startswith("branch_and_bound value") for m in messages)
+        assert len(messages) == 5
+        assert all(m.startswith("best value") for m in messages)
 
     def test_ranges_consistency_flags_a_malformed_defender_interval(
             self, monkeypatch):
@@ -297,7 +298,7 @@ class TestInvariants:
         monkeypatch.setattr(lp, "is_bipartite", lambda graph: True)
         messages = [v.message for v in
                     check_game(game, checks=["certificate-reference"])]
-        assert "G+ certificate reads 6.0, branch_and_bound 5.0 (trial 0)" \
+        assert "G+ certificate reads 6.0, best 5.0 (trial 0)" \
             in messages
         assert "G+ certificate reads 6.0, exhaustive 5.0 (trial 0)" \
             in messages

@@ -30,7 +30,6 @@ from repro.graphs.generators import (
     random_bipartite_graph,
 )
 from repro.kernels import CoverageOracle, clear_shared_oracles, shared_oracle
-from repro.kernels.coverage import _AUTO_DFS_LIMIT
 from repro.solvers.double_oracle import (
     double_oracle,
     double_oracle_result_to_json,
@@ -101,7 +100,7 @@ class TestMatchesReference:
         for k in range(1, min(4, graph.m) + 1):
             oracle = CoverageOracle(graph, k)
             ref_t, ref_v = reference_exhaustive(graph, weights, k)
-            for name in ("exhaustive", "branch_and_bound"):
+            for name in ("exhaustive", "best"):
                 got_t, got_v = getattr(oracle, name)(weights)
                 assert got_t == ref_t, (name, seed, k)
                 assert got_v == pytest.approx(ref_v, abs=1e-12)
@@ -144,13 +143,13 @@ class TestExactMethodsAgreeOnTies:
         graph, weights = random_instance(seed, tie_prone=True)
         for k in range(1, min(4, graph.m) + 1):
             oracle = CoverageOracle(graph, k)
-            assert oracle.branch_and_bound(weights) == oracle.exhaustive(weights)
+            assert oracle.best(weights) == oracle.exhaustive(weights)
 
     def test_uniform_cycle_ties(self):
         graph = cycle_graph(8)
         weights = {v: 1.0 for v in graph.vertices()}
         oracle = CoverageOracle(graph, 3)
-        t_bnb, _ = oracle.branch_and_bound(weights)
+        t_bnb, _ = oracle.best(weights)
         t_exh, _ = oracle.exhaustive(weights)
         assert t_bnb == t_exh
 
@@ -177,11 +176,10 @@ def fp_count_weights(rng, vertices):
 
 
 def bnb_sized_case(model, seed):
-    """A ``k = 4`` instance large enough that ``best`` answers with
-    branch and bound, and one near-tie weight vector."""
+    """A ``k = 4`` instance of some 10⁵ tuples and one near-tie weight
+    vector."""
     graph = gnp_random_graph(12, 0.6, seed=seed)
     oracle = CoverageOracle(graph, 4)
-    assert oracle.tuple_count > _AUTO_DFS_LIMIT
     rng = random.Random(f"{model.__name__}:{seed}")
     return graph, oracle, model(rng, graph.sorted_vertices())
 
@@ -189,7 +187,8 @@ def bnb_sized_case(model, seed):
 class TestBitIdentityAtBnbSizes:
     """``_lex_greedy`` promises values bit-identical to the exhaustive
     DFS (same tuple, same summation order); pinned here by ``==`` on the
-    near-tie vectors the solvers actually produce."""
+    near-tie vectors the solvers actually produce, at unit mass and
+    above it."""
 
     MODELS = [lp_noise_weights, fp_count_weights]
 
@@ -197,11 +196,10 @@ class TestBitIdentityAtBnbSizes:
     @pytest.mark.parametrize("model", MODELS, ids=["lp-noise", "fp-counts"])
     def test_bnb_equals_exhaustive(self, model, seed):
         _, oracle, weights = bnb_sized_case(model, seed)
-        t_bnb, v_bnb = oracle.branch_and_bound(weights)
+        t_bnb, v_bnb = oracle.best(weights)
         t_exh, v_exh = oracle.exhaustive(weights)
         assert t_bnb == t_exh
         assert v_bnb == v_exh
-        assert oracle.best(weights) == (t_bnb, v_bnb)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("model", MODELS, ids=["lp-noise", "fp-counts"])
@@ -212,19 +210,30 @@ class TestBitIdentityAtBnbSizes:
         assert t_got == t_ref
         assert v_got == v_ref
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "_EPS = 1e-15 is an absolute tolerance, about one ulp at coverage "
-        "5.8: above unit mass the two exact methods can split between "
-        "equally covering tuples"))
     def test_exact_methods_split_above_unit_mass(self):
         # Fictitious-play-like counts that do not sum to the round count
-        # (as weighted masses q(v)·w(v) need not), so coverage reaches 5.8.
+        # (as weighted masses q(v)·w(v) need not), so coverage reaches
+        # 5.8; an absolute 1e-15 tie tolerance, about one ulp there, let
+        # the two searches split between equally covering tuples.
         graph = gnp_random_graph(12, 0.45, seed=238)
         oracle = CoverageOracle(graph, 4)
-        assert oracle.tuple_count > _AUTO_DFS_LIMIT
         counts = [5, 0, 2, 0, 3, 4, 0, 2, 4, 4, 4, 3]
         weights = {v: c / 5 for v, c in zip(graph.sorted_vertices(), counts)}
-        assert oracle.branch_and_bound(weights) == oracle.exhaustive(weights)
+        assert oracle.best(weights) == oracle.exhaustive(weights)
+
+    @pytest.mark.parametrize("seed", range(200, 210))
+    def test_near_tie_sweep_above_unit_mass(self, seed):
+        # Twelve vectors of counts c/r (r = 3..7), total mass about n/2:
+        # mathematically tied coverages round a few ulps apart.  Under an
+        # absolute 1e-15 tolerance these seeds split on 10 of 120.
+        graph = gnp_random_graph(12, 0.45, seed=seed)
+        oracle = CoverageOracle(graph, 4)
+        rng = random.Random(f"near-tie:{seed}")
+        for _ in range(12):
+            r = rng.randint(3, 7)
+            weights = {v: rng.randrange(r + 1) / r
+                       for v in graph.sorted_vertices()}
+            assert oracle.best(weights) == oracle.exhaustive(weights), r
 
 
 class TestGoldenSolverBytes:

@@ -171,9 +171,9 @@ def _cases():
         "weighted_double_oracle.medium": lambda: weighted_double_oracle(
             weighted),
         "fictitious_play.medium": lambda: fictitious_play(fp, rounds=60),
-        # fp's 9880 tuples keep the case above on the exhaustive DFS;
-        # do_b's 7.2e7 make every round's best response a branch and
-        # bound query, the path perfbench's fp-rounds runs.
+        # Every round's best response is a branch and bound query at
+        # any size; do_b's 7.2e7 tuples are the scale perfbench's
+        # fp-rounds runs, fp's 9880 above a small one.
         "fictitious_play.bnb": lambda: fictitious_play(do_b, rounds=100),
         # Both sides' optimal-polytope probes: 2 x (n + m) pinned solves
         # on one warm-started HiGHS model per side.
