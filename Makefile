@@ -103,5 +103,8 @@ mypy:
 ## the full CI gate: static analysis, types, instrumentation smoke test,
 ## report rendering, docs freshness, tier-1 tests, hot-path perf smoke,
 ## perf watchdog, result-cache lifecycle, solve-service lifecycle,
-## differential fuzz, benchmark self-tests
+## differential fuzz, benchmark self-tests; without mypy its last line
+## says that no type check ran
 ci: lint mypy obs-check report-smoke api-docs-check test bench-smoke bench-watch cache-smoke serve-smoke slo-smoke fuzz-smoke perfbench-check
+	@$(PYTHON) -c "import mypy" >/dev/null 2>&1 || \
+		echo "make ci: no type check ran (mypy not installed)"

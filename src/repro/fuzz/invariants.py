@@ -9,8 +9,9 @@ to the same set; every check carries the paper result it enforces:
 check                         theorem     cross-checked paths
 ============================  ==========  =======================================
 ``pure-threshold``            T3.1, C3.3  Gallai/blossom cover vs pure-NE search
-``value-agreement``           —           LP minimax, double oracle,
-                                          fictitious-play sandwich
+``value-agreement``           —           LP minimax (its profile is an NE),
+                                          attacker LP on ``−Aᵀ``, double
+                                          oracle, fictitious-play sandwich
 ``solve-cascade``             T3.4, T4.5  structural cascade vs LP value; the
                                           k-matching gain law ``k·ν/ρ(G)``
 ``serialize-roundtrip``       —           JSON dump → load → re-verify → re-dump
@@ -24,7 +25,7 @@ check                         theorem     cross-checked paths
 ``incremental-lp``            —           every double-oracle restricted duel,
                                           plain and weighted: the grown
                                           model vs a fresh one-shot duel vs
-                                          the two-LP (``−Aᵀ``) route; the
+                                          the attacker LP on ``−Aᵀ``; the
                                           dual-read attacker mixture is
                                           optimal; each master solve adds
                                           1–3 new columns that price out
@@ -97,8 +98,8 @@ from repro.solvers.lp import (
     LPSolution,
     _CoverageMatching,
     _MatrixDuel,
-    _minimax,
     _payoff_matrix,
+    lp_equilibrium,
     solve_minimax,
 )
 from repro.solvers.ranges import attacker_vertex_ranges, defender_edge_ranges
@@ -184,9 +185,23 @@ def check_pure_threshold(game: TupleGame, tol: float) -> List[Violation]:
 
 
 def check_value_agreement(game: TupleGame, tol: float) -> List[Violation]:
-    """All three solver routes must agree on the per-attacker value."""
+    """Four solver routes must agree on the per-attacker value, and the
+    LP profile (attacker read off the duals) must be a mixed NE."""
     out: List[Violation] = []
-    value = solve_minimax(game).value
+    config, solution = lp_equilibrium(game)
+    value = solution.value
+    if not is_mixed_nash(game, config):
+        out.append(Violation(
+            "value-agreement",
+            "lp_equilibrium's profile is not a mixed NE"))
+    coverage = _payoff_matrix(game.graph.sorted_vertices(),
+                              list(all_tuples(game.graph, game.k)),
+                              tuple_vertices, None)
+    attacker_value = -_MatrixDuel(-coverage.T).solve()[0]
+    if not _close(attacker_value, value, tol):
+        out.append(Violation(
+            "value-agreement",
+            f"attacker LP on -A^T={attacker_value!r} vs LP={value!r}"))
 
     do_exact = double_oracle(game)
     if not do_exact.exact:
@@ -395,7 +410,7 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
     """On every double-oracle iteration, plain and on the weighted lift,
     the value of the restricted duel the loop grows column by column
     equals that of a freshly built one-shot duel over the same pools, and
-    the two-LP (``−Aᵀ``) route equals the dual-read attacker route, within
+    minus the attacker's own duel's on ``−Aᵀ`` equals it too, within
     :data:`_INCREMENTAL_LP_TOLERANCE`; and the dual-read attacker mixture
     ``q`` is optimal: no pooled tuple scores ``(A q)ₜ`` above the value
     plus that tolerance.  Between two master solves the loop adds one to
@@ -417,11 +432,10 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
                     attackers))
             previous[:] = [solution, list(defenders)]
             fresh, _, _ = _MatrixDuel(payoff).solve()
-            two_lp = _minimax(attackers, defenders, tuple_vertices,
-                              weights).value
+            attacker_lp, _, _ = _MatrixDuel(-payoff.T).solve()
             for route, value, reference in (
                 ("incremental", solution.value, fresh),
-                ("two-LP", two_lp, fresh),
+                ("attacker-LP", -attacker_lp, fresh),
             ):
                 if not _close(value, reference, _INCREMENTAL_LP_TOLERANCE):
                     out.append(Violation(

@@ -22,19 +22,19 @@ proposals zeroed), and every new proposal that prices out becomes a
 column.  The exact oracle is asked only when none does; the loop stops
 only when the exact oracle adds nothing, so the final gap is still a
 certificate, while the exact search typically runs once per solve.  That
-exact oracle is the coverage kernel's search (exhaustive DFS or branch
-and bound) on small games and, beyond ``C(m, k) = 10¹⁵``, one HiGHS
-model of the same question as a maximum-weight matching of at most ``k``
-edges in ``G⁺`` (:class:`~repro.solvers.lp._CoverageMatching`), whose
-cost does not swing with the attacker mixture as branch and bound's does.
+exact oracle is the coverage kernel's branch and bound on small games
+and, beyond ``C(m, k) = 10¹⁵``, one HiGHS model of the same question as
+a maximum-weight matching of at most ``k`` edges in ``G⁺``
+(:class:`~repro.solvers.lp._CoverageMatching`), whose cost does not
+swing with the attacker mixture as branch and bound's does.
 
 The defender pool typically stays tiny — a few dozen tuples even when
 ``E^k`` has millions — because equilibrium supports are small (cf. the
 ``δ`` tuples of Lemma 4.8).  The attacker has only ``n`` pure strategies,
 so the attacker pool is materialized *eagerly* (all vertices up front)
-and the attacker mixture is read off the defender LP's duals: one LP per
-iteration instead of two, and no iterations spent growing the attacker
-pool one vertex at a time.
+and the attacker mixture is read off the defender LP's duals, as in every
+game LP: one certified LP per iteration, and no iterations spent growing
+the attacker pool one vertex at a time.
 """
 
 from __future__ import annotations

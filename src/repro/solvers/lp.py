@@ -24,18 +24,20 @@ Solved by HiGHS through scipy's bundled binding
 :class:`_MatrixDuel` model per duel, which the double-oracle loop grows by
 its new columns each iteration so each restricted solve warm-starts from
 the previous optimal basis, and which :mod:`repro.solvers.ranges` pins at
-the game value to probe the optimal-strategy polytope.  A model's first
-solve runs HiGHS's default (dual) simplex, and that is the only solve a
-one-shot duel makes; every later solve of the same model runs primal
-simplex, for which the previous optimal basis is still a feasible start.
-The same binding answers the double oracle's certificate on large games:
+the game value to probe the optimal-strategy polytope.  Every solve
+reads the attacker's mixture off the model's duals and certifies both
+mixtures against the payoff matrix.  A model's first solve runs HiGHS's
+default (dual) simplex, and that is the only solve a one-shot duel
+makes; every later solve of the same model runs primal simplex, for
+which the previous optimal basis is still a feasible start.  The same
+binding answers the double oracle's certificate on large games:
 :class:`_CoverageMatching` is the defender's best response as a matching
 model of ``G⁺``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +79,9 @@ _PRUNE = 1e-10
 _PRIMAL_SIMPLEX = 4
 #: The smallest feasibility tolerance HiGHS accepts.
 _MIN_FEASIBILITY = 1e-10
+#: How far, per unit of the largest payoff magnitude, a duel's returned
+#: mixtures may miss its value (:meth:`_MatrixDuel.solve`).
+_CERTIFICATE_SLACK = 1e-7
 
 
 class LPSolution:
@@ -167,10 +172,11 @@ class _MatrixDuel:
     :meth:`add_columns` appends defender strategies and the next
     :meth:`solve` warm-starts from the previous optimal basis by primal
     simplex, so the double-oracle loop grows one model instead of
-    rebuilding it every iteration.
+    rebuilding it every iteration.  The model keeps the payoff rows it
+    is given, against which :meth:`solve` certifies its answer.
     """
 
-    __slots__ = ("_highs", "_attackers", "_z")
+    __slots__ = ("_highs", "_z", "_payoff")
 
     def __init__(self, payoff: np.ndarray,
                  tolerance: Optional[float] = None) -> None:
@@ -197,7 +203,7 @@ class _MatrixDuel:
             np.empty(0),
         )
         self._highs = highs
-        self._attackers = attackers
+        self._payoff = payoff[:0]
         self.add_columns(payoff)
         # z is free with cost −1: HiGHS minimizes.
         self._z = count
@@ -206,6 +212,7 @@ class _MatrixDuel:
 
     def add_columns(self, payoff: np.ndarray) -> None:
         """Append one column per row of ``payoff``, in one bulk call."""
+        self._payoff = np.concatenate((self._payoff, payoff))
         count = payoff.shape[0]
         entries = np.hstack([-payoff, np.ones((count, 1))])
         columns, rows = np.nonzero(entries)
@@ -221,22 +228,37 @@ class _MatrixDuel:
         weights ``p`` and the attacker's optimal mixture ``q``, read off
         the negated duals of the attacker rows (stationarity of z makes
         them sum to 1, complementary slackness puts mass only on min-hit
-        strategies)."""
-        highs = self._highs
-        status = self._run()
-        if status != HighsModelStatus.kOptimal:
+        strategies).  Raises :class:`~repro.core.game.GameError` unless
+        ``max_t (A q)_t`` and ``min_r (pᵀA)_r`` are within
+        :data:`_CERTIFICATE_SLACK` (per unit of ``max |A|``) of the value.
+        """
+        value, weights, attacker = self._optimum()
+        payoff = self._payoff
+        slack = _CERTIFICATE_SLACK * max(1.0, float(np.abs(payoff).max()))
+        concedes = float((payoff @ attacker).max())
+        guarantees = float((weights @ payoff).min())
+        if concedes > value + slack or guarantees < value - slack:
             raise GameError(
-                f"duel LP failed: {highs.modelStatusToString(status)}"
+                f"duel LP certificate failed: value {value!r}, but the "
+                f"attacker mixture concedes {concedes!r} and the defender "
+                f"mixture guarantees {guarantees!r}"
             )
+        return value, weights, attacker
+
+    def _optimum(self) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Run HiGHS and read ``(value, p, q)`` off its optimum."""
+        highs = self._highs
+        self._run("duel LP")
         solution = highs.getSolution()
         return (
             -highs.getObjectiveValue(),
             np.delete(solution.col_value, self._z),
-            -np.asarray(solution.row_dual)[:self._attackers],
+            -np.asarray(solution.row_dual)[:self._payoff.shape[1]],
         )
 
-    def _run(self) -> HighsModelStatus:
-        """Run HiGHS and return the model status.
+    def _run(self, model: str) -> None:
+        """Run HiGHS; raise :class:`~repro.core.game.GameError`, naming
+        ``model``, unless the model status is optimal.
 
         The first run of a model keeps HiGHS's default (dual) simplex.
         Every later run restarts from the previous optimal basis, which
@@ -250,7 +272,11 @@ class _MatrixDuel:
         highs = self._highs
         highs.run()
         highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-        return highs.getModelStatus()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise GameError(
+                f"{model} failed: {highs.modelStatusToString(status)}"
+            )
 
     def minimize_pinned(self, guarantee: float, costs: np.ndarray) -> float:
         """Fix ``z`` at ``guarantee``, give the ``p`` columns the costs
@@ -268,11 +294,7 @@ class _MatrixDuel:
         count = len(costs) + 1
         highs.changeColsCost(count, np.arange(count, dtype=np.int32),
                              np.insert(costs, self._z, 0.0))
-        status = self._run()
-        if status != HighsModelStatus.kOptimal:
-            raise GameError(
-                f"pinned duel LP failed: {highs.modelStatusToString(status)}"
-            )
+        self._run("pinned duel LP")
         return highs.getObjectiveValue()
 
 
@@ -441,20 +463,24 @@ def _minimax(vertices, strategies, coverage_of, weights) -> LPSolution:
     if not vertices or not strategies:
         raise GameError("minimax needs non-empty strategy sets on both sides")
     payoff = _payoff_matrix(vertices, strategies, coverage_of, weights)
-    return _solve_matrix_duel(payoff, vertices, strategies)
+    return _solve_duel(_MatrixDuel(payoff), vertices, strategies)
 
 
-def _observed_solve(
-    solve: Callable[[], LPSolution], t_count: int, n: int
-) -> LPSolution:
-    """Run one game-LP solve under the ``lp.solve`` counter, histograms,
-    span, debug log and event."""
+def _solve_duel(duel: _MatrixDuel, vertices, strategies) -> LPSolution:
+    """Solve ``duel``, built over ``strategies`` × ``vertices`` (one-shot,
+    or the double-oracle loop's, grown column by column), with the
+    attacker read off the duals and both mixtures certified, under the
+    ``lp.solve`` counter, histograms, span, debug log and event."""
+    t_count, n = len(strategies), len(vertices)
     metrics.counter("lp.solve.count").inc()
     metrics.histogram("lp.matrix.strategies").observe(t_count)
     metrics.histogram("lp.matrix.vertices").observe(n)
     with tracing.span("lp.solve", strategies=t_count, vertices=n), \
             metrics.timer("lp.solve.seconds") as timing:
-        solution = solve()
+        value, weights, attacker = duel.solve()
+        solution = LPSolution(float(value),
+                              _prune_and_normalize(weights, strategies),
+                              _prune_and_normalize(attacker, vertices))
     _log.debug(
         "lp.solve", strategies=t_count, vertices=n,
         value=solution.value, seconds=timing.elapsed,
@@ -464,48 +490,6 @@ def _observed_solve(
         value=solution.value, seconds=timing.elapsed,
     )
     return solution
-
-
-def _solve_matrix_duel(payoff, vertices, strategies) -> LPSolution:
-    """Solve a defender-payoff matrix's duel from both sides and package
-    the optima.
-
-    The attacker's own LP is the same duel on ``−Aᵀ``: it maximizes
-    ``−max_t (A q)_t``, so its value is minus the attacker's, and the two
-    values must agree (the explicit duality-gap check the validation
-    suites rely on).
-    """
-    def solve() -> LPSolution:
-        value, weights, _ = _MatrixDuel(payoff).solve()
-        attacker_value, attacker, _ = _MatrixDuel(-payoff.T).solve()
-        if abs(value + attacker_value) > 1e-7:
-            raise GameError(
-                "LP duality gap: defender value "
-                f"{value!r} vs attacker value {-attacker_value!r}"
-            )
-        return _lp_solution(value, weights, attacker, vertices, strategies)
-
-    return _observed_solve(solve, *payoff.shape)
-
-
-def _solve_duel(duel: _MatrixDuel, vertices, strategies) -> LPSolution:
-    """Solve ``duel``, built over ``strategies`` × ``vertices`` (the
-    double-oracle loop's, grown column by column), with the attacker
-    read off the duals."""
-    def solve() -> LPSolution:
-        value, weights, attacker = duel.solve()
-        return _lp_solution(value, weights, attacker, vertices, strategies)
-
-    return _observed_solve(solve, len(strategies), len(vertices))
-
-
-def _lp_solution(value, weights, attacker, vertices, strategies) -> LPSolution:
-    """Package a duel optimum, both mixtures pruned and normalized."""
-    return LPSolution(
-        float(value),
-        _prune_and_normalize(weights, strategies),
-        _prune_and_normalize(attacker, vertices),
-    )
 
 
 @tracing.traced("lp.solve_minimax")

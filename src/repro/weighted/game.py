@@ -188,11 +188,11 @@ def weighted_minimax(
     """Exact equilibrium of the weighted duel by LP.
 
     The duel of :func:`repro.solvers.lp.minimax_over_strategies` over the
-    negated escape matrix ``D[t, v] = w(v)·([v ∈ V(t)] − 1)``, with its
-    explicit duality-gap check.  The reported
-    ``value`` is the equilibrium *escape* profit per attacker (minus the
-    duel's value); the defender's per-attacker catch value follows from
-    the attacker mixture.
+    negated escape matrix ``D[t, v] = w(v)·([v ∈ V(t)] − 1)``, one LP
+    with both mixtures certified.  The reported ``value`` is the
+    equilibrium *escape* profit per attacker (minus the duel's value);
+    the defender's per-attacker catch value follows from the attacker
+    mixture.
     """
     base = game.base
     if base.tuple_strategy_count() > tuple_limit:
@@ -213,7 +213,7 @@ def _escape_solution(solution: LPSolution) -> LPSolution:
                       solution.attacker)
 
 
-_LP_RESULT_FORMAT = "repro.weighted.lp-result.v1"
+_LP_RESULT_FORMAT = "repro.weighted.lp-result.v2"
 _DO_RESULT_FORMAT = "repro.weighted.double-oracle-result.v4"
 
 
