@@ -456,7 +456,7 @@ def check_incremental_lp(game: TupleGame, tol: float) -> List[Violation]:
                 ))
 
         _double_oracle_loop(game, weights, tolerance=_DO_TOLERANCE,
-                            max_iterations=300, audit=audit)
+                            audit=audit)
     return out
 
 

@@ -162,7 +162,6 @@ _PARAM_SPECS: Dict[str, Dict[str, Tuple[Any, Callable]]] = {
     },
     "double-oracle": {
         "tolerance": _positive_float_param(1e-9),
-        "max_iterations": _int_param(200, minimum=1, maximum=100_000),
     },
     "fictitious-play": {
         "rounds": _int_param(200, minimum=1, maximum=1_000_000),

@@ -11,10 +11,9 @@ actual optimum.  :func:`best_tuple` returns it.
 This module is a thin facade: the search runs on the amortized
 :class:`~repro.kernels.coverage.CoverageOracle` (one precompute per
 ``(graph, k)``, memoized process-wide), whose
-:meth:`~repro.kernels.coverage.CoverageOracle.best` enumerates small
-strategy sets and runs branch and bound on large ones.  Either way the
-answer is the canonical **lexicographically smallest** optimal tuple, ties
-included.
+:meth:`~repro.kernels.coverage.CoverageOracle.best` runs branch and bound
+at every size.  The answer is the canonical **lexicographically smallest**
+optimal tuple, ties included.
 """
 
 from __future__ import annotations

@@ -39,12 +39,13 @@ the attacker pool one vertex at a time.
 
 from __future__ import annotations
 
+import itertools
 import json
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import repro.cache as result_cache
-from repro.core.game import GameError, TupleGame
+from repro.core.game import TupleGame
 from repro.core.tuples import EdgeTuple, tuple_vertices
 from repro.graphs.core import Vertex
 from repro.kernels.coverage import CoverageOracle, shared_oracle
@@ -245,7 +246,6 @@ def _certifier(
 def double_oracle(
     game: TupleGame,
     tolerance: float = 1e-9,
-    max_iterations: int = 200,
 ) -> DoubleOracleResult:
     """Solve the duel of ``Π_k(G)`` by lazy strategy generation.
 
@@ -254,14 +254,16 @@ def double_oracle(
     — the coverage kernel up to ``C(m, k) = 10¹⁵`` tuples and the ``G⁺``
     matching model above.
 
-    Raises :class:`~repro.core.game.GameError` if the oracles still
-    improve after ``max_iterations`` master solves.  The game on
+    The loop has no iteration cap: it stops only when the exact oracle
+    adds nothing, and every other iteration pools a new tuple, so it
+    ends within ``C(m, k)`` iterations.  The game on
     ``random_bipartite_graph(100, 150, 0.025, seed=7)`` with ``k = 20``
-    (m ≈ 400) converges in about 110.
+    (m ≈ 400) converges in about 110, ``gnp_random_graph(200, 0.02,
+    seed=1)`` with ``k = 20`` (m = 434) in 206.  The result is
+    ``exact=False`` when the certified gap at that stop exceeds
+    ``2·tolerance``.
     """
-    return DOUBLE_ORACLE_CALL(
-        game, tolerance=tolerance, max_iterations=max_iterations,
-    )
+    return DOUBLE_ORACLE_CALL(game, tolerance=tolerance)
 
 
 #: :func:`double_oracle`'s cache identity and cold path, shared with the
@@ -289,7 +291,6 @@ def _double_oracle_loop(
     game: TupleGame,
     weights: Optional[Mapping[Vertex, float]],
     tolerance: float,
-    max_iterations: int,
     audit: Optional[
         Callable[[LPSolution, List[Vertex], List[EdgeTuple]], None]
     ] = None,
@@ -314,11 +315,14 @@ def _double_oracle_loop(
     restricted = _MatrixDuel(_payoff_matrix(
         vertices, defender_pool, tuple_vertices, weights), tolerance)
 
-    solution = None
-    gap = float("inf")
     gap_history: List[float] = []
     oracle_timer = metrics.histogram("double_oracle.oracle.seconds")
-    for iteration in range(1, max_iterations + 1):
+    # The loop ends only on its certificate, an iteration that adds no
+    # column.  Every other iteration pools at least one tuple outside
+    # `defender_seen` (greedy's proposals are pairwise distinct, and they
+    # and the certificate's tuple are filtered against it), so the pool
+    # grows strictly and the loop ends within C(m, k) iterations.
+    for iteration in itertools.count(1):
         solution = _solve_duel(restricted, vertices, defender_pool)
         if audit is not None:
             audit(solution, vertices, defender_pool)
@@ -365,49 +369,39 @@ def _double_oracle_loop(
 
         gap = def_payoff - att_payoff
         gap_history.append(gap)
+        # At convergence each oracle is within one `tolerance` of the
+        # restricted value, so a certified gap beyond twice that means
+        # the loop stopped short of the optimum.
+        exact = gap <= 2.0 * tolerance
         obs_events.publish(
             "solver.iteration", solver="double_oracle",
             iteration=iteration, value=solution.value, gap=gap,
             defender_pool=len(defender_pool),
             attacker_pool=len(vertices),
+            **({} if columns else {"converged": True, "certified": exact}),
         )
         _log.debug(
             "double_oracle.iteration", i=iteration, value=solution.value,
             gap=gap, defender_pool=len(defender_pool),
             attacker_pool=len(vertices),
         )
-        if columns:
-            defender_pool.extend(columns)
-            defender_seen.update(columns)
-            restricted.add_columns(_payoff_matrix(
-                vertices, columns, tuple_vertices, weights))
-            continue
-        # At convergence each oracle is within one `tolerance` of the
-        # restricted value, so a certified gap beyond twice that means
-        # the loop stopped short of the optimum.
-        exact = gap <= 2.0 * tolerance
-        metrics.counter("double_oracle.runs.count").inc()
-        metrics.counter("double_oracle.iterations.count").inc(iteration)
-        metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
-        metrics.gauge("double_oracle.pool.attacker").set(len(vertices))
-        metrics.gauge("double_oracle.gap").set(gap)
-        _log.info(
-            "double_oracle.converged", iterations=iteration,
-            value=solution.value, gap=gap, exact=exact,
-        )
-        obs_events.publish(
-            "solver.iteration", solver="double_oracle",
-            iteration=iteration, value=solution.value, gap=gap,
-            defender_pool=len(defender_pool),
-            attacker_pool=len(vertices),
-            converged=True, certified=exact,
-        )
-        return DoubleOracleResult(
-            solution, iteration, len(defender_pool),
-            len(vertices), gap, gap_history, exact,
-        )
+        if not columns:
+            break
+        defender_pool.extend(columns)
+        defender_seen.update(columns)
+        restricted.add_columns(_payoff_matrix(
+            vertices, columns, tuple_vertices, weights))
 
-    raise GameError(
-        f"double oracle did not converge within {max_iterations} iterations "
-        f"(remaining gap {gap!r})"
+    metrics.counter("double_oracle.runs.count").inc()
+    metrics.counter("double_oracle.iterations.count").inc(iteration)
+    metrics.gauge("double_oracle.pool.defender").set(len(defender_pool))
+    metrics.gauge("double_oracle.pool.attacker").set(len(vertices))
+    metrics.gauge("double_oracle.gap").set(gap)
+    _log.info(
+        "double_oracle.converged", iterations=iteration,
+        value=solution.value, gap=gap, exact=exact,
+    )
+    return DoubleOracleResult(
+        solution, iteration, len(defender_pool),
+        len(vertices), gap, gap_history, exact,
     )

@@ -287,7 +287,6 @@ _WEIGHTED_LP_CALL = result_cache.CachedCall(
 def weighted_double_oracle(
     game: WeightedTupleGame,
     tolerance: float = 1e-9,
-    max_iterations: int = 300,
 ) -> Tuple[MixedConfiguration, float]:
     """Weighted equilibrium by lazy strategy generation.
 
@@ -299,20 +298,18 @@ def weighted_double_oracle(
     and the attacker oracle maximizes the escape profit ``w(v)(1 − hit(v))``.
 
     Returns ``(equilibrium configuration, escape value per attacker)``.
-    Cache-aware like :func:`weighted_lp_equilibrium`.  Raises
-    :class:`~repro.core.game.GameError` if the loop does not converge
-    within ``max_iterations`` or its certified gap exceeds
-    ``2·tolerance``.
+    Cache-aware like :func:`weighted_lp_equilibrium`.  Like the plain
+    loop it has no iteration cap and stops only on its certificate;
+    raises :class:`~repro.core.game.GameError` if the certified gap
+    there exceeds ``2·tolerance``.
     """
-    return _WEIGHTED_DO_CALL(game, tolerance=tolerance,
-                             max_iterations=max_iterations)
+    return _WEIGHTED_DO_CALL(game, tolerance=tolerance)
 
 
 def _weighted_do_cold(
-    game: WeightedTupleGame, tolerance: float, max_iterations: int
+    game: WeightedTupleGame, tolerance: float
 ) -> Tuple[MixedConfiguration, float]:
-    result = _double_oracle_loop(
-        game.base, game.weights, tolerance, max_iterations)
+    result = _double_oracle_loop(game.base, game.weights, tolerance)
     if not result.exact:
         raise GameError(
             f"weighted double oracle stalled short of the optimum "

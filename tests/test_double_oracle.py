@@ -124,8 +124,7 @@ class TestExactWork:
 
 class TestLargeTier:
     """At m ≈ 400 and k = 20 the certificate comes from the G+ matching
-    model, once, and the run converges within the default cap on the
-    k/rho value of Claim 4.3."""
+    model, once, and the run converges on the k/rho value of Claim 4.3."""
 
     def test_certifies_k_over_rho_at_m_400(self):
         from repro.obs import metrics
@@ -140,6 +139,18 @@ class TestLargeTier:
             20 / minimum_edge_cover_size(graph), abs=1e-9)
         assert (matching.value, TestExactWork._exact_queries()) \
             == (before[0] + 1, before[1])
+
+    def test_certifies_k_over_rho_past_200_iterations(self):
+        """gnp(200, 0.02) at k = 20 (m = 434) needs 206 iterations; the
+        loop has no cap and stops on its certificate."""
+        from repro.graphs.generators import gnp_random_graph
+
+        graph = gnp_random_graph(200, 0.02, seed=1)
+        result = double_oracle(TupleGame(graph, 20, nu=1))
+        assert result.exact
+        assert result.iterations > 200
+        assert minimum_edge_cover_size(graph) == 102
+        assert result.value == pytest.approx(20 / 102, abs=1e-9)
 
     def test_non_bipartite_certificate_agrees_with_bnb(self):
         """Above the threshold off bipartite graphs the G+ model is a
@@ -161,10 +172,54 @@ class TestLargeTier:
         assert best == pytest.approx(result.value, abs=1e-9)
 
 
-class TestConvergenceGuard:
-    def test_max_iterations_raises(self):
-        from repro.core.game import GameError
+class TestTermination:
+    """The loop stops only on its certificate: an iteration whose
+    greedy proposals and certified tuple are all pooled adds no column,
+    so it is the last.  Here the certificate returns a pooled tuple with
+    a bound above the value, so the run stops after one iteration on a
+    gap no tolerance covers."""
 
-        game = TupleGame(grid_graph(3, 3), 2, nu=1)
-        with pytest.raises(GameError, match="did not converge"):
-            double_oracle(game, max_iterations=1)
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        import importlib
+
+        do = importlib.import_module("repro.solvers.double_oracle")
+
+        real_family = do._greedy_family
+
+        def pooled_family(oracle, masses, cap):
+            # Always the initial pool (greedy on unit masses), so every
+            # proposal is a pooled tuple.
+            return real_family(
+                oracle, dict.fromkeys(oracle.vertices, 1.0), None)[:cap]
+
+        def pooled_certifier(oracle, tolerance):
+            calls = []
+
+            def certify(masses):
+                calls.append(masses)
+                if len(calls) > 1:
+                    raise RuntimeError("the loop went on past a pooled "
+                                       "certificate")
+                pooled = pooled_family(oracle, masses, 1)[0]
+                return pooled, sum(masses.values()) + 1.0
+
+            return certify
+
+        monkeypatch.setattr(do, "_greedy_family", pooled_family)
+        monkeypatch.setattr(do, "_certifier", pooled_certifier)
+
+    def test_plain_returns_inexact_after_one_iteration(self, planted):
+        result = double_oracle(TupleGame(grid_graph(3, 3), 2, nu=1))
+        assert result.iterations == 1
+        assert not result.exact
+        assert result.certified_gap > 2e-9
+
+    def test_weighted_raises_on_the_certified_gap(self, planted):
+        from repro.core.game import GameError
+        from repro.weighted import WeightedTupleGame, weighted_double_oracle
+
+        graph = grid_graph(3, 3)
+        weights = dict.fromkeys(graph.sorted_vertices(), 1.0)
+        with pytest.raises(GameError, match="certified gap"):
+            weighted_double_oracle(WeightedTupleGame(graph, 2, weights, nu=1))

@@ -170,7 +170,7 @@ class TestIncrementalDuel:
                 attackers, defenders, tuple_vertices, weights)).solve()
             seen.append((solution.value, fresh))
 
-        _double_oracle_loop(game, weights, 1e-9, 300, audit=audit)
+        _double_oracle_loop(game, weights, 1e-9, audit=audit)
         assert len(seen) >= 2
         for incremental, fresh in seen:
             assert incremental == pytest.approx(fresh, abs=1e-9)
@@ -221,7 +221,7 @@ class TestDuelCertificate:
             "solve_minimax": lambda: solve_minimax(self._GAME),
             "weighted_minimax": lambda: weighted_minimax(self._WEIGHTED),
             "double_oracle_master": lambda: _double_oracle_loop(
-                self._GAME, None, 1e-9, 300),
+                self._GAME, None, 1e-9),
         }[route]
         monkeypatch.setattr(_MatrixDuel, "_optimum", _planted(side))
         with pytest.raises(GameError, match="certificate failed"):

@@ -136,11 +136,11 @@ class TestSolverInstrumentation:
             e["payload"] for e in events.recent(types=["solver.iteration"])
             if e["payload"].get("solver") == "double_oracle"
         ]
-        assert len(steps) >= 2
-        assert [s["iteration"] for s in steps[:-1]] == \
-            list(range(1, len(steps)))
+        assert [s["iteration"] for s in steps] == \
+            list(range(1, result.iterations + 1))
         for step in steps:
             assert {"gap", "defender_pool", "attacker_pool"} <= set(step)
+        assert not any("converged" in step for step in steps[:-1])
         final = steps[-1]
         assert final["converged"] is True
         assert final["certified"] == result.exact

@@ -123,9 +123,7 @@ class TestEndpoints:
 
     def test_double_oracle(self, service):
         _svc, base = service
-        status, body = post(base, "/double-oracle", {
-            "game": PATH_GAME, "params": {"max_iterations": 50},
-        })
+        status, body = post(base, "/double-oracle", {"game": PATH_GAME})
         assert status == 200
         assert body["result"]["certified_gap"] <= 1e-6
         assert body["result"]["value"] == pytest.approx(1.0)
@@ -209,7 +207,8 @@ class TestValidationErrors:
         {"lazy_attacker": True},
         {"method": "greedy"},
         {"method": "bnb"},
-    ], ids=["lazy-attacker", "greedy-method", "bnb-method"])
+        {"max_iterations": 50},
+    ], ids=["lazy-attacker", "greedy-method", "bnb-method", "max-iterations"])
     def test_removed_double_oracle_params_rejected(self, service, params):
         _svc, base = service
         status, body = post(base, "/double-oracle", {
@@ -420,7 +419,7 @@ LIBRARY_CALLS = [
      {"seed": 3, "allow_extensions": False}),
     ("double-oracle",
      lambda game, **p: double_oracle_result_to_json(double_oracle(game, **p)),
-     {"tolerance": 1e-7, "max_iterations": 50}),
+     {"tolerance": 1e-7}),
     ("fictitious-play",
      lambda game, **p: fictitious_play_result_to_json(
          fictitious_play(game, **p)),

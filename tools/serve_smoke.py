@@ -45,7 +45,7 @@ GAME = {
 
 ENDPOINT_PARAMS = {
     "solve": {"seed": 0},
-    "double-oracle": {"max_iterations": 60},
+    "double-oracle": {},
     "fictitious-play": {"rounds": 40},
     "ranges": {"side": "both"},
 }
