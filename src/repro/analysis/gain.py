@@ -70,7 +70,7 @@ def gain_curve(
         if include_lp and game.tuple_strategy_count() <= lp_tuple_limit:
             from repro.solvers.lp import lp_defender_gain
 
-            lp_gain = lp_defender_gain(game, tuple_limit=lp_tuple_limit)
+            lp_gain = lp_defender_gain(game)
         points.append(GainPoint(k, result.kind, result.defender_gain, lp_gain))
     return points
 

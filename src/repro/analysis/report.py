@@ -112,7 +112,7 @@ def _polytope_section(graph: Graph, k: int, lines: List[str]) -> None:
             f"(C(m, k) > {_RANGES_TUPLE_LIMIT})"
         )
         return
-    ranges = strategy_ranges(game, tuple_limit=_RANGES_TUPLE_LIMIT)
+    ranges = strategy_ranges(game)
     attacker, defender = ranges["attacker"], ranges["defender"]
     safe = sorted(
         graph.vertices() - set(attacker.usable()), key=vertex_sort_key

@@ -219,11 +219,10 @@ class CachedCall:
     """One library entry point's cache identity, and the way to run it.
 
     ``solver`` names the cache entries and the ledger run; the call's
-    keyword parameters are the cache params verbatim.  ``compute(game,
-    **params)`` solves cold; ``encode`` writes the result document,
-    stamped ``format_tag``, and ``build(payload)`` rebuilds the result
-    from the parsed document (:meth:`decode`).
-    ``attributes(params)`` stamps the ledger run (default: the params),
+    keyword parameters are the cache params and the run's attributes,
+    verbatim.  ``compute(game, **params)`` solves cold; ``encode`` writes
+    the result document, stamped ``format_tag``, and ``build(payload)``
+    rebuilds the result from the parsed document (:meth:`decode`).
     ``scope(game, params)`` is called as the run opens and returns the
     spans and timers to enter, and ``finish(game, params, result)`` runs
     after every call that returns.
@@ -238,7 +237,6 @@ class CachedCall:
     encode: Callable[[Any], str]
     build: Callable[[Dict[str, Any]], Any]
     format_tag: str
-    attributes: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
     scope: Optional[
         Callable[[Any, Dict[str, Any]], Iterable[ContextManager]]] = None
     finish: Optional[Callable[[Any, Dict[str, Any], Any], None]] = None
@@ -283,9 +281,7 @@ class CachedCall:
         or the caller asks for ``text``; that one document is both the
         stored payload and the returned text.  A hit returns its payload.
         """
-        attributes = params if self.attributes is None \
-            else self.attributes(params)
-        with obs_ledger.run(self.solver, game=game, **attributes,
+        with obs_ledger.run(self.solver, game=game, **params,
                             cache_hit=probe.hit), ExitStack() as stack:
             for context in self.scope(game, params) if self.scope else ():
                 stack.enter_context(context)

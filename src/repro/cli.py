@@ -52,7 +52,11 @@ from repro.analysis.tables import Table
 from repro.core.game import GameError, TupleGame
 from repro.core.profits import expected_profit_tp, hit_probability
 from repro.core.pure import find_pure_nash, pure_nash_exists
-from repro.equilibria.solve import NoEquilibriumFoundError, solve_game
+from repro.equilibria.solve import (
+    NoEquilibriumFoundError,
+    SolveResult,
+    solve_game,
+)
 from repro.fuzz import add_fuzz_arguments as fuzz_arguments
 from repro.fuzz import run_fuzz_from_args
 from repro.graphs.core import Graph, vertex_sort_key
@@ -733,23 +737,27 @@ def _cmd_redteam(graph: Graph, k: int, rounds: int, seed: int) -> int:
     return 0
 
 
+def _traced_solve(
+    graph: Graph, k: int, nu: int, seed: int,
+) -> Optional[SolveResult]:
+    """``solve_game`` with tracing on over a cleared trace; ``None``
+    once a missing structural equilibrium is reported."""
+    obs_tracing.enable_tracing(True)
+    obs_tracing.clear_trace()
+    try:
+        return solve_game(TupleGame(graph, k, nu), seed=seed)
+    except NoEquilibriumFoundError as exc:
+        _emit(f"no structural equilibrium: {exc}")
+        return None
+
+
 def _cmd_stats(
     graph: Graph, k: int, nu: int, seed: int, fmt: str,
     output: Optional[str] = None,
 ) -> int:
     """Run a fully traced solve and print the observability snapshot."""
-    obs_tracing.enable_tracing(True)
-    obs_tracing.clear_trace()
-    game = TupleGame(graph, k, nu)
-    kind: Optional[str] = None
-    gain: Optional[float] = None
-    code = 0
-    try:
-        result = solve_game(game, seed=seed)
-        kind, gain = result.kind, result.defender_gain
-    except NoEquilibriumFoundError as exc:
-        _emit(f"no structural equilibrium: {exc}")
-        code = 1
+    result = _traced_solve(graph, k, nu, seed)
+    code = 0 if result is not None else 1
     registry = obs_metrics.get_registry()
 
     def _deliver(text: str) -> None:
@@ -768,9 +776,9 @@ def _cmd_stats(
         _deliver(registry.to_prometheus())
         return code
     lines: List[str] = []
-    if kind is not None:
-        lines.append(f"equilibrium kind : {kind}")
-        lines.append(f"defender gain    : {gain:.6f}")
+    if result is not None:
+        lines.append(f"equilibrium kind : {result.kind}")
+        lines.append(f"defender gain    : {result.defender_gain:.6f}")
     lines.append("\n== trace ==")
     lines.append(obs_tracing.render_trace())
     lines.append("\n== span aggregation ==")
@@ -786,17 +794,13 @@ def _cmd_profile(
     chrome_trace: Optional[str], folded: Optional[str],
 ) -> int:
     """Run a traced solve and report/export the deterministic profile."""
-    obs_tracing.enable_tracing(True)
-    obs_tracing.clear_trace()
-    game = TupleGame(graph, k, nu)
-    code = 0
-    try:
-        result = solve_game(game, seed=seed)
+    result = _traced_solve(graph, k, nu, seed)
+    if result is None:
+        code = 1
+    else:
+        code = 0
         _emit(f"equilibrium kind : {result.kind}")
         _emit(f"defender gain    : {result.defender_gain:.6f}")
-    except NoEquilibriumFoundError as exc:
-        _emit(f"no structural equilibrium: {exc}")
-        code = 1
     spans = obs_tracing.get_trace()
     _emit("\n== span aggregation (self-time hot spots first) ==")
     _emit(obs_prof.render_aggregate(obs_prof.aggregate(spans)))

@@ -134,7 +134,6 @@ def enumerate_k_matchings(graph: Graph, k: int) -> Iterator[EdgeTuple]:
 def uniform_kmatching_equilibrium(
     game: TupleGame,
     tol: float = 1e-12,
-    enumeration_limit: int = _KMATCHING_ENUMERATION_LIMIT,
 ) -> MixedConfiguration:
     """Candidate-and-verify: uniform over all size-k matchings.
 
@@ -142,13 +141,14 @@ def uniform_kmatching_equilibrium(
     symmetric enough for all hit probabilities to coincide (checked, not
     assumed); raises :class:`~repro.core.game.GameError` otherwise, or
     when the graph has no matching of size ``k``, or when ``C(m, k)``
-    exceeds ``enumeration_limit``.
+    exceeds the module's ``_KMATCHING_ENUMERATION_LIMIT`` of 250,000
+    tuples.
     """
     graph = game.graph
-    if game.tuple_strategy_count() > enumeration_limit:
+    if game.tuple_strategy_count() > _KMATCHING_ENUMERATION_LIMIT:
         raise GameError(
             f"C(m={graph.m}, k={game.k}) exceeds the enumeration limit "
-            f"{enumeration_limit}"
+            f"{_KMATCHING_ENUMERATION_LIMIT}"
         )
     matchings: List[EdgeTuple] = list(enumerate_k_matchings(graph, game.k))
     if not matchings:

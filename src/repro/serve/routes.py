@@ -62,7 +62,7 @@ def _ranges_doc(ranges: StrategyRanges) -> Dict[str, Any]:
 
 def _ranges_payload(game: TupleGame, params: Dict[str, Any]) -> Any:
     sides = SIDES if params["side"] == "both" else (params["side"],)
-    ranges = strategy_ranges(game, sides, tuple_limit=params["tuple_limit"])
+    ranges = strategy_ranges(game, sides)
     return {side: _ranges_doc(found) for side, found in ranges.items()}
 
 

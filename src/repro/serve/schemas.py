@@ -169,7 +169,6 @@ _PARAM_SPECS: Dict[str, Dict[str, Tuple[Any, Callable]]] = {
     },
     "ranges": {
         "side": _choice_param(("attacker", "defender", "both"), "both"),
-        "tuple_limit": _int_param(100_000, minimum=1, maximum=100_000),
     },
 }
 

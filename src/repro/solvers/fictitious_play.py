@@ -226,7 +226,6 @@ FICTITIOUS_PLAY_CALL = result_cache.CachedCall(
          for lower, upper in payload["history"]],
     ),
     _RESULT_FORMAT,
-    attributes=lambda params: {"max_rounds": params["rounds"]},
     scope=lambda game, params: [
         tracing.span("fictitious_play.run", n=game.graph.n, k=game.k,
                      max_rounds=params["rounds"]),

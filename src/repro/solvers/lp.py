@@ -73,7 +73,9 @@ __all__ = [
     "lp_defender_gain",
 ]
 
-_DEFAULT_TUPLE_LIMIT = 200_000
+#: The most tuples an exact duel over all of ``E^k`` enumerates
+#: (:func:`solve_minimax`, :func:`repro.weighted.weighted_minimax`).
+_TUPLE_LIMIT = 200_000
 _PRUNE = 1e-10
 #: HiGHS's ``simplex_strategy`` option value for primal simplex.
 _PRIMAL_SIMPLEX = 4
@@ -428,9 +430,10 @@ def minimax_over_strategies(vertices, strategies, coverage_of) -> LPSolution:
     attacker over ``vertices``; ``coverage_of(strategy)`` yields the
     vertices that strategy protects.
 
-    This is the engine under :func:`solve_minimax` and under the
-    generalized defender models of :mod:`repro.models` (path and star
-    defenders), which differ only in the strategy family.
+    :func:`solve_minimax` runs the same duel over every k-tuple; this
+    is the engine under the generalized defender models of
+    :mod:`repro.models` (path and star defenders), which differ only in
+    the strategy family.
     """
     return _minimax(vertices, strategies, coverage_of, None)
 
@@ -492,50 +495,50 @@ def _solve_duel(duel: _MatrixDuel, vertices, strategies) -> LPSolution:
     return solution
 
 
+def _enumerated_minimax(game: TupleGame, weights=None) -> LPSolution:
+    """The duel over all ``C(m, k)`` tuples of ``game`` — the negated
+    escape duel with vertex ``weights`` — once the count is checked
+    against :data:`_TUPLE_LIMIT`, so an oversized game raises
+    :class:`~repro.core.game.GameError` before any tuple is enumerated."""
+    total_tuples = game.tuple_strategy_count()
+    if total_tuples > _TUPLE_LIMIT:
+        raise GameError(
+            f"C(m={game.m}, k={game.k}) = {total_tuples} tuples exceed the "
+            f"LP limit of {_TUPLE_LIMIT}"
+        )
+    return _minimax(game.graph.sorted_vertices(),
+                    all_tuples(game.graph, game.k), tuple_vertices, weights)
+
+
 @tracing.traced("lp.solve_minimax")
-def solve_minimax(
-    game: TupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
-) -> LPSolution:
+def solve_minimax(game: TupleGame) -> LPSolution:
     """Solve the Tuple-model duel exactly over the full strategy sets.
 
     Raises :class:`~repro.core.game.GameError` when the defender's
-    strategy set exceeds ``tuple_limit`` (the LP matrix would not fit) —
-    use the structural algorithms or fictitious play there instead.
+    strategy set exceeds the module's ``_TUPLE_LIMIT`` of 200,000 tuples
+    (the LP matrix would not fit) — use the structural algorithms or
+    fictitious play there instead.
     """
-    total_tuples = game.tuple_strategy_count()
-    if total_tuples > tuple_limit:
-        raise GameError(
-            f"C(m={game.m}, k={game.k}) = {total_tuples} tuples exceed the "
-            f"LP limit of {tuple_limit}"
-        )
     with obs_ledger.run("solvers.lp.solve_minimax", game=game,
-                        tuples=total_tuples):
-        return minimax_over_strategies(
-            game.graph.sorted_vertices(),
-            all_tuples(game.graph, game.k),
-            tuple_vertices,
-        )
+                        tuples=game.tuple_strategy_count()):
+        return _enumerated_minimax(game)
 
 
 @tracing.traced("lp.lp_equilibrium")
-def lp_equilibrium(
-    game: TupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
-) -> Tuple[MixedConfiguration, LPSolution]:
+def lp_equilibrium(game: TupleGame) -> Tuple[MixedConfiguration, LPSolution]:
     """A (possibly unstructured) mixed NE assembled from the LP optima.
 
     Every vertex player adopts the optimal attacker distribution, the
     tuple player the optimal defender distribution; by zero-sum
     exchangeability the profile is a mixed NE of ``Π_k(G)``.
     """
-    solution = solve_minimax(game, tuple_limit=tuple_limit)
+    solution = solve_minimax(game)
     config = MixedConfiguration(
         game, [solution.attacker] * game.nu, solution.defender
     )
     return config, solution
 
 
-def lp_defender_gain(
-    game: TupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
-) -> float:
+def lp_defender_gain(game: TupleGame) -> float:
     """The defender's equilibrium gain ``ν · value`` — exact, unstructured."""
-    return game.nu * solve_minimax(game, tuple_limit=tuple_limit).value
+    return game.nu * solve_minimax(game).value

@@ -60,7 +60,9 @@ make the probed polytope *empty*, so a probe would fail on games that
 are perfectly well-posed.  The relaxation is relative (scaled by
 ``max(1, |v*|)``) and the widened retry keeps the probe well inside any
 meaningful probability resolution (ranges are reported at 1e-7)."""
-_DEFAULT_TUPLE_LIMIT = 100_000
+_TUPLE_LIMIT = 100_000
+"""The most tuples :func:`strategy_ranges` enumerates; it also bounds
+what one served ``/ranges`` request may cost."""
 
 
 def _relaxation(value: float) -> float:
@@ -116,11 +118,12 @@ class StrategyRanges:
         )
 
 
-def _coverage(game: TupleGame, tuple_limit: int):
+def _coverage(game: TupleGame):
     """The sorted vertices, every k-tuple and the 0/1 coverage matrix."""
-    if game.tuple_strategy_count() > tuple_limit:
+    if game.tuple_strategy_count() > _TUPLE_LIMIT:
         raise GameError(
-            f"C(m={game.m}, k={game.k}) exceeds the probing limit {tuple_limit}"
+            f"C(m={game.m}, k={game.k}) exceeds the probing limit "
+            f"{_TUPLE_LIMIT}"
         )
     vertices = game.graph.sorted_vertices()
     tuples = list(all_tuples(game.graph, game.k))
@@ -163,14 +166,15 @@ def _probe_ranges(
 def strategy_ranges(
     game: TupleGame,
     sides: Sequence[str] = SIDES,
-    tuple_limit: int = _DEFAULT_TUPLE_LIMIT,
 ) -> Dict[str, StrategyRanges]:
     """The ranges of each of ``sides`` (``"attacker"``, ``"defender"``),
     keyed by side in the order given.
 
     Both sides share one coverage matrix and one solve of the defender's
     duel for ``v*``; each answer is the one the side's own function
-    returns, bit for bit.
+    returns, bit for bit.  Raises :class:`~repro.core.game.GameError`,
+    before enumerating any tuple, when ``C(m, k)`` exceeds the module's
+    ``_TUPLE_LIMIT`` of 100,000 tuples.
     """
     sides = tuple(sides)
     if not sides or not set(sides) <= set(SIDES):
@@ -178,20 +182,20 @@ def strategy_ranges(
     entry = "both" if len(set(sides)) > 1 else sides[0]
     with obs_ledger.run(f"solvers.ranges.{entry}", game=game), \
             tracing.span("ranges", sides=entry, n=game.graph.n, k=game.k):
-        return _strategy_ranges(game, sides, tuple_limit)
+        return _strategy_ranges(game, sides)
 
 
 def _strategy_ranges(
-    game, sides, tuple_limit, solve_minimax=None
+    game, sides, solve_minimax=None
 ) -> Dict[str, StrategyRanges]:
     """:func:`strategy_ranges` without the ledger run; a
     ``solve_minimax`` stand-in, when given, supplies ``v*``."""
-    vertices, tuples, coverage = _coverage(game, tuple_limit)
+    vertices, tuples, coverage = _coverage(game)
     # The defender's duel A: its one solve gives v*, and the defender
     # side then pins it.
     duel = _MatrixDuel(coverage)
     if solve_minimax is not None:
-        value = solve_minimax(game, tuple_limit=tuple_limit).value
+        value = solve_minimax(game).value
     else:
         value = float(duel.solve()[0])
     out: Dict[str, StrategyRanges] = {}
@@ -218,24 +222,20 @@ def _strategy_ranges(
     return out
 
 
-def attacker_vertex_ranges(
-    game: TupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
-) -> StrategyRanges:
+def attacker_vertex_ranges(game: TupleGame) -> StrategyRanges:
     """[min, max] probability of each vertex across optimal attacker
     mixtures.
 
     The optimality polytope is ``{q ≥ 0 : Σq = 1, (A q)_t ≤ v* ∀t}``.
     """
-    return strategy_ranges(game, ("attacker",), tuple_limit)["attacker"]
+    return strategy_ranges(game, ("attacker",))["attacker"]
 
 
-def defender_edge_ranges(
-    game: TupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
-) -> StrategyRanges:
+def defender_edge_ranges(game: TupleGame) -> StrategyRanges:
     """[min, max] *marginal* probability of each edge (the chance the
     schedule scans it) across optimal defender mixtures.
 
     The optimality polytope is ``{p ≥ 0 : Σp = 1, (Aᵀ p)_v ≥ v* ∀v}``;
     the probed coordinate is ``Σ_{t ∋ e} p_t``.
     """
-    return strategy_ranges(game, ("defender",), tuple_limit)["defender"]
+    return strategy_ranges(game, ("defender",))["defender"]

@@ -48,15 +48,14 @@ from repro.core.serialize import (
     _configuration_from_payload,
     _configuration_payload,
 )
-from repro.core.tuples import all_tuples, tuple_vertices
 from repro.graphs.core import Graph, Vertex
 from repro.solvers.best_response import best_tuple
 from repro.solvers.double_oracle import _double_oracle_loop
 from repro.solvers.lp import (
     LPSolution,
     _lp_solution_from_payload,
+    _enumerated_minimax,
     _lp_solution_payload,
-    _minimax,
 )
 
 __all__ = [
@@ -69,8 +68,6 @@ __all__ = [
     "weighted_do_result_to_json",
     "weighted_do_result_from_json",
 ]
-
-_DEFAULT_TUPLE_LIMIT = 200_000
 
 
 class WeightedTupleGame:
@@ -182,9 +179,7 @@ class WeightedTupleGame:
         )
 
 
-def weighted_minimax(
-    game: WeightedTupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
-) -> LPSolution:
+def weighted_minimax(game: WeightedTupleGame) -> LPSolution:
     """Exact equilibrium of the weighted duel by LP.
 
     The duel of :func:`repro.solvers.lp.minimax_over_strategies` over the
@@ -193,17 +188,12 @@ def weighted_minimax(
     equilibrium *escape* profit per attacker (minus the duel's value);
     the defender's per-attacker catch value follows from the attacker
     mixture.
+
+    Raises :class:`~repro.core.game.GameError`, before enumerating any
+    tuple, when ``C(m, k)`` exceeds :mod:`repro.solvers.lp`'s
+    ``_TUPLE_LIMIT`` of 200,000 tuples.
     """
-    base = game.base
-    if base.tuple_strategy_count() > tuple_limit:
-        raise GameError(
-            f"C(m={base.m}, k={base.k}) exceeds the LP limit {tuple_limit}"
-        )
-    solution = _minimax(
-        game.graph.sorted_vertices(), all_tuples(game.graph, game.k),
-        tuple_vertices, game.weights,
-    )
-    return _escape_solution(solution)
+    return _escape_solution(_enumerated_minimax(game.base, game.weights))
 
 
 def _escape_solution(solution: LPSolution) -> LPSolution:
@@ -255,23 +245,23 @@ def _result_json(format_tag: str, config: MixedConfiguration,
 
 
 def weighted_lp_equilibrium(
-    game: WeightedTupleGame, tuple_limit: int = _DEFAULT_TUPLE_LIMIT
+    game: WeightedTupleGame,
 ) -> Tuple[MixedConfiguration, LPSolution]:
     """A mixed NE of the weighted game from the LP optima.
 
     ``solution.value`` is the per-attacker *escape* profit at equilibrium.
     Cache-aware: with :mod:`repro.cache` enabled, a repeated solve of the
-    same weighted game (same weights — the fingerprint carries them) and
-    ``tuple_limit`` replays the stored result, and the ledger record is
-    stamped with ``cache_hit``.
+    same weighted game (same weights — the fingerprint carries them)
+    replays the stored result, and the ledger record is stamped with
+    ``cache_hit``.
     """
-    return _WEIGHTED_LP_CALL(game, tuple_limit=tuple_limit)
+    return _WEIGHTED_LP_CALL(game)
 
 
 def _weighted_lp_cold(
-    game: WeightedTupleGame, tuple_limit: int
+    game: WeightedTupleGame,
 ) -> Tuple[MixedConfiguration, LPSolution]:
-    solution = weighted_minimax(game, tuple_limit=tuple_limit)
+    solution = weighted_minimax(game)
     return _configuration(game, solution), solution
 
 

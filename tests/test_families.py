@@ -148,6 +148,7 @@ class TestUniformKMatchingEquilibrium:
             uniform_kmatching_equilibrium(TupleGame(star_graph(4), 2, nu=1))
 
     def test_enumeration_guard(self):
+        """C(45, 5) = 1,221,759 tuples exceed the 250,000 limit."""
         game = TupleGame(complete_graph(10), 5, nu=1)
-        with pytest.raises(GameError, match="enumeration limit"):
-            uniform_kmatching_equilibrium(game, enumeration_limit=10)
+        with pytest.raises(GameError, match="enumeration limit 250000"):
+            uniform_kmatching_equilibrium(game)

@@ -11,6 +11,7 @@ import pytest
 from repro.core.characterization import verify_best_responses
 from repro.core.game import GameError, TupleGame
 from repro.core.profits import expected_profit_tp
+from repro.equilibria.families import uniform_kmatching_equilibrium
 from repro.equilibria.solve import solve_game
 from repro.graphs.generators import (
     complete_bipartite_graph,
@@ -31,6 +32,7 @@ from repro.solvers.lp import (
     lp_equilibrium,
     solve_minimax,
 )
+from repro.solvers.ranges import strategy_ranges
 from repro.weighted.game import WeightedTupleGame, weighted_minimax
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,9 +118,32 @@ class TestLPEquilibrium:
         assert all(p > 0 for p in solution.attacker.values())
 
     def test_tuple_limit_guard(self):
+        """C(30, 10) = 30,045,015 tuples exceed the 200,000 LP limit."""
         game = TupleGame(complete_bipartite_graph(5, 6), 10, nu=1)
-        with pytest.raises(GameError, match="exceed the LP limit"):
-            solve_minimax(game, tuple_limit=100)
+        with pytest.raises(GameError, match="exceed the LP limit of 200000"):
+            solve_minimax(game)
+
+    @pytest.mark.parametrize("solve", [
+        solve_minimax,
+        lambda game: weighted_minimax(WeightedTupleGame(
+            game.graph, game.k, {v: 1.0 for v in game.graph.vertices()})),
+        strategy_ranges,
+        uniform_kmatching_equilibrium,
+    ], ids=["lp", "weighted", "ranges", "kmatching"])
+    def test_guards_fire_before_enumeration(self, solve, monkeypatch):
+        """Every size guard raises on the count alone: with the
+        enumerators patched to fail when called, an oversized game still
+        gets the guard's GameError."""
+        def enumerated(*_args):
+            raise AssertionError("enumerated past the size guard")
+
+        for target in ("repro.solvers.lp.all_tuples",
+                       "repro.solvers.ranges.all_tuples",
+                       "repro.equilibria.families.enumerate_k_matchings"):
+            monkeypatch.setattr(target, enumerated)
+        game = TupleGame(complete_bipartite_graph(5, 6), 10, nu=1)
+        with pytest.raises(GameError, match="limit"):
+            solve(game)
 
     def test_repr(self):
         solution = solve_minimax(TupleGame(path_graph(4), 1, nu=1))

@@ -90,11 +90,12 @@ class TestDefenderRanges:
 
 class TestErgonomics:
     def test_limit_guard(self):
+        """C(20, 8) = 125,970 tuples exceed the 100,000 probing limit."""
         game = TupleGame(complete_bipartite_graph(4, 5), 8, nu=1)
-        with pytest.raises(GameError, match="probing limit"):
-            attacker_vertex_ranges(game, tuple_limit=10)
-        with pytest.raises(GameError, match="probing limit"):
-            defender_edge_ranges(game, tuple_limit=10)
+        with pytest.raises(GameError, match="probing limit 100000"):
+            attacker_vertex_ranges(game)
+        with pytest.raises(GameError, match="probing limit 100000"):
+            defender_edge_ranges(game)
 
     def test_repr(self):
         game = TupleGame(path_graph(4), 1, nu=1)
@@ -120,8 +121,7 @@ class TestBothSides:
         game = TupleGame(graph, k, nu=1)
 
         def payload(side):
-            return _ranges_payload(game, {"side": side,
-                                          "tuple_limit": 100_000})
+            return _ranges_payload(game, {"side": side})
 
         single = {side: payload(side)[side]
                   for side in ("attacker", "defender")}
@@ -174,8 +174,8 @@ class TestPerturbedValueRobustness:
             def __init__(self, value):
                 self.value = value
 
-        def stub(game, tuple_limit=None):
-            return _Result(solve_minimax(game, tuple_limit=tuple_limit).value + delta)
+        def stub(game):
+            return _Result(solve_minimax(game).value + delta)
 
         return stub
 
@@ -187,7 +187,7 @@ class TestPerturbedValueRobustness:
 
         game = TupleGame(star_graph(3), 1, nu=1)
         before = metrics.counter("ranges.probe.retry.count").value
-        ranges = _strategy_ranges(game, ("attacker",), 1000,
+        ranges = _strategy_ranges(game, ("attacker",),
                                   self._stub_minimax(-1e-7))["attacker"]
         assert metrics.counter("ranges.probe.retry.count").value == before + 1
         # Star K_{1,3}: the attacker hides on a leaf, never the center.
@@ -202,7 +202,7 @@ class TestPerturbedValueRobustness:
 
         game = TupleGame(star_graph(3), 1, nu=1)
         before = metrics.counter("ranges.probe.retry.count").value
-        ranges = _strategy_ranges(game, ("defender",), 1000,
+        ranges = _strategy_ranges(game, ("defender",),
                                   self._stub_minimax(1e-7))["defender"]
         assert metrics.counter("ranges.probe.retry.count").value == before + 1
         for low, high in ranges.ranges.values():
@@ -215,7 +215,7 @@ class TestPerturbedValueRobustness:
 
         game = TupleGame(star_graph(3), 1, nu=1)
         with pytest.raises(GameError, match="widened tolerance"):
-            _strategy_ranges(game, ("attacker",), 1000,
+            _strategy_ranges(game, ("attacker",),
                              self._stub_minimax(-0.05))
 
     def test_unperturbed_paths_do_not_retry(self):

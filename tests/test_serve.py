@@ -203,15 +203,20 @@ class TestValidationErrors:
         assert body["error"]["code"] == "invalid-params"
         assert "bogus" in body["error"]["message"]
 
-    @pytest.mark.parametrize("params", [
-        {"lazy_attacker": True},
-        {"method": "greedy"},
-        {"method": "bnb"},
-        {"max_iterations": 50},
-    ], ids=["lazy-attacker", "greedy-method", "bnb-method", "max-iterations"])
-    def test_removed_double_oracle_params_rejected(self, service, params):
+    @pytest.mark.parametrize("endpoint, params", [
+        ("/double-oracle", {"lazy_attacker": True}),
+        ("/double-oracle", {"method": "greedy"}),
+        ("/double-oracle", {"method": "bnb"}),
+        ("/double-oracle", {"max_iterations": 50}),
+        ("/ranges", {"tuple_limit": 100_000}),
+    ], ids=["lazy-attacker", "greedy-method", "bnb-method", "max-iterations",
+            "ranges-tuple-limit"])
+    def test_removed_double_oracle_params_rejected(self, service, endpoint,
+                                                   params):
+        """Params the library no longer takes (on ``/double-oracle``, and
+        ``/ranges``'s ``tuple_limit``) are unknown, not ignored."""
         _svc, base = service
-        status, body = post(base, "/double-oracle", {
+        status, body = post(base, endpoint, {
             "game": PATH_GAME, "params": params,
         })
         assert status == 400
@@ -242,19 +247,22 @@ class TestValidationErrors:
         assert body["error"]["code"] == "invalid-params"
 
     def test_ranges_tuple_limit_is_capped(self, service):
-        """A served probe never enumerates more tuples than the library
-        default allows: a larger ``tuple_limit`` is a 400, not a hang."""
+        """A served probe never enumerates more tuples than the library's
+        100,000 limit: K_{4,5} with k=8 has C(20, 8) = 125,970, so it is
+        a prompt 422, not a hang."""
         _svc, base = service
-        per_code = metrics.counter("serve.errors.invalid-params.count")
+        per_code = metrics.counter("serve.errors.game-error.count")
         before = per_code.value
-        status, body = post(base, "/ranges", {
-            "game": PATH_GAME, "params": {"tuple_limit": 100_001},
-        })
-        assert status == 400
-        assert body["error"]["code"] == "invalid-params"
-        assert "tuple_limit" in body["error"]["message"]
+        game = {"edges": [[i, 4 + j] for i in range(4) for j in range(5)],
+                "k": 8, "nu": 1}
+        started = time.monotonic()
+        status, body = post(base, "/ranges", {"game": game})
+        assert time.monotonic() - started < 5.0
+        assert status == 422
+        assert body["error"]["code"] == "game-error"
+        assert "probing limit 100000" in body["error"]["message"]
         _wait_for(lambda: per_code.value >= before + 1,
-                  "invalid-params per-code counter")
+                  "game-error per-code counter")
 
     def test_no_equilibrium_is_422(self, service):
         _svc, base = service

@@ -146,10 +146,11 @@ class TestWeightedEquilibria:
         assert 0 < game.expected_profit_defender(config) <= game.total_weight() * 2
 
     def test_tuple_limit_guard(self):
-        graph = complete_bipartite_graph(4, 5)
-        game = WeightedTupleGame(graph, 8, uniform_weights(graph))
-        with pytest.raises(GameError, match="LP limit"):
-            weighted_minimax(game, tuple_limit=5)
+        """C(30, 10) = 30,045,015 tuples exceed the 200,000 LP limit."""
+        graph = complete_bipartite_graph(5, 6)
+        game = WeightedTupleGame(graph, 10, uniform_weights(graph))
+        with pytest.raises(GameError, match="LP limit of 200000"):
+            weighted_minimax(game)
 
 
 class TestWeightedDoubleOracle:
