@@ -24,6 +24,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -56,6 +57,8 @@ class _SortKey:
     different or unorderable types fall back to ``(type name, repr)``,
     which is stable across runs.  Only the comparison protocol needed by
     ``sorted`` (plus ``<=`` for edge canonicalization) is implemented.
+    :func:`vertex_sort_key` uses it only for vertices that are not an
+    exact ``int`` or ``str``.
     """
 
     __slots__ = ("type_name", "value")
@@ -84,9 +87,24 @@ class _SortKey:
         return self == other or self < other
 
 
-def _sort_key(vertex: Vertex) -> _SortKey:
-    """Key function for the library's deterministic vertex order."""
-    return _SortKey(vertex)
+_NATIVE_TYPES = (int, str)
+
+_Key = Tuple[str, object]
+
+
+def _sort_key(vertex: Vertex) -> _Key:
+    """Key function for the library's deterministic vertex order.
+
+    The key is ``(type name, value)``: an exact ``int`` or ``str`` stands
+    as itself, so ``sorted`` compares it at C speed, and any other value
+    is wrapped in :class:`_SortKey`.  The two groups meet only under
+    different type names (assuming no other vertex type is named ``int``
+    or ``str``), so the order is exactly :class:`_SortKey`'s.
+    """
+    kind = type(vertex)
+    if kind in _NATIVE_TYPES:
+        return (kind.__name__, vertex)
+    return (kind.__name__, _SortKey(vertex))
 
 
 #: Public alias, for callers outside this module that want to sort
@@ -94,7 +112,7 @@ def _sort_key(vertex: Vertex) -> _SortKey:
 vertex_sort_key = _sort_key
 
 
-def edge_sort_key(edge: Edge) -> Tuple[_SortKey, _SortKey]:
+def edge_sort_key(edge: Edge) -> Tuple[_Key, _Key]:
     """Sort key placing edges in the library's canonical (lexicographic)
     order.
 
@@ -107,7 +125,7 @@ def edge_sort_key(edge: Edge) -> Tuple[_SortKey, _SortKey]:
     return (_sort_key(edge[0]), _sort_key(edge[1]))
 
 
-def tuple_sort_key(edges: Iterable[Edge]) -> Tuple[Tuple[_SortKey, _SortKey], ...]:
+def tuple_sort_key(edges: Iterable[Edge]) -> Tuple[Tuple[_Key, _Key], ...]:
     """Sort key for edge *tuples* (defender strategies) — lexicographic on
     :func:`edge_sort_key`, total even across mixed vertex types."""
     return tuple(edge_sort_key(e) for e in edges)
@@ -152,7 +170,10 @@ class Graph:
     [1, 3]
     """
 
-    __slots__ = ("_adjacency", "_edges", "_vertices", "_hash")
+    __slots__ = (
+        "_adjacency", "_edges", "_vertices", "_hash",
+        "_sorted_vertices", "_sorted_edges",
+    )
 
     def __init__(
         self,
@@ -185,6 +206,11 @@ class Graph:
         self._edges: FrozenSet[Edge] = frozenset(edge_set)
         self._vertices: FrozenSet[Vertex] = frozenset(adjacency)
         self._hash: int = hash((self._vertices, self._edges))
+        # Canonical orders, each sorted once on first use.  A memo is
+        # written once with a value every thread would compute alike, so
+        # threads sharing the graph need no lock.
+        self._sorted_vertices: Optional[Tuple[Vertex, ...]] = None
+        self._sorted_edges: Optional[Tuple[Edge, ...]] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -208,12 +234,18 @@ class Graph:
         return self._edges
 
     def sorted_vertices(self) -> List[Vertex]:
-        """Vertices in the library's deterministic total order."""
-        return sorted(self._vertices, key=_sort_key)
+        """Vertices in the library's deterministic total order (a fresh
+        list on every call)."""
+        if self._sorted_vertices is None:
+            self._sorted_vertices = tuple(sorted(self._vertices, key=_sort_key))
+        return list(self._sorted_vertices)
 
     def sorted_edges(self) -> List[Edge]:
-        """Edges in deterministic order (lexicographic on canonical form)."""
-        return sorted(self._edges, key=edge_sort_key)
+        """Edges in deterministic order (lexicographic on canonical form;
+        a fresh list on every call)."""
+        if self._sorted_edges is None:
+            self._sorted_edges = tuple(sorted(self._edges, key=edge_sort_key))
+        return list(self._sorted_edges)
 
     def has_vertex(self, v: Vertex) -> bool:
         return v in self._vertices

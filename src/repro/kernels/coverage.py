@@ -229,7 +229,12 @@ class CoverageOracle:
         tuple reaching it, which by construction is the lexicographically
         smallest optimal tuple.  Under the shared mass-relative tie
         tolerance it therefore equals :meth:`exhaustive` *exactly*, ties
-        included, at any total mass.
+        included, at any total mass — while the near-optimal values lie
+        within one tolerance of each other.  Where they spread wider,
+        :meth:`exhaustive` keeps the last of a chain of values each more
+        than a tolerance above the one before, which can be a
+        lexicographically later tuple than the first one within a
+        tolerance of the optimum.
         """
         metrics.counter("perf.kernel.query.count").inc()
         with metrics.timer("perf.kernel.query.seconds"):
@@ -239,12 +244,13 @@ class CoverageOracle:
             order = sorted(range(self.m), key=static.__getitem__, reverse=True)
             value = self._bnb_value(w, static, order, eps)
             # Phase 2 cannot fail in exact arithmetic (the phase-1 value
-            # is attained by some tuple); a looser, still-benign margin
-            # guards against pathological rounding.
-            found = (self._lex_greedy(w, static, order, value, eps)
-                     or self._lex_greedy(w, static, order, value, 1e6 * eps))
+            # is attained by some tuple), but its probe sums gains in
+            # static order and the tuple in slot order, so in the last
+            # ulps it can commit to a slot that no completion reaches.
+            # The lexicographic branch and bound then answers.
+            found = self._lex_greedy(w, static, order, value, eps)
             if found is None:
-                raise RuntimeError(f"no tuple reaches coverage {value!r}")
+                found = self._lex_exact(w, static, order, eps)
             slots, exact_value = found
             return self._slots_to_tuple(slots), exact_value
 
@@ -404,6 +410,67 @@ class CoverageOracle:
             if not placed:
                 return None
         return tuple(chosen), value
+
+    def _lex_exact(
+        self, w: List[float], static: List[float], order: List[int], eps: float
+    ) -> Tuple[Tuple[int, ...], float]:
+        """Phase 2's fallback: branch and bound under :meth:`exhaustive`'s
+        rule.
+
+        Visits tuples in lexicographic order and replaces the incumbent
+        only by a value above it by more than ``eps``, as the exhaustive
+        DFS does, but skips every candidate whose completions the bound
+        or the probe show cannot beat the incumbent.  It backtracks
+        instead of committing slot by slot, so it always returns a tuple;
+        it is slower than :meth:`_lex_greedy` because the incumbent
+        starts at ``-inf``, not at the optimum.
+        """
+        eu, ev, m, k = self._eu, self._ev, self.m, self.k
+        covered = bytearray(self.n)
+        chosen: List[int] = []
+        best_value = float("-inf")
+        best_slots: Tuple[int, ...] = ()
+
+        def descend(
+            start: int, ahead: List[int], ahead_static: List[float], value: float
+        ) -> None:
+            nonlocal best_value, best_slots
+            r = k - len(chosen)
+            for i in range(start, m - r + 1):
+                u = eu[i]
+                v = ev[i]
+                gain = 0.0
+                if not covered[u]:
+                    gain += w[u]
+                if not covered[v]:
+                    gain += w[v]
+                if r == 1:
+                    if value + gain > best_value + eps:
+                        best_value = value + gain
+                        best_slots = tuple(chosen) + (i,)
+                    continue
+                at = ahead.index(i)
+                del ahead[at]
+                del ahead_static[at]
+                bound = 0.0
+                for x in islice(ahead_static, r - 1):
+                    bound += x
+                if value + gain + bound <= best_value + eps:
+                    continue
+                covered[u] += 1
+                covered[v] += 1
+                if self._probe(
+                    w, ahead, ahead_static, r - 1,
+                    best_value + eps - value - gain, covered,
+                ):
+                    chosen.append(i)
+                    descend(i + 1, list(ahead), list(ahead_static), value + gain)
+                    chosen.pop()
+                covered[u] -= 1
+                covered[v] -= 1
+
+        descend(0, list(order), [static[i] for i in order], 0.0)
+        return best_slots, best_value
 
     def _probe(
         self,

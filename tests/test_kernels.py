@@ -221,6 +221,42 @@ class TestBitIdentityAtBnbSizes:
         weights = {v: c / 5 for v, c in zip(graph.sorted_vertices(), counts)}
         assert oracle.best(weights) == oracle.exhaustive(weights)
 
+    def test_certificate_query_with_a_rounding_near_miss(self):
+        # The one certificate query of double_oracle(TupleGame(
+        # random_bipartite_graph(25, 40, 0.10, seed=719340407), 5, 1)):
+        # LP-dual masses on the 40 right-side vertices, summing to
+        # 1.0000000000000002.  Phase 2's probe, summing in static order,
+        # admits a 4-slot prefix whose last slot then falls 6.9e-18 short
+        # in slot order; the answer must still be exhaustive's (pinned
+        # here: exhaustive takes about a minute on this query).
+        graph = random_bipartite_graph(25, 40, 0.10, seed=719340407)
+        masses = [
+        0.025000000000001382, 0.02499999999999971, 0.025000000000000258, 0.024999999999999065,
+        0.02499999999999812, 0.025000000000004692, 0.024999999999997483, 0.024999999999999134,
+        0.02500000000000055, 0.02500000000000024, 0.024999999999997025, 0.025000000000000355,
+        0.024999999999995685, 0.025000000000005178, 0.02499999999999708, 0.02500000000000038,
+        0.02500000000000059, 0.025000000000000938, 0.02499999999999946, 0.024999999999999772,
+        0.024999999999998197, 0.02499999999999801, 0.025000000000000605, 0.025000000000000466,
+        0.024999999999999818, 0.02499999999999994, 0.024999999999997878, 0.025000000000000463,
+        0.025000000000000328, 0.02500000000000041, 0.025000000000001035, 0.025000000000000636,
+        0.025000000000000577, 0.025000000000001243, 0.0249999999999979, 0.024999999999999203,
+        0.02500000000000148, 0.025000000000005497, 0.02499999999999947, 0.024999999999999828,
+        ]
+        weights = dict(zip(range(25, 65), masses))
+        assert CoverageOracle(graph, 5).best(weights) == (
+            ((1, 55), (7, 25), (12, 62), (15, 30), (16, 38)),
+            0.1250000000000178,
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("model", MODELS, ids=["lp-noise", "fp-counts"])
+    def test_fallback_search_equals_exhaustive(self, model, seed, monkeypatch):
+        # Phase 2's fallback is rarely reached; force it on every query.
+        _, oracle, weights = bnb_sized_case(model, seed)
+        monkeypatch.setattr(CoverageOracle, "_lex_greedy",
+                            lambda *args: None)
+        assert oracle.best(weights) == oracle.exhaustive(weights)
+
     @pytest.mark.parametrize("seed", range(200, 210))
     def test_near_tie_sweep_above_unit_mass(self, seed):
         # Twelve vectors of counts c/r (r = 3..7), total mass about n/2:
@@ -244,8 +280,9 @@ class TestGoldenSolverBytes:
     GOLDEN = {
         1: ("e45a9a8ef9f9045c9e8a8a6879e3531b6451766a517f6846b0d78707dbfdcd71",
             "890add71d137c3cdf6ce59b9e374d403a75ce0e55b7258d20c6ae4c2c7eb05bc"),
+        # Seed 2's certificate query takes phase 2's fallback search.
         2: ("482875e9b9a50a459edf57e02b50dae9c816fab94f13487e64301c384e194be1",
-            "35d6badc39fff7a579f219a89e227b78e90b462ae522ab424312c90d0bda02fc"),
+            "e58ad5405dd1658d066095a7070dd92b47a13232305b680c97409ce3aea0a73f"),
     }
 
     @staticmethod

@@ -17,6 +17,7 @@ median and MAD over repetitions; see that module), and
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import tempfile
@@ -54,6 +55,7 @@ _NATIVE = frozenset({"simulation.medium", "fuzz.batch.small",
 
 def _cases():
     from repro.core.game import TupleGame
+    from repro.core.serialize import game_to_json
     from repro.equilibria.solve import solve_game
     from repro.fuzz.invariants import INVARIANTS
     from repro.fuzz.runner import run_fuzz
@@ -71,6 +73,7 @@ def _cases():
     from repro.obs import events as obs_events
     from repro.obs import access as obs_access
     from repro.obs import tracing as obs_tracing
+    from repro.serve.routes import prepare
 
     def publish_off() -> None:
         # The disabled fast path: one attribute check per publish.  The
@@ -176,6 +179,20 @@ def _cases():
         for oracle, masses in certified:
             _CoverageMatching(oracle, 1e-9).best(masses)
 
+    # Served /solve misses in perfbench serve-mixed's miss shape: JSON
+    # parse and validation, the canonical graph, the solve cascade and
+    # the result encoding, all through the library's canonical order.
+    miss_bodies = [
+        json.dumps({"game": json.loads(game_to_json(TupleGame(
+            random_bipartite_graph(20, 30, 0.12, seed=seed), 3, nu=2)))},
+            sort_keys=True).encode("utf-8")
+        for seed in range(1, 5)]
+
+    def served_misses() -> None:
+        result_cache.disable_cache()
+        for body in miss_bodies:
+            prepare("solve", body).run()
+
     return {
         "double_oracle.medium_a": lambda: double_oracle(do_a),
         "double_oracle.medium_b": lambda: double_oracle(do_b),
@@ -194,6 +211,7 @@ def _cases():
         # on one warm-started HiGHS model per side.
         "ranges.small": range_probes,
         "certificate.matching": matching_certificates,
+        "serve.solve.miss": served_misses,
         "simulation.medium": lambda: simulate(
             sim_game, sim_config, trials=400_000, seed=0
         ),
