@@ -208,6 +208,7 @@ class CoverageOracle:
                 covered[v] -= 1
 
         descend(0, 0.0)
+        del descend  # the closure's cell holds itself: break the cycle
         if best_slots is None:
             raise RuntimeError(f"exhaustive search found no {k}-tuple")
         return self._slots_to_tuple(best_slots), best_value
@@ -341,6 +342,7 @@ class CoverageOracle:
                 index += 1
 
         descend(0, 0, 0.0)
+        del descend  # the closure's cell holds itself: break the cycle
         return best
 
     def _lex_greedy(
@@ -470,6 +472,7 @@ class CoverageOracle:
                 covered[v] -= 1
 
         descend(0, list(order), [static[i] for i in order], 0.0)
+        del descend  # the closure's cell holds itself: break the cycle
         return best_slots, best_value
 
     def _probe(
@@ -527,7 +530,9 @@ class CoverageOracle:
                 pos += 1
             return False
 
-        return search(0, need, deficit)
+        found = search(0, need, deficit)
+        del search  # the closure's cell holds itself: break the cycle
+        return found
 
     # ------------------------------------------------------------------
     # approximate query: greedy

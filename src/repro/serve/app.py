@@ -226,7 +226,9 @@ class DefenderService:
         Every response carries ``Date``; when a trace context is given
         (always, for requests that got as far as a response) it also
         carries ``X-Request-Id`` (the trace id — what a client quotes in
-        a bug report) and the outbound W3C ``traceparent`` echo.
+        a bug report) and the outbound W3C ``traceparent`` echo.  Only
+        errors and the GET endpoints arrive as dicts to dump here; a
+        POST endpoint's body arrives as finished bytes.
         """
         if isinstance(payload, (dict, list)):
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -251,7 +253,11 @@ class DefenderService:
     # -- routing ----------------------------------------------------------
 
     async def _dispatch(self, method: str, target: str,
-                        body: bytes) -> Tuple[int, Any, str]:
+                        body: bytes) -> Tuple[int, Any, str, Optional[bool]]:
+        """Route one request: ``(status, payload, content type,
+        cache_hit)``.  A POST endpoint's payload is its finished body
+        bytes; the GET endpoints answer dicts or text, with no
+        ``cache_hit``."""
         path, _, query = target.partition("?")
         path = path.rstrip("/") or "/"
         if path == "/healthz":
@@ -267,26 +273,27 @@ class DefenderService:
                 "queue_limit": self.pool.queue_limit,
                 "queue_depth": self.pool.queue_depth,
                 "uptime_s": uptime,
-            }, "application/json"
+            }, "application/json", None
         if path == "/metrics":
             if method != "GET":
                 raise _HttpError(405, "use GET for /metrics", "bad-method")
             return (200, get_registry().to_prometheus(),
-                    "text/plain; version=0.0.4")
+                    "text/plain; version=0.0.4", None)
         if path == "/slo":
             if method != "GET":
                 raise _HttpError(405, "use GET for /slo", "bad-method")
-            return 200, self.slo.status_document(), "application/json"
+            return 200, self.slo.status_document(), "application/json", None
         if path == "/debug/events":
             if method != "GET":
                 raise _HttpError(405, "use GET for /debug/events",
                                  "bad-method")
-            return (200, self._debug_events(query), "application/json")
+            return (200, self._debug_events(query), "application/json",
+                    None)
         endpoint = path.lstrip("/")
         if method != "POST":
             raise _HttpError(405, f"use POST for /{endpoint}", "bad-method")
-        response = await self._run_endpoint(endpoint, body)
-        return 200, response, "application/json"
+        response, cache_hit = await self._run_endpoint(endpoint, body)
+        return 200, response, "application/json", cache_hit
 
     @staticmethod
     def _debug_events(query: str) -> Dict[str, Any]:
@@ -312,7 +319,9 @@ class DefenderService:
         return {"schema": obs_events.EVENT_SCHEMA, "count": len(events),
                 "events": events}
 
-    async def _run_endpoint(self, endpoint: str, body: bytes) -> Any:
+    async def _run_endpoint(self, endpoint: str,
+                            body: bytes) -> Tuple[bytes, bool]:
+        """The response body of one POST endpoint, and its cache flag."""
         loop = asyncio.get_running_loop()
         # Validation and the cache probe are cheap; run them on the
         # loop's default executor so a burst of malformed requests still
@@ -323,13 +332,13 @@ class DefenderService:
         context = contextvars.copy_context()
         prepared = await loop.run_in_executor(
             None, context.run, prepare, endpoint, body)
-        if prepared.response is not None:
-            return prepared.response
+        if prepared.body is not None:
+            return prepared.body, prepared.cache_hit
         if prepared.run is None:
             raise RuntimeError(f"prepare({endpoint!r}) returned no work")
         future = self.pool.submit(prepared.run)
         try:
-            return await asyncio.wait_for(
+            response = await asyncio.wait_for(
                 asyncio.wrap_future(future),
                 timeout=self.config.request_timeout_s,
             )
@@ -341,6 +350,7 @@ class DefenderService:
                 f"request exceeded {self.config.request_timeout_s:g}s",
                 status=504, code="timeout",
             ) from None
+        return response, prepared.cache_hit
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -351,7 +361,7 @@ class DefenderService:
         endpoint = ""
         error_code: Optional[str] = None
         trace: Optional[tracing.TraceContext] = None
-        payload: Any = None
+        cache_hit: Optional[bool] = None
         try:
             try:
                 method, target, headers, body = await self._read_request(
@@ -365,9 +375,8 @@ class DefenderService:
                 # carries this context's trace_id (the executor hops
                 # copy the contextvars context).
                 trace = tracing.start_trace(headers.get("traceparent"))
-                status, payload, content_type = await self._dispatch(
-                    method, target, body,
-                )
+                status, payload, content_type, cache_hit = \
+                    await self._dispatch(method, target, body)
             except RequestError as exc:
                 status, error_code = exc.status, exc.code
                 payload, content_type = error_payload(exc), "application/json"
@@ -405,13 +414,10 @@ class DefenderService:
                 writer.close()
                 await writer.wait_closed()
             metrics.counter(f"serve.responses.{status}.count").inc()
-            cache_hit = payload.get("cache_hit") \
-                if isinstance(payload, dict) else None
             self._finish_request(
                 trace=trace, method=method, endpoint=endpoint, status=status,
                 error_code=error_code,
-                latency_s=perf_counter() - started,
-                cache_hit=cache_hit if isinstance(cache_hit, bool) else None,
+                latency_s=perf_counter() - started, cache_hit=cache_hit,
             )
 
     def _finish_request(

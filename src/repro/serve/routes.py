@@ -18,6 +18,10 @@ envelope.  The request lifecycle is deliberately ordered:
    ``run.end`` on the event bus) nested around the solver's own record;
    the one encoding of the result is both the stored payload and the
    response body.
+
+Either way the response body is built here, as bytes: the stored or
+just-encoded document is spliced verbatim into the envelope, never
+parsed and re-dumped for output.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, cast
 
 from repro.cache import CacheProbe, CachedCall
 from repro.core.game import GameError, TupleGame
+from repro.core.serialize import _canonical
 from repro.equilibria import NoEquilibriumFoundError
 from repro.equilibria.solve import SOLVE_CALL
 from repro.obs import get_logger, metrics, tracing
@@ -88,24 +93,28 @@ ENDPOINTS: Dict[str, EndpointSpec] = {
 }
 
 
-def _envelope(name: str, payload: Any, cache_hit: bool) -> Dict[str, Any]:
-    return {
-        "schema": RESPONSE_SCHEMA,
-        "endpoint": name,
-        "cache_hit": cache_hit,
-        "result": payload,
-    }
+def _envelope(name: str, document: str, cache_hit: bool) -> bytes:
+    """The ``repro.serve/response/v1`` body around one encoded result.
+
+    ``document`` is spliced in verbatim; the keys keep the sorted order
+    (``cache_hit``, ``endpoint``, ``result``, ``schema``)."""
+    return (f'{{"cache_hit":{"true" if cache_hit else "false"},'
+            f'"endpoint":{json.dumps(name)},"result":{document},'
+            f'"schema":{json.dumps(RESPONSE_SCHEMA)}}}').encode("utf-8")
 
 
 class PreparedRequest(NamedTuple):
     """A validated request: either an inline response or worker work.
 
-    ``response`` is set when the result cache answered (no worker slot
-    needed); otherwise ``run`` is the thunk the app hands to the pool.
+    ``body`` is the response body when the result cache answered (no
+    worker slot needed), with ``cache_hit`` set; otherwise ``run`` is
+    the thunk the app hands to the pool, and it returns the body of a
+    miss (``cache_hit`` stays false).
     """
 
-    response: Optional[Dict[str, Any]] = None
-    run: Optional[Callable[[], Dict[str, Any]]] = None
+    body: Optional[bytes] = None
+    cache_hit: bool = False
+    run: Optional[Callable[[], bytes]] = None
 
 
 def _translate(endpoint: str, exc: GameError) -> RequestError:
@@ -121,7 +130,7 @@ def prepare(endpoint: str, body: bytes) -> PreparedRequest:
     """Validate ``body`` for ``endpoint`` and decide how to answer it.
 
     Raises :class:`~repro.serve.schemas.RequestError` on anything
-    invalid; returns a :class:`PreparedRequest` whose inline ``response``
+    invalid; returns a :class:`PreparedRequest` whose inline ``body``
     is populated on a cache hit (the request never occupies a worker)
     and whose ``run`` thunk is populated otherwise.  The thunk performs
     its own error translation, so the app only ever sees
@@ -138,8 +147,10 @@ def prepare(endpoint: str, body: bytes) -> PreparedRequest:
         probe: Optional[CacheProbe] = None
         if call is not None:
             probe = call.probe(game, params)
-            payload = probe.replay(call.check)
-            if payload is not None:
+            # The check is a full parse plus the format tag: a torn or
+            # stale row is demoted here, and the served bytes are the
+            # stored row itself.
+            if probe.replay(call.check) is not None:
                 metrics.counter("serve.cache_hit.count").inc()
                 with obs_ledger.run(f"serve.{endpoint}", game=game,
                                     cache_hit=True, **params):
@@ -147,9 +158,11 @@ def prepare(endpoint: str, body: bytes) -> PreparedRequest:
                 _log.info("serve.cache_hit", endpoint=endpoint,
                           trace_id=tracing.current_trace_id())
                 return PreparedRequest(
-                    response=_envelope(endpoint, payload, cache_hit=True))
+                    body=_envelope(endpoint, cast(str, probe.payload),
+                                   cache_hit=True),
+                    cache_hit=True)
 
-    def run() -> Dict[str, Any]:
+    def run() -> bytes:
         try:
             with obs_ledger.run(f"serve.{endpoint}", game=game,
                                 cache_hit=False, **params), \
@@ -157,12 +170,11 @@ def prepare(endpoint: str, body: bytes) -> PreparedRequest:
                     metrics.timer(f"serve.{endpoint}.seconds"):
                 if call is not None and probe is not None:
                     # ``text=True``: the one encoding, also with the cache off.
-                    _, text = call.run(game, params, probe, text=True)
-                    result = json.loads(cast(str, text))
+                    _, document = call.run(game, params, probe, text=True)
                 else:
-                    result = cast(Runner, runner)(game, params)
+                    document = _canonical(cast(Runner, runner)(game, params))
         except GameError as exc:
             raise _translate(endpoint, exc) from exc
-        return _envelope(endpoint, result, cache_hit=False)
+        return _envelope(endpoint, cast(str, document), cache_hit=False)
 
     return PreparedRequest(run=run)

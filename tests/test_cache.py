@@ -472,6 +472,32 @@ class TestSolverReplay:
         assert hot == cold
         assert _counter("cache.hits.count") == 1
 
+    def test_v1_row_is_demoted_and_rewritten_as_v2(self, tmp_path, game):
+        """A row an older library stored (indented, tagged v1) is a stale
+        format: demoted to a miss and rewritten in the v2 bytes, so the
+        next hit replays exactly what a fresh solve writes."""
+        result_cache.enable_cache(tmp_path)
+        current = solve_result_to_json(solve_game(game))
+        v1 = json.dumps(
+            {**json.loads(current), "format": "repro.mixed-configuration.v1"},
+            indent=2, sort_keys=True)
+        store = result_cache.get_cache()
+
+        def rows():
+            with store._lock:
+                return [row[0] for row in store._conn.execute(
+                    "SELECT payload FROM cache_entries")]
+
+        with store._lock, store._conn:
+            store._conn.execute("UPDATE cache_entries SET payload = ?", (v1,))
+        assert solve_result_to_json(solve_game(game)) == current
+        assert _counter("cache.errors.count") == 1
+        assert rows() == [current]
+        hits = _counter("cache.hits.count")
+        assert solve_result_to_json(solve_game(game)) == current
+        assert _counter("cache.hits.count") == hits + 1
+        assert _counter("cache.errors.count") == 1
+
     def test_double_oracle_replays_equal_result(self, tmp_path):
         game = TupleGame(grid_graph(2, 3), k=2, nu=1)
         cold = double_oracle(game)

@@ -11,6 +11,7 @@ tied tuples compare exactly equal and the deterministic tie-break is
 observable without summation-order noise.
 """
 
+import gc
 import hashlib
 import inspect
 import random
@@ -297,6 +298,39 @@ class TestGoldenSolverBytes:
         assert self._sha(fictitious_play_result_to_json(fp)) == fp_sha
         assert self._sha(double_oracle_result_to_json(double_oracle(game))) \
             == do_sha
+
+
+class TestNoReferenceCycles:
+    """A query frees what it allocates by reference counting alone: the
+    recursive searches clear their closures' self-references, so a batch
+    of queries leaves nothing for the cyclic collector and peak memory
+    does not move with when a collection happens to run."""
+
+    @staticmethod
+    def _garbage_after(queries):
+        gc.collect()
+        gc.disable()
+        try:
+            queries()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_best_batch(self):
+        graph = random_bipartite_graph(25, 40, 0.10, seed=3)
+        oracle = CoverageOracle(graph, 5)
+        rng = random.Random(3)
+        batch = [{v: rng.random() for v in graph.sorted_vertices()}
+                 for _ in range(300)]
+        assert self._garbage_after(
+            lambda: [oracle.best(w) for w in batch]) == 0
+
+    def test_fallback_and_exhaustive(self, monkeypatch):
+        _, oracle, weights = bnb_sized_case(lp_noise_weights, 0)
+        monkeypatch.setattr(CoverageOracle, "_lex_greedy",
+                            lambda *args: None)
+        assert self._garbage_after(
+            lambda: (oracle.best(weights), oracle.exhaustive(weights))) == 0
 
 
 # --------------------------------------------------------------------------

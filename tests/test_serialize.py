@@ -54,6 +54,20 @@ class TestRoundTrip:
         _, config = equilibrium
         assert configuration_to_json(config) == configuration_to_json(config)
 
+    def test_documents_are_canonical_compact_json(self, equilibrium):
+        game, config = equilibrium
+        for text in (configuration_to_json(config),
+                     solve_result_to_json(solve_game(game))):
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      separators=(",", ":"))
+
+    def test_reads_whitespace_formatted_text(self, equilibrium):
+        _, config = equilibrium
+        text = configuration_to_json(config)
+        pretty = json.dumps(json.loads(text), indent=2, sort_keys=True)
+        assert pretty != text
+        assert configuration_to_json(configuration_from_json(pretty)) == text
+
 
 class TestValidationOnLoad:
     def test_rejects_bad_json(self):
@@ -63,6 +77,13 @@ class TestValidationOnLoad:
     def test_rejects_wrong_format_tag(self):
         with pytest.raises(GameError, match="unrecognized"):
             configuration_from_json(json.dumps({"format": "something.else"}))
+
+    def test_rejects_v1_documents(self, equilibrium):
+        _, config = equilibrium
+        payload = json.loads(configuration_to_json(config))
+        payload["format"] = "repro.mixed-configuration.v1"
+        with pytest.raises(GameError, match="unrecognized"):
+            configuration_from_json(json.dumps(payload, indent=2))
 
     def test_rejects_missing_sections(self, equilibrium):
         _, config = equilibrium

@@ -31,6 +31,7 @@ from repro.serve import (
     RequestError,
     ServeConfig,
     WorkerPool,
+    parse_request,
     running_service,
 )
 from repro.serve.routes import EndpointSpec, prepare
@@ -86,6 +87,28 @@ def post_raw(base, path, body: bytes, timeout=30.0):
 
 def post(base, path, document, timeout=30.0):
     return post_raw(base, path, json.dumps(document).encode(), timeout)
+
+
+def post_bytes(base, path, document, timeout=30.0):
+    """POST a JSON document; return (status, the response body bytes)."""
+    request = urllib.request.Request(
+        base + path, data=json.dumps(document).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+
+
+def result_bytes(body: bytes) -> bytes:
+    """The ``result`` of a served body, exactly as it was sent."""
+    head, sep, rest = body.partition(b',"result":')
+    tail = b',"schema":' + json.dumps(RESPONSE_SCHEMA).encode() + b"}"
+    assert sep and rest.endswith(tail), body[:200]
+    assert set(json.loads(head + b"}")) == {"cache_hit", "endpoint"}
+    return rest[:-len(tail)]
 
 
 def get(base, path, timeout=30.0):
@@ -464,14 +487,35 @@ class TestServedCacheClient:
         game = game_from_json(json.dumps(PATH_GAME))
         result_cache.enable_cache(tmp_path)
         try:
-            document = json.loads(library(game, **params))
-            status, body = post(base, f"/{endpoint}",
-                                {"game": PATH_GAME, "params": params})
+            document = library(game, **params)
+            status, body = post_bytes(base, f"/{endpoint}",
+                                      {"game": PATH_GAME, "params": params})
         finally:
             result_cache.disable_cache()
         assert status == 200
-        assert body["cache_hit"] is True
-        assert body["result"] == document
+        assert json.loads(body)["cache_hit"] is True
+        assert result_bytes(body) == document.encode()
+
+    @pytest.mark.parametrize("endpoint, library, params", LIBRARY_CALLS,
+                             ids=[c[0] for c in LIBRARY_CALLS])
+    def test_served_result_is_the_stored_row(
+            self, tmp_path, service, endpoint, library, params):
+        """Miss and hit send the stored row's bytes, which are the
+        library's own document for the game."""
+        _svc, base = service
+        fresh = library(game_from_json(json.dumps(PATH_GAME)), **params)
+        request = {"game": PATH_GAME, "params": params}
+        result_cache.enable_cache(tmp_path)
+        try:
+            _s, miss = post_bytes(base, f"/{endpoint}", request)
+            (stored,) = _cache_rows()
+            _s, hit = post_bytes(base, f"/{endpoint}", request)
+        finally:
+            result_cache.disable_cache()
+        assert json.loads(miss)["cache_hit"] is False
+        assert json.loads(hit)["cache_hit"] is True
+        assert result_bytes(miss) == result_bytes(hit) == stored.encode() \
+            == fresh.encode()
 
     def test_unique_request_counts_one_miss(self, tmp_path, service):
         _svc, base = service
@@ -506,19 +550,57 @@ class TestServedCacheClient:
         result_cache.enable_cache(tmp_path)
         try:
             miss = prepare("solve", body)
-            assert miss.response is None
+            assert miss.body is None and miss.cache_hit is False
             cold = miss.run()
             assert calls == {"fingerprint": 1, "probe": 1, "encode": 1}
             hit = prepare("solve", body)
+            (stored,) = _cache_rows()
         finally:
             result_cache.disable_cache()
         assert calls == {"fingerprint": 2, "probe": 2, "encode": 1}
-        assert hit.response == {**cold, "cache_hit": True}
+        assert hit.cache_hit is True and hit.run is None
+        document = solve_result_to_json(
+            solve_game(game_from_json(json.dumps(PATH_GAME))))
+        assert result_bytes(hit.body) == result_bytes(cold) \
+            == stored.encode() == document.encode()
+        assert hit.body == cold.replace(b'"cache_hit":false',
+                                        b'"cache_hit":true', 1)
+
+    def test_miss_parses_none_of_its_own_output(self, tmp_path,
+                                                monkeypatch):
+        """A miss encodes once and runs no ``json.loads``; a hit parses
+        once, in ``CachedCall.check``."""
+        parses = []
+        real_loads = json.loads
+
+        def counted_loads(text, *args, **kwargs):
+            parses.append(len(text))
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted_loads)
+        body = json.dumps({"game": PATH_GAME}).encode()
+        result_cache.enable_cache(tmp_path)
+        try:
+            miss = prepare("solve", body)
+            request_parses = len(parses)
+            miss.run()
+            assert len(parses) == request_parses
+            hit = prepare("solve", body)
+        finally:
+            result_cache.disable_cache()
+        check_parse = parses[-1]
+        assert hit.cache_hit is True
+        assert check_parse == len(result_bytes(hit.body))
 
     @pytest.mark.parametrize("defect", [
         pytest.param(lambda text: json.dumps({"format": "old-v0"}),
                      id="stale-format"),
         pytest.param(lambda text: text[:len(text) // 2], id="torn"),
+        # What an older library stored: the same document, indented and
+        # tagged v1.
+        pytest.param(lambda text: json.dumps(
+            {**json.loads(text), "format": "repro.mixed-configuration.v1"},
+            indent=2, sort_keys=True), id="v1-indented"),
     ])
     def test_bad_row_is_served_as_a_miss(self, tmp_path, service, defect):
         _svc, base = service
@@ -539,6 +621,73 @@ class TestServedCacheClient:
         assert body == cold  # a miss, with the correct result
         assert again["cache_hit"] is True
         assert again["result"] == cold["result"]
+
+
+class TestEnvelopeBytes:
+    """The spliced envelope is the dict envelope the service used to
+    dump, in the same key order; error bodies are still dumped dicts."""
+
+    @pytest.mark.parametrize("endpoint", sorted(ENDPOINTS))
+    def test_parses_to_the_dict_envelope(self, endpoint):
+        body = json.dumps({"game": PATH_GAME}).encode()
+        game, params = parse_request(endpoint, body)
+        spec = ENDPOINTS[endpoint]
+        if spec.call is not None:
+            result = json.loads(spec.call.encode(
+                spec.call.compute(game, **params)))
+        else:
+            result = spec.runner(game, params)
+        old = json.dumps({"schema": RESPONSE_SCHEMA, "endpoint": endpoint,
+                          "cache_hit": False, "result": result},
+                         sort_keys=True)
+        served = prepare(endpoint, body).run()
+        assert json.loads(served) == json.loads(old)
+        assert list(json.loads(served)) == [
+            "cache_hit", "endpoint", "result", "schema"]
+
+    @pytest.mark.parametrize("request_body, code", [
+        (b"{not json", "invalid-json"),
+        (json.dumps({"game": PATH_GAME, "params": {"bogus": 1}}).encode(),
+         "invalid-params"),
+    ])
+    def test_error_bodies_are_unchanged(self, service, request_body, code):
+        _svc, base = service
+        request = urllib.request.Request(base + "/solve", data=request_body)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30.0)
+        raw = excinfo.value.read()
+        document = json.loads(raw)
+        assert document["error"]["code"] == code
+        assert raw == json.dumps(document, sort_keys=True).encode()
+
+    def test_access_line_cache_hit(self, tmp_path, service):
+        """``true`` on a hit, ``false`` on a miss, null on an error."""
+        _svc, base = service
+        trace_ids = {"miss": "0af7651916cd43dd8448eb211c8031a1",
+                     "hit": "0af7651916cd43dd8448eb211c8031a2",
+                     "error": "0af7651916cd43dd8448eb211c8031a3"}
+        bodies = {"miss": {"game": PATH_GAME}, "hit": {"game": PATH_GAME},
+                  "error": {"game": PATH_GAME, "params": {"bogus": 1}}}
+
+        def mine():
+            return {r["trace_id"]: r for r in obs_access.read_access(
+                tmp_path / "access") if r["trace_id"] in trace_ids.values()}
+
+        result_cache.enable_cache(tmp_path / "cache")
+        obs_access.enable_access_log(tmp_path / "access")
+        try:
+            for kind in ("miss", "hit", "error"):
+                post_full(base, "/solve", json.dumps(bodies[kind]).encode(),
+                          headers={"traceparent": f"00-{trace_ids[kind]}"
+                                                  "-b7ad6b7169203331-01"})
+            _wait_for(lambda: len(mine()) == 3, "three access lines")
+        finally:
+            obs_access.disable_access_log()
+            result_cache.disable_cache()
+        lines = mine()
+        assert {kind: lines[trace_id]["cache_hit"]
+                for kind, trace_id in trace_ids.items()} == {
+            "miss": False, "hit": True, "error": None}
 
 
 def _wait_for(condition, label, timeout=10.0):

@@ -34,6 +34,9 @@ _BUS_PUBLISHES = 50_000
 #: Calls per correlation micro-bench repetition.
 _CORRELATION_CALLS = 50_000
 
+#: Passes over the four hot bodies per serve.solve.hit repetition.
+_SERVED_HIT_PASSES = 10
+
 #: An inbound W3C ``traceparent``, as a caller would send it.
 _TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 
@@ -179,19 +182,45 @@ def _cases():
         for oracle, masses in certified:
             _CoverageMatching(oracle, 1e-9).best(masses)
 
+    def solve_bodies(shape, k, nu):
+        return [
+            json.dumps({"game": json.loads(game_to_json(TupleGame(
+                random_bipartite_graph(*shape, seed=seed), k, nu=nu)))},
+                sort_keys=True).encode("utf-8")
+            for seed in range(1, 5)]
+
     # Served /solve misses in perfbench serve-mixed's miss shape: JSON
-    # parse and validation, the canonical graph, the solve cascade and
-    # the result encoding, all through the library's canonical order.
-    miss_bodies = [
-        json.dumps({"game": json.loads(game_to_json(TupleGame(
-            random_bipartite_graph(20, 30, 0.12, seed=seed), 3, nu=2)))},
-            sort_keys=True).encode("utf-8")
-        for seed in range(1, 5)]
+    # parse and validation, the canonical graph, the solve cascade, the
+    # result encoding and the response body bytes, all through the
+    # library's canonical order.
+    miss_bodies = solve_bodies((20, 30, 0.12), 3, 2)
 
     def served_misses() -> None:
         result_cache.disable_cache()
         for body in miss_bodies:
             prepare("solve", body).run()
+
+    # Served /solve hits in serve-mixed's hot shape, from a store primed
+    # once here: JSON parse and validation, the fingerprint, the SQLite
+    # probe, the stored row's check and the response body bytes.
+    hit_bodies = solve_bodies((8, 12, 0.25), 2, 1)
+    hit_cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
+    result_cache.enable_cache(hit_cache_dir)
+    try:
+        for body in hit_bodies:
+            prepare("solve", body).run()
+    finally:
+        result_cache.disable_cache()
+
+    def served_hits() -> None:
+        result_cache.enable_cache(hit_cache_dir)
+        try:
+            for _ in range(_SERVED_HIT_PASSES):
+                for body in hit_bodies:
+                    if not prepare("solve", body).cache_hit:
+                        raise RuntimeError("serve.solve.hit missed")
+        finally:
+            result_cache.disable_cache()
 
     return {
         "double_oracle.medium_a": lambda: double_oracle(do_a),
@@ -212,6 +241,7 @@ def _cases():
         "ranges.small": range_probes,
         "certificate.matching": matching_certificates,
         "serve.solve.miss": served_misses,
+        "serve.solve.hit": served_hits,
         "simulation.medium": lambda: simulate(
             sim_game, sim_config, trials=400_000, seed=0
         ),

@@ -13,9 +13,11 @@ Replays the full cache lifecycle on the committed fixture games in
    and require distinct fingerprints *and* distinct cache entries —
    the regression this PR-line exists to prevent;
 4. ``gc`` the store empty and require the next solve to **miss** again;
-5. on a fresh store, solve the plain fixture cold through the library,
-   then require ``repro.serve.routes.prepare("solve", ...)`` to answer
-   **inline** with the byte-equal document; then tear the stored row
+5. on a fresh store, solve the plain fixture cold through the library
+   (``solve_game``, ``double_oracle``, ``fictitious_play``), then
+   require ``repro.serve.routes.prepare(...)`` to answer each endpoint
+   **inline** with a body whose ``result`` bytes are exactly the stored
+   row and the library's document; then tear the stored ``/solve`` row
    and require the library path, and after a stale-format row the
    served path, to **demote** it to a miss (``cache.errors.count``
    rises by one) and rewrite it with the correct document.
@@ -124,6 +126,16 @@ def run_smoke() -> list:
     return failures
 
 
+def _served_body(endpoint: str, document: str, cache_hit: bool) -> bytes:
+    """The exact response body the service must send for ``document``."""
+    from repro.serve.schemas import RESPONSE_SCHEMA
+
+    flag = "true" if cache_hit else "false"
+    return (f'{{"cache_hit":{flag},"endpoint":"{endpoint}",'
+            f'"result":{document},"schema":"{RESPONSE_SCHEMA}"}}'
+            ).encode("utf-8")
+
+
 def _served_path(game) -> list:
     """One cache client: the service answers from the library's entry,
     and both paths demote a bad row to a miss and rewrite it."""
@@ -131,9 +143,20 @@ def _served_path(game) -> list:
     from repro.core.serialize import game_to_json, solve_result_to_json
     from repro.equilibria.solve import solve_game
     from repro.serve.routes import prepare
+    from repro.solvers.double_oracle import (double_oracle,
+                                             double_oracle_result_to_json)
+    from repro.solvers.fictitious_play import (
+        fictitious_play, fictitious_play_result_to_json)
 
     failures = []
     body = json.dumps({"game": json.loads(game_to_json(game))}).encode()
+    library = {
+        "solve": lambda: solve_result_to_json(solve_game(game)),
+        "double-oracle": lambda: double_oracle_result_to_json(
+            double_oracle(game)),
+        "fictitious-play": lambda: fictitious_play_result_to_json(
+            fictitious_play(game)),
+    }
 
     def corrupt(payload: str) -> None:
         path = result_cache.get_cache().path
@@ -149,18 +172,26 @@ def _served_path(game) -> list:
         finally:
             conn.close()
 
+    for endpoint, document in library.items():
+        with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as tmp:
+            result_cache.enable_cache(tmp)
+            try:
+                cold = document()
+                prepared = prepare(endpoint, body)
+                if not prepared.cache_hit or prepared.body is None:
+                    failures.append(f"served /{endpoint} missed the entry "
+                                    "the library call stored")
+                elif stored() != [cold] or prepared.body != _served_body(
+                        endpoint, cold, cache_hit=True):
+                    failures.append(f"served /{endpoint} hit's result is "
+                                    "not the stored row's bytes")
+            finally:
+                result_cache.disable_cache()
+
     with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as tmp:
         result_cache.enable_cache(tmp)
         try:
             cold = solve_result_to_json(solve_game(game))
-            response = prepare("solve", body).response
-            if response is None or response["cache_hit"] is not True:
-                failures.append("served /solve missed the entry the "
-                                "library call stored")
-            elif json.dumps(response["result"], indent=2,
-                            sort_keys=True) != cold:
-                failures.append("served hit is not byte-equal to the "
-                                "library document")
 
             errors = _counter("cache.errors.count")
             corrupt(cold[:len(cold) // 2])
@@ -175,11 +206,11 @@ def _served_path(game) -> list:
             errors = _counter("cache.errors.count")
             corrupt(json.dumps({"format": "old-v0"}))
             prepared = prepare("solve", body)
-            if prepared.response is not None or prepared.run is None:
+            if prepared.body is not None or prepared.run is None:
                 failures.append("served /solve answered a stale-format "
                                 "row as a hit")
-            elif json.dumps(prepared.run()["result"], indent=2,
-                            sort_keys=True) != cold:
+            elif prepared.run() != _served_body("solve", cold,
+                                                cache_hit=False):
                 failures.append("served miss over a stale-format row "
                                 "returned a different document")
             if _counter("cache.errors.count") != errors + 1 \
@@ -202,8 +233,8 @@ def main() -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print("cache smoke OK: cold/hit byte-identical, weighted identities "
-          "distinct, gc returns the store to cold, served hits byte-equal, "
-          "bad rows demoted and rewritten on both paths")
+          "distinct, gc returns the store to cold, served hits send the "
+          "stored row's bytes, bad rows demoted and rewritten on both paths")
     return 0
 
 
