@@ -168,21 +168,27 @@ class CacheProbe:
         from an older library version — is demoted to a miss: the error
         is counted on ``cache.errors.count``, ``hit`` flips to ``False``
         so the caller's compute path runs and its :meth:`store` call
-        overwrites the bad entry with a fresh payload.  (A library ledger
-        run keeps the ``cache_hit`` stamped at probe time; the service
-        replays before it opens a run, so it records a plain miss.)
+        overwrites the bad entry with a fresh payload.  A found row
+        counts into ``cache.hits.count`` only here, once it decodes; a
+        demoted one counts into ``cache.misses.count``.  (A library
+        ledger run keeps the ``cache_hit`` stamped at probe time; the
+        service replays before it opens a run, so it records a plain
+        miss.)
         """
         if not self.hit:
             return None
         try:
-            return decoder(self.payload)
+            result = decoder(self.payload)
         except Exception as exc:  # caching must never break the solve
             metrics.counter("cache.errors.count").inc()
+            metrics.counter("cache.misses.count").inc()
             _log.warning("cache.replay.failed", solver=self.solver,
                          error=type(exc).__name__)
             self.hit = False
             self.payload = None
             return None
+        metrics.counter("cache.hits.count").inc()
+        return result
 
 
 #: Shared miss returned while the cache is disabled.

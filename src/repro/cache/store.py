@@ -28,9 +28,11 @@ Policy
 
 Telemetry
 ---------
-Probes run under a ``cache.lookup`` span and count into
-``cache.hits.count`` / ``cache.misses.count``; inserts into
-``cache.stores.count``; every eviction into ``cache.evictions.count``.
+Probes run under a ``cache.lookup`` span; a missing row counts into
+``cache.misses.count``, and a found row into ``cache.hits.count`` once
+its reader has checked it (a row that fails the check is a miss);
+inserts count into ``cache.stores.count``; every eviction into
+``cache.evictions.count``.
 ``cache.entries`` / ``cache.bytes`` gauges track the store size.  All of
 it lands in ledger records via the usual metrics snapshot, so a recorded
 run shows exactly how the cache behaved.
@@ -96,6 +98,10 @@ class ResultCache:
         )
         with self._lock:
             self._conn.execute("PRAGMA journal_mode = WAL")
+            # A commit appends to the WAL without an fsync; a power loss
+            # may drop the newest entries, a crash loses none, and the
+            # store stays consistent either way.
+            self._conn.execute("PRAGMA synchronous = NORMAL")
             applied = apply_migrations(self._conn)
         if applied:
             _log.info("cache.migrated", path=str(self.path),
@@ -109,8 +115,12 @@ class ResultCache:
               params: Dict[str, Any]) -> Optional[str]:
         """The cached payload for ``(fingerprint, solver, params)``, or None.
 
-        A hit writes nothing: its LRU clock and hit tally wait in memory
-        for the next flush.
+        A missing row counts into ``cache.misses.count``.  A found row
+        is counted by its reader, once the row checks out
+        (:meth:`repro.cache.CacheProbe.replay`), since only the reader
+        can tell a hit from a torn or stale row.  A found row writes
+        nothing: its LRU clock and hit tally wait in memory for the next
+        flush.
         """
         key = cache_key(fingerprint, solver, params_json(params))
         with tracing.span("cache.lookup", solver=solver), \
@@ -126,7 +136,6 @@ class ResultCache:
             if row is None:
                 metrics.counter("cache.misses.count").inc()
                 return None
-            metrics.counter("cache.hits.count").inc()
             return str(row[0])
 
     def store(self, fingerprint: str, solver: str,

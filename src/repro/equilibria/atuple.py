@@ -3,8 +3,11 @@
 Computes a k-matching mixed Nash equilibrium of ``Π_k(G)`` given a
 Theorem 2.2 partition ``(IS, VC)``:
 
-1. run the Edge-model Algorithm ``A`` on ``Π_1(G)`` (step 1);
-2. label the resulting support edges ``e_0 .. e_{E_num−1}`` (step 2);
+1. run the Edge-model Algorithm ``A`` on ``Π_1(G)`` (step 1) — only its
+   edge support ``D(tp)`` is used, so step 1 is
+   :func:`~repro.equilibria.matching_ne.build_matching_cover`, and no
+   Edge-model profile is built;
+2. label the support edges ``e_0 .. e_{E_num−1}`` (step 2);
 3. walk cyclically over the labels, cutting consecutive windows of ``k``
    edges until the walk returns to label 0 — producing
    ``δ = E_num / gcd(E_num, k)`` tuples in which every edge appears exactly
@@ -33,7 +36,7 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
 from repro.graphs.core import Edge, Vertex, edge_sort_key
-from repro.equilibria.matching_ne import algorithm_a
+from repro.equilibria.matching_ne import build_matching_cover
 
 __all__ = ["cyclic_tuples", "algorithm_a_tuple", "expected_tuple_count"]
 
@@ -83,10 +86,10 @@ def algorithm_a_tuple(
     Theorem 2.2 partition: ``IS`` independent, ``VC = V \\ IS`` and ``G`` a
     ``VC``-expander (into ``IS``); step 1 validates them.
     """
-    # Step 1: matching NE of the Edge model.
-    edge_config = algorithm_a(game.edge_game(), independent_set, vertex_cover)
+    # Step 1: the Edge-model matching NE's support D(tp).
+    cover = build_matching_cover(game.graph, independent_set, vertex_cover)
     # Step 2: deterministic labelling e_0 .. e_{E_num-1}.
-    labelled_edges = sorted(edge_config.tp_support_edges(), key=edge_sort_key)
+    labelled_edges = sorted(cover, key=edge_sort_key)
     # Step 3: the cyclic windows.
     tuples = cyclic_tuples(labelled_edges, game.k)
     # Steps 4-5: uniform distributions (equations (3)-(4) of Lemma 4.1).

@@ -21,12 +21,13 @@ ledger's ``spans``); spans feed no metrics.
 
 Correlation (PR 10): the trace buffer lives in a
 :class:`contextvars.ContextVar` rather than ``threading.local``, so a
-request's trace context survives the hop from the asyncio loop onto an
-executor thread whenever the callable is run under
+request's trace context survives the hop from the asyncio loop onto a
+worker thread whenever the callable is run under
 ``contextvars.copy_context()`` (which the serve layer's
-:class:`~repro.serve.workers.WorkerPool` and ``run_in_executor`` calls
-do).  Every context carries a W3C-style 128-bit ``trace_id`` and every
-span minted inside it gets a 64-bit ``span_id``; :func:`start_trace`
+:class:`~repro.serve.workers.WorkerPool` does; validation and cache
+hits run on the loop, in the request task's own context).  Every
+context carries a W3C-style 128-bit ``trace_id`` and every span minted
+inside it gets a 64-bit ``span_id``; :func:`start_trace`
 begins a fresh context for an inbound request, honoring its
 ``traceparent`` header when one is supplied.  Trace *identity* is
 always available — even with span collection disabled — which is what
@@ -173,7 +174,7 @@ def start_trace(traceparent: Optional[str] = None) -> TraceContext:
     ``trace_id`` with this hop as a child span) and mints a new
     ``trace_id`` otherwise.  Returns the new context — the serve layer
     calls this once per HTTP request, then copies the surrounding
-    ``contextvars`` context across its executor hops so every span,
+    ``contextvars`` context across its one worker hop so every span,
     ledger record and event of that request lands in this buffer.
     """
     parsed = parse_traceparent(traceparent)

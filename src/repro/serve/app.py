@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import contextvars
 import json
 import threading
 from email.utils import formatdate
@@ -321,17 +320,13 @@ class DefenderService:
 
     async def _run_endpoint(self, endpoint: str,
                             body: bytes) -> Tuple[bytes, bool]:
-        """The response body of one POST endpoint, and its cache flag."""
-        loop = asyncio.get_running_loop()
-        # Validation and the cache probe are cheap; run them on the
-        # loop's default executor so a burst of malformed requests still
-        # cannot occupy a solver worker.  run_in_executor does not carry
-        # contextvars across the hop by itself, so the request's trace
-        # context is propagated explicitly (WorkerPool.submit does the
-        # same for solver work).
-        context = contextvars.copy_context()
-        prepared = await loop.run_in_executor(
-            None, context.run, prepare, endpoint, body)
+        """The response body of one POST endpoint, and its cache flag.
+
+        Validation and the cache probe are cheap, so they run here on
+        the loop, in the request's own trace context: a hit or a reject
+        never leaves the loop thread, and only a miss hops, once, to a
+        solver worker."""
+        prepared = prepare(endpoint, body)
         if prepared.body is not None:
             return prepared.body, prepared.cache_hit
         if prepared.run is None:
@@ -372,8 +367,8 @@ class DefenderService:
                 # One trace per request: continue the client's when it
                 # sent a valid traceparent, mint one otherwise.  Every
                 # span, ledger record, event and access line below here
-                # carries this context's trace_id (the executor hops
-                # copy the contextvars context).
+                # carries this context's trace_id (the worker hop
+                # copies the contextvars context).
                 trace = tracing.start_trace(headers.get("traceparent"))
                 status, payload, content_type, cache_hit = \
                     await self._dispatch(method, target, body)

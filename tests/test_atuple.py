@@ -3,17 +3,25 @@
 
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import repro.equilibria.solve as solve_module
 from repro.core.characterization import is_mixed_nash
+from repro.core.configuration import MixedConfiguration
 from repro.core.game import GameError, TupleGame
+from repro.core.serialize import solve_result_to_json
+from repro.equilibria import NoEquilibriumFoundError, solve_game
 from repro.equilibria.atuple import (
     algorithm_a_tuple,
     cyclic_tuples,
     expected_tuple_count,
 )
 from repro.equilibria.kmatching import is_kmatching_nash
+from repro.equilibria.matching_ne import algorithm_a
+from repro.fuzz.corpus import iter_corpus
+from repro.graphs.core import edge_sort_key
 from repro.graphs.generators import complete_bipartite_graph, random_bipartite_graph
 from repro.matching.covers import minimum_edge_cover_size
 from repro.matching.partition import bipartite_partition
@@ -139,3 +147,75 @@ class TestAlgorithmATuple:
             game = TupleGame(graph, k, nu=3)
             config = algorithm_a_tuple(game, independent, cover_side)
             assert is_kmatching_nash(game, config)
+
+
+def _edge_profile_route(game, independent_set, vertex_cover):
+    """``A_tuple`` with step 1 building, and validating, the whole
+    Edge-model profile of Algorithm ``A`` only to read its support."""
+    independent_set = tuple(independent_set)
+    edge_config = algorithm_a(game.edge_game(), independent_set, vertex_cover)
+    labelled = sorted(edge_config.tp_support_edges(), key=edge_sort_key)
+    return MixedConfiguration.uniform(
+        game, independent_set, cyclic_tuples(labelled, game.k))
+
+
+def _corpus_games():
+    for _path, spec in iter_corpus(Path(__file__).parent / "corpus"):
+        graph = spec.to_game().graph
+        for k in range(1, min(graph.m, 4) + 1):
+            yield TupleGame(graph, k, nu=spec.nu)
+
+
+def _bipartite_games():
+    for seed in range(1, 9):
+        graph = random_bipartite_graph(6, 9, 0.3, seed=seed)
+        for k in range(1, min(graph.m, 4) + 1):
+            yield TupleGame(graph, k, nu=2)
+
+
+def _solved_bytes(games):
+    """``(kind, solve_result_to_json bytes)`` per game; ``(None, None)``
+    where the game has no equilibrium."""
+    out = []
+    for game in games:
+        try:
+            result = solve_game(game)
+        except NoEquilibriumFoundError:
+            out.append((None, None))
+            continue
+        out.append((result.kind, solve_result_to_json(result)))
+    return out
+
+
+class TestOneProfile:
+    """Step 1 reads Algorithm A's support D(tp) straight from
+    build_matching_cover: one validated profile per k-matching solve,
+    and the same bytes as the Edge-model route."""
+
+    @pytest.mark.parametrize("games", [_corpus_games, _bipartite_games],
+                             ids=["corpus", "seeded-bipartite"])
+    def test_same_bytes_as_the_edge_profile_route(self, games, monkeypatch):
+        current = _solved_bytes(games())
+        kinds = Counter(kind for kind, _text in current)
+        assert kinds["k-matching"] >= 5, kinds
+        monkeypatch.setattr(solve_module, "algorithm_a_tuple",
+                            _edge_profile_route)
+        assert _solved_bytes(games()) == current
+
+    def test_builds_one_profile(self, monkeypatch):
+        graph = random_bipartite_graph(6, 9, 0.3, seed=3)
+        independent, cover_side = bipartite_partition(graph)
+        game = TupleGame(graph, 2, nu=2)
+        built = []
+        real_init = MixedConfiguration.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MixedConfiguration, "__init__", counted)
+        algorithm_a_tuple(game, independent, cover_side)
+        assert built == [game]
+        built.clear()
+        _edge_profile_route(game, independent, cover_side)
+        assert len(built) == 2 and built[0].k == 1

@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 import repro.cache as result_cache
+import repro.serve.app as app_module
 import repro.equilibria.solve as solve_module
 from repro.core.serialize import game_from_json, solve_result_to_json
 from repro.equilibria import solve_game
@@ -954,6 +955,52 @@ class TestBackpressure:
                 assert body["error"]["code"] == "timeout"
         finally:
             release.set()  # let the abandoned worker thread finish
+
+
+class TestRequestThreads:
+    """Validation and cache hits are answered on the event loop; a miss
+    hops once, to a solver worker, and no default-executor thread ever
+    starts."""
+
+    def test_prepare_on_the_loop_and_run_on_a_worker(self, tmp_path,
+                                                     monkeypatch):
+        seen = []
+
+        def watched(endpoint, body):
+            seen.append(("prepare", threading.current_thread().name))
+            prepared = prepare(endpoint, body)
+            if prepared.run is None:
+                return prepared
+            real_run = prepared.run
+
+            def run():
+                seen.append(("run", threading.current_thread().name))
+                return real_run()
+            return prepared._replace(run=run)
+
+        def executor_threads():
+            return {thread.ident for thread in threading.enumerate()
+                    if thread.name.startswith("asyncio")}
+
+        monkeypatch.setattr(app_module, "prepare", watched)
+        before = executor_threads()
+        result_cache.enable_cache(tmp_path)
+        try:
+            with running_service(ServeConfig(workers=2, queue_limit=4)) \
+                    as (_svc, base):
+                miss = post(base, "/solve", {"game": PATH_GAME})
+                hit = post(base, "/solve", {"game": PATH_GAME})
+                reject = post_raw(base, "/solve", b"{not json")
+                after = executor_threads()
+        finally:
+            result_cache.disable_cache()
+        assert miss[0] == hit[0] == 200
+        assert miss[1]["cache_hit"] is False and hit[1]["cache_hit"] is True
+        assert reject[0] == 400
+        loop = ("prepare", "repro-serve-loop")
+        assert seen[0] == loop and seen[2:] == [loop, loop]
+        assert seen[1][0] == "run" and seen[1][1].startswith("repro-serve_")
+        assert after == before
 
 
 class TestWorkerPool:

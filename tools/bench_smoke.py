@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import tempfile
@@ -36,6 +37,10 @@ _CORRELATION_CALLS = 50_000
 
 #: Passes over the four hot bodies per serve.solve.hit repetition.
 _SERVED_HIT_PASSES = 10
+
+#: The environment variable naming the directory that the measuring
+#: processes make their result stores in; :func:`run_cases` removes it.
+_STORES_ENV = "REPRO_BENCH_STORES"
 
 #: An inbound W3C ``traceparent``, as a caller would send it.
 _TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -137,7 +142,8 @@ def _cases():
     # the coverage kernel between reps, not the result cache).  The case
     # enables the cache only inside its own closure so the other cases
     # keep timing the uncached paths.
-    cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
+    stores = os.environ.get(_STORES_ENV)
+    cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-", dir=stores)
     result_cache.enable_cache(cache_dir)
     try:
         double_oracle(do_b)
@@ -204,7 +210,8 @@ def _cases():
     # once here: JSON parse and validation, the fingerprint, the SQLite
     # probe, the stored row's check and the response body bytes.
     hit_bodies = solve_bodies((8, 12, 0.25), 2, 1)
-    hit_cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
+    hit_cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-",
+                                     dir=stores)
     result_cache.enable_cache(hit_cache_dir)
     try:
         for body in hit_bodies:
@@ -270,8 +277,15 @@ def run_cases(baseline=False):
 
     # _cases runs in each measuring process.  Its reset,
     # clear_shared_oracles, makes every repetition pay the oracle build
-    # again: the tracked number is a cold solve.
-    timings = measure(_cases, native=_NATIVE, baseline=baseline)
+    # again: the tracked number is a cold solve.  The processes inherit
+    # the stores directory through the environment, and it goes when
+    # they are done.
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as stores:
+        os.environ[_STORES_ENV] = stores
+        try:
+            timings = measure(_cases, native=_NATIVE, baseline=baseline)
+        finally:
+            del os.environ[_STORES_ENV]
     for name, summary in timings.items():
         print(f"  {name:32s} {summary['median_s'] * 1000:9.2f} ms "
               f"± {summary['mad_s'] * 1000:7.2f} ms MAD "
